@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp import (LpModel, solve_lp, EQ, GE, OPTIMAL as LP_OPTIMAL,
+from .lp import (LpModel, solve_lp, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL
-from .model import (Cut, theta_weights, CONTINUOUS,
+from .model import (Cut, theta_weights, stacked_model, CONTINUOUS,
                     KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY)
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
@@ -36,51 +36,46 @@ class SubproblemResult:
         self.farkas = farkas
 
 
-def _recourse_lp(instance, technology, rhs, xhat):
-    resid = rhs - technology @ xhat
-    return LpModel.make(instance.second_stage_cost, instance.recourse,
-                        (GE,) * instance.m2, resid)
+def _solve_recourse(instance, target, technology, rhs, xhat):
+    res = solve_lp(LpModel.make(instance.second_stage_cost, instance.recourse,
+                                (GE,) * instance.m2, rhs - technology @ xhat))
+    if res.status == LP_INFEASIBLE:
+        return SubproblemResult(target, feasible=False, farkas=res.farkas)
+    if res.status == LP_UNBOUNDED:
+        raise ValueError(f"target {target}: recourse unbounded below")
+    return SubproblemResult(target, value=res.objective, duals=res.duals)
 
 
 def solve_scenario_subproblem(instance, s, xhat):
     """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0."""
     sc = instance.scenarios[s]
-    res = solve_lp(_recourse_lp(instance, sc.technology, sc.rhs, xhat))
-    if res.status == LP_INFEASIBLE:
-        return SubproblemResult(s, feasible=False, farkas=res.farkas)
-    if res.status == LP_UNBOUNDED:
-        raise ValueError(f"scenario {s}: recourse unbounded below")
-    return SubproblemResult(s, value=res.objective, duals=res.duals)
+    return _solve_recourse(instance, s, sc.technology, sc.rhs, xhat)
 
 
 def solve_cluster_subproblem(instance, agg, xhat):
     """Same LP on the cluster's probability-averaged technology and rhs."""
-    res = solve_lp(_recourse_lp(instance, agg.technology, agg.rhs, xhat))
-    if res.status == LP_INFEASIBLE:
-        return SubproblemResult(agg.cluster, feasible=False, farkas=res.farkas)
-    if res.status == LP_UNBOUNDED:
-        raise ValueError(f"cluster {agg.cluster}: recourse unbounded below")
-    return SubproblemResult(agg.cluster, value=res.objective, duals=res.duals)
+    return _solve_recourse(instance, agg.cluster, agg.technology, agg.rhs,
+                           xhat)
+
+
+def _optimality_cut(instance, kind, cluster, technology, rhs, result):
+    lam = result.duals
+    return Cut(kind, technology.T @ lam, theta_weights(instance, cluster),
+               float(lam @ rhs), origin=cluster, gen_dual=lam)
 
 
 def make_benders_cut(instance, s, result):
     """theta_s >= dual.(h_s - T_s x), rearranged onto the master's left side."""
     sc = instance.scenarios[s]
-    lam = result.duals
-    coeffs = sc.technology.T @ lam
-    theta = np.zeros(instance.n_scenarios)
-    theta[s] = 1.0
-    return Cut(KIND_BENDERS, coeffs, theta, float(lam @ sc.rhs),
-               origin=(s,), gen_dual=lam)
+    return _optimality_cut(instance, KIND_BENDERS, (s,), sc.technology,
+                           sc.rhs, result)
 
 
-def make_pbbenc(instance, agg, result):
-    """Aggregated Benders cut over theta_P = sum of weighted theta_s."""
-    lam = result.duals
-    coeffs = agg.technology.T @ lam
-    theta = theta_weights(instance, agg.cluster)
-    return Cut(KIND_PBBENC, coeffs, theta, float(lam @ agg.rhs),
-               origin=agg.cluster, gen_dual=lam)
+def make_pbbenc(instance, agg, result, kind=KIND_PBBENC):
+    """Aggregated Benders cut over theta_P = sum of weighted theta_s.  A
+    singleton cluster gives the scenario's own cut; `kind` labels it."""
+    return _optimality_cut(instance, kind, agg.cluster, agg.technology,
+                           agg.rhs, result)
 
 
 def make_feasibility_cut(instance, technology, rhs, result):
@@ -96,22 +91,11 @@ def make_feasibility_cut(instance, technology, rhs, result):
 def compute_theta_lower_bounds(instance):
     """L_s = min d.y over W y >= h_s - T_s x with x anywhere in its relaxed
     box; keeps the master bounded before any cut mentions theta_s."""
-    n1, n2 = instance.n1, instance.n2
-    xlb, xub = instance.x_bounds()
     out = np.zeros(instance.n_scenarios)
     for s, sc in enumerate(instance.scenarios):
-        c = np.concatenate([np.zeros(n1), instance.second_stage_cost])
-        rows = np.hstack([sc.technology, instance.recourse])
-        senses = [GE] * instance.m2
-        rhs = sc.rhs
-        if instance.m1:
-            rows = np.vstack([np.hstack([instance.first_stage_matrix,
-                                         np.zeros((instance.m1, n2))]), rows])
-            senses = [EQ] * instance.m1 + senses
-            rhs = np.concatenate([instance.first_stage_rhs, sc.rhs])
-        lb = np.concatenate([xlb, np.zeros(n2)])
-        ub = np.concatenate([xub, np.full(n2, np.inf)])
-        res = solve_lp(LpModel.make(c, rows, senses, rhs, lb, ub))
+        model = stacked_model(instance, np.zeros(instance.n1),
+                              [(1.0, sc.technology, sc.rhs)])
+        res = solve_lp(model.lp)
         if res.status == LP_INFEASIBLE:
             raise ValueError(f"scenario {s}: infeasible for every first stage")
         if res.status == LP_UNBOUNDED:

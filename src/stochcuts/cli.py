@@ -12,7 +12,6 @@ import html
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .drivers import (RunConfig, run, write_trace_csv, read_trace_csv,
                       REASON_TIME_LIMIT)
@@ -142,15 +141,8 @@ def cmd_compare(args):
     if not algorithms:
         raise CliError("no algorithms given", EXIT_USAGE)
     instances = [_load_instance(s) for s in args.instances]
-    jobs = []
-    for instance in instances:
-        for algorithm in algorithms:
-            jobs.append((instance, _run_config(args, algorithm)))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            traces = list(pool.map(lambda j: run(*j), jobs))
-    else:
-        traces = [run(*j) for j in jobs]
+    traces = [run(instance, _run_config(args, algorithm))
+              for instance in instances for algorithm in algorithms]
     best = {}
     for trace in traces:
         lb = trace.final_lower_bound
@@ -348,7 +340,6 @@ def build_parser():
                    help="instance files or builtin names")
     p.add_argument("--algorithms", default="benders,bdd,apblagc",
                    help="comma-separated algorithm names")
-    p.add_argument("--jobs", type=int, default=1)
     _add_run_options(p)
     p.set_defaults(func=cmd_compare)
 

@@ -1,17 +1,23 @@
 """End-to-end algorithm drivers with uniform tracing.
 
-Four solvers share the master/cut machinery:
+A scenario is a singleton cluster, so three of the four solvers are one
+cut loop over a scenario partition, configured by the start partition, the
+kind of Benders and Lagrangian cuts, and whether to refine:
 
-  run_benders   multi-cut Benders on the LP relaxation (classic closure),
-  run_bdd       Benders saturation plus per-scenario Lagrangian cut rounds,
-  run_alg1      adaptive partition loop on exact partition MIPs (gap-driven),
-  run_apblagc   adaptive partition-based Lagrangian cuts: cluster Benders
-                saturation, cluster-level Lagrangian rounds, dual-guided
-                refinement with a progress-based outer stop.
+  run_benders   multi-cut Benders on the LP relaxation at the singleton
+                partition; no Lagrangian rounds, no refinement,
+  run_bdd       the same plus scenario-level Lagrangian cut rounds,
+  run_apblagc   adaptive partition-based Lagrangian cuts: aggregated
+                Benders and Lagrangian rounds from the single cluster on,
+                dual-guided refinement with a progress-based outer stop.
+
+run_alg1, the adaptive partition loop on exact partition MIPs (gap-driven),
+shares only the refinement step.
 
 All bounds are recorded in a RunTrace whose numeric content is
 deterministic for a fixed instance and config; only wall-clock fields vary
-between repeat runs.
+between repeat runs.  Each event's cut counts are those of the pool that
+produced its bound.
 """
 
 from __future__ import annotations
@@ -23,18 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benders import (MasterState, solve_master, solve_scenario_subproblem,
-                      solve_cluster_subproblem, make_benders_cut, make_pbbenc,
+                      solve_cluster_subproblem, make_pbbenc,
                       make_feasibility_cut, CUT_VIOLATION_TOL)
-from .lagrangian import separate, scenario_target, cluster_target, VIOLATED
+from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
 from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import CONTINUOUS, KIND_PBLAGC, theta_weights
-from .partition import (single_cluster, aggregate, refine, delta_schedule,
-                        build_partition_extensive)
+from .model import (CONTINUOUS, KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN,
+                    KIND_PBLAGC)
+from .partition import (single_cluster, singletons, aggregate, refine,
+                        delta_schedule, build_partition_extensive)
 
 EVENT_KINDS = ("benders_round", "lagrangian_round", "refinement", "termination")
 
 REASON_CONVERGED = "converged"
 REASON_SATURATED = "saturated"
+REASON_BUDGET = "budget_exhausted"
 REASON_STALLED = "stalled"
 REASON_OUTER_STOP = "outer_stop"
 REASON_EXHAUSTED = "refinement_exhausted"
@@ -94,7 +102,7 @@ class RunTrace:
         self.events = []
         self.termination_reason = None
         self.cuts = []               # the master's cut pool at termination
-        self.final_partition = None  # set by the partition-based drivers
+        self.final_partition = None  # the partition the run ended at
         self.t0 = time.monotonic()
 
     def record(self, kind, z_lb, z_ub=None, cuts=None, n_clusters=1,
@@ -161,123 +169,162 @@ def _outer_stop(lb_k, lb0_first, kappa1):
     return progress <= kappa1 * total + 1e-9
 
 
-def _scenario_benders_round(instance, state, x, theta):
-    """Generate violated scenario-level optimality/feasibility cuts at x."""
-    added = 0
-    for s in range(instance.n_scenarios):
-        res = solve_scenario_subproblem(instance, s, x)
-        if not res.feasible:
-            sc = instance.scenarios[s]
-            if state.add_cut(make_feasibility_cut(instance, sc.technology,
-                                                  sc.rhs, res)):
-                added += 1
-        elif res.value > theta[s] + CUT_VIOLATION_TOL * (1.0 + abs(theta[s])):
-            if state.add_cut(make_benders_cut(instance, s, res)):
-                added += 1
-    return added
+def _blocks(instance, partition, lagrangian_kind):
+    """(aggregate, separation target) of every cluster of the partition."""
+    return [(aggregate(instance, c),
+             cluster_target(instance, c, lagrangian_kind))
+            for c in partition.clusters]
 
 
-def _cluster_benders_round(instance, state, aggs, weights, x, theta):
+def _benders_round(instance, state, blocks, kind, x, theta):
+    """Add each cluster's violated optimality (or feasibility) cut at x."""
     added = 0
-    for agg, w in zip(aggs, weights):
+    for agg, target in blocks:
         res = solve_cluster_subproblem(instance, agg, x)
         if not res.feasible:
-            if state.add_cut(make_feasibility_cut(instance, agg.technology,
-                                                  agg.rhs, res)):
-                added += 1
+            cut = make_feasibility_cut(instance, agg.technology, agg.rhs, res)
         else:
-            t_p = float(w @ theta)
-            if res.value > t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
-                if state.add_cut(make_pbbenc(instance, agg, res)):
-                    added += 1
+            t_p = float(target.weights @ theta)
+            if res.value <= t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
+                continue
+            cut = make_pbbenc(instance, agg, res, kind)
+        added += state.add_cut(cut)
     return added
 
 
 def _scenario_duals(instance, x):
-    """Duals (or normalized Farkas rays) of every scenario subproblem at x;
-    the clustering signal for refinement."""
+    """Duals (or unit max-norm Farkas rays) of every scenario subproblem at
+    x, the clustering signal for refinement, and the expected recourse
+    value there (None when some scenario has no recourse)."""
+    p = instance.probabilities
     duals = {}
+    expected = 0.0
     for s in range(instance.n_scenarios):
         res = solve_scenario_subproblem(instance, s, x)
         if res.feasible:
             duals[s] = res.duals
+            if expected is not None:
+                expected += p[s] * res.value
         else:
+            expected = None
             ray = res.farkas
             scale = float(np.abs(ray).max(initial=0.0))
             duals[s] = ray / scale if scale > 0 else ray
-    return duals
+    return duals, expected
 
 
-def run_benders(instance, config=None):
-    """Classic multi-cut Benders on the LP relaxation; converges to the
-    optimum of the LP-relaxed extensive form."""
-    config = config or RunConfig(algorithm="benders")
-    trace = RunTrace(instance.name, "benders", instance.n_scenarios)
+def _refined(partition, duals, n, coefficient):
+    """The n-th refinement at delta_n, retried at delta_n / 2; None when
+    neither splits a cluster."""
+    delta = delta_schedule(n, coefficient)
+    for d in (delta, delta / 2.0):
+        newp = refine(partition, duals, d)
+        if newp.size > partition.size:
+            return newp
+    return None
+
+
+def _cut_loop(instance, config, algorithm, partition, benders_kind,
+              lagrangian_kind, refines):
+    """Benders saturation, then Lagrangian rounds (unless lagrangian_kind is
+    None) at the current partition until they stall; then stop, or with
+    `refines` either stop outright -- when this partition's progress fell
+    under kappa1 times the total progress -- or refine along scenario duals
+    and repeat."""
+    trace = RunTrace(instance.name, algorithm, instance.n_scenarios)
     deadline = trace.t0 + config.time_limit
     state = MasterState(instance)
-    ns = instance.n_scenarios
-    reason = REASON_CONVERGED
-    while True:
-        if time.monotonic() > deadline:
-            reason = REASON_TIME_LIMIT
-            break
-        x, theta, z = solve_master(state)
-        added = _scenario_benders_round(instance, state, x, theta)
-        trace.record("benders_round", z, cuts=state.cut_counts(),
-                     n_clusters=ns)
-        if added == 0:
-            break
-    trace.cuts = state.cuts
-    trace.finish(reason)
-    return trace
-
-
-def run_bdd(instance, config=None):
-    """Benders saturation followed by per-scenario Lagrangian cut rounds;
-    the lower bound climbs toward the scenario-level Lagrangian dual."""
-    config = config or RunConfig(algorithm="bdd")
-    trace = RunTrace(instance.name, "bdd", instance.n_scenarios)
-    deadline = trace.t0 + config.time_limit
-    state = MasterState(instance)
-    ns = instance.n_scenarios
-    lb = []
+    lb0_first = None
+    n_ref = 0
     reason = None
+
+    def record(kind, z):
+        trace.record(kind, z, cuts=state.cut_counts(),
+                     n_clusters=partition.size, refinements=n_ref)
+
+    blocks = _blocks(instance, partition, lagrangian_kind)
+    lb_k = []
     x, theta, z = solve_master(state)
-    trace.record("benders_round", z, cuts=state.cut_counts(), n_clusters=ns)
+    record("benders_round", z)
     while reason is None:
         while True:
             if time.monotonic() > deadline:
                 reason = REASON_TIME_LIMIT
                 break
-            added = _scenario_benders_round(instance, state, x, theta)
-            if added == 0:
+            if _benders_round(instance, state, blocks, benders_kind,
+                              x, theta) == 0:
                 break
             x, theta, z = solve_master(state)
-            trace.record("benders_round", z, cuts=state.cut_counts(),
-                         n_clusters=ns)
+            record("benders_round", z)
         if reason is not None:
             break
-        found = 0
-        for s in range(ns):
-            out = separate(instance, scenario_target(instance, s), x,
-                           float(theta[s]), budget=config.separation_budget,
+        if lagrangian_kind is None:
+            reason = REASON_CONVERGED
+            break
+        found = budget = 0
+        for _, target in blocks:
+            out = separate(instance, target, x, float(target.weights @ theta),
+                           budget=config.separation_budget,
                            box=config.multiplier_box, deadline=deadline)
             if out.status == VIOLATED and state.add_cut(out.cut):
                 found += 1
+            budget += out.status == BUDGET
         x, theta, z = solve_master(state)
-        lb.append(z)
-        trace.record("lagrangian_round", z, cuts=state.cut_counts(),
-                     n_clusters=ns)
-        if found == 0:
-            reason = REASON_SATURATED
-        elif time.monotonic() > deadline:
+        lb_k.append(z)
+        if lb0_first is None:
+            lb0_first = lb_k[0]
+        record("lagrangian_round", z)
+        if time.monotonic() > deadline:
             reason = REASON_TIME_LIMIT
-        elif not config.saturate and _stalled(lb, config.stall_window,
-                                              config.stall_fraction):
-            reason = REASON_STALLED
+            break
+        stalled = (found == 0) if config.saturate else \
+            (found == 0 or _stalled(lb_k, config.stall_window,
+                                    config.stall_fraction))
+        if not stalled:
+            continue
+        if not refines:
+            if found:
+                reason = REASON_STALLED
+            else:
+                reason = REASON_BUDGET if budget else REASON_SATURATED
+            break
+        if _outer_stop(lb_k, lb0_first, config.kappa1):
+            reason = REASON_OUTER_STOP
+            break
+        duals, _ = _scenario_duals(instance, x)
+        newp = _refined(partition, duals, n_ref + 1, config.delta_coefficient)
+        if newp is None:
+            reason = REASON_EXHAUSTED
+            break
+        partition = newp
+        blocks = _blocks(instance, partition, lagrangian_kind)
+        lb_k = []
+        n_ref += 1
+        record("refinement", z)
+    if config.final_mip_master and reason != REASON_TIME_LIMIT:
+        _, _, z_int = solve_master(state, relax_integrality=False,
+                                   deadline=deadline)
+        record("lagrangian_round", z_int)
     trace.cuts = state.cuts
+    trace.final_partition = partition
     trace.finish(reason)
     return trace
+
+
+def run_benders(instance, config=None):
+    """Classic multi-cut Benders on the LP relaxation; converges to the
+    optimum of the LP-relaxed extensive form."""
+    return _cut_loop(instance, config or RunConfig(algorithm="benders"),
+                     "benders", singletons(instance.n_scenarios),
+                     KIND_BENDERS, None, refines=False)
+
+
+def run_bdd(instance, config=None):
+    """Benders saturation followed by per-scenario Lagrangian cut rounds;
+    the lower bound climbs toward the scenario-level Lagrangian dual."""
+    return _cut_loop(instance, config or RunConfig(algorithm="bdd"), "bdd",
+                     singletons(instance.n_scenarios), KIND_BENDERS,
+                     KIND_LAGRANGIAN, refines=False)
 
 
 def run_alg1(instance, config=None):
@@ -290,7 +337,6 @@ def run_alg1(instance, config=None):
     partition = single_cluster(instance.n_scenarios)
     n1 = instance.n1
     marked = np.array([m != CONTINUOUS for m in instance.integrality])
-    p = instance.probabilities
     z_ub = np.inf
     n_ref = 0
     reason = None
@@ -305,20 +351,8 @@ def run_alg1(instance, config=None):
         z_n = res.objective
         x = res.x[:n1].copy()
         x[marked] = np.round(x[marked])
-        duals = {}
-        expected = 0.0
-        feasible = True
-        for s in range(instance.n_scenarios):
-            sub = solve_scenario_subproblem(instance, s, x)
-            if sub.feasible:
-                duals[s] = sub.duals
-                expected += p[s] * sub.value
-            else:
-                feasible = False
-                ray = sub.farkas
-                scale = float(np.abs(ray).max(initial=0.0))
-                duals[s] = ray / scale if scale > 0 else ray
-        if feasible:
+        duals, expected = _scenario_duals(instance, x)
+        if expected is not None:
             z_ub = min(z_ub, float(instance.first_stage_cost @ x) + expected)
         trace.record("benders_round", z_n,
                      z_ub=None if not np.isfinite(z_ub) else z_ub,
@@ -332,11 +366,8 @@ def run_alg1(instance, config=None):
         if time.monotonic() > deadline:
             reason = REASON_TIME_LIMIT
             break
-        delta = delta_schedule(n_ref + 1, config.delta_coefficient)
-        newp = refine(partition, duals, delta)
-        if newp.size == partition.size:
-            newp = refine(partition, duals, delta / 2.0)
-        if newp.size == partition.size:
+        newp = _refined(partition, duals, n_ref + 1, config.delta_coefficient)
+        if newp is None:
             reason = REASON_EXHAUSTED
             break
         partition = newp
@@ -357,87 +388,9 @@ def run_apblagc(instance, config=None):
     this partition's progress fell under kappa1 times the total progress --
     or refine along scenario duals and repeat.
     """
-    config = config or RunConfig(algorithm="apblagc")
-    trace = RunTrace(instance.name, "apblagc", instance.n_scenarios)
-    deadline = trace.t0 + config.time_limit
-    state = MasterState(instance)
-    partition = single_cluster(instance.n_scenarios)
-    aggs = [aggregate(instance, c) for c in partition.clusters]
-    weights = [theta_weights(instance, c) for c in partition.clusters]
-    k = 0
-    lb_k = []
-    lb0_first = None
-    n_ref = 0
-    reason = None
-    x, theta, z = solve_master(state)
-    trace.record("benders_round", z, cuts=state.cut_counts(),
-                 n_clusters=partition.size, refinements=n_ref)
-    while reason is None:
-        # saturate aggregated Benders cuts at the current partition
-        while True:
-            if time.monotonic() > deadline:
-                reason = REASON_TIME_LIMIT
-                break
-            added = _cluster_benders_round(instance, state, aggs, weights,
-                                           x, theta)
-            if added == 0:
-                break
-            x, theta, z = solve_master(state)
-            trace.record("benders_round", z, cuts=state.cut_counts(),
-                         n_clusters=partition.size, refinements=n_ref)
-        if reason is not None:
-            break
-        # one Lagrangian separation pass over the clusters
-        found = 0
-        for agg, w in zip(aggs, weights):
-            tgt = cluster_target(instance, agg.cluster)
-            out = separate(instance, tgt, x, float(w @ theta),
-                           budget=config.separation_budget,
-                           box=config.multiplier_box, deadline=deadline)
-            if out.status == VIOLATED and state.add_cut(out.cut):
-                found += 1
-        x, theta, z = solve_master(state)
-        lb_k.append(z)
-        if lb0_first is None:
-            lb0_first = lb_k[0]
-        trace.record("lagrangian_round", z, cuts=state.cut_counts(),
-                     n_clusters=partition.size, refinements=n_ref)
-        if time.monotonic() > deadline:
-            reason = REASON_TIME_LIMIT
-            break
-        stalled = (found == 0) if config.saturate else \
-            (found == 0 or _stalled(lb_k, config.stall_window,
-                                    config.stall_fraction))
-        if not stalled:
-            continue
-        if _outer_stop(lb_k, lb0_first, config.kappa1):
-            reason = REASON_OUTER_STOP
-            break
-        duals = _scenario_duals(instance, x)
-        delta = delta_schedule(k + 1, config.delta_coefficient)
-        newp = refine(partition, duals, delta)
-        if newp.size == partition.size:
-            newp = refine(partition, duals, delta / 2.0)
-        if newp.size == partition.size:
-            reason = REASON_EXHAUSTED
-            break
-        partition = newp
-        aggs = [aggregate(instance, c) for c in partition.clusters]
-        weights = [theta_weights(instance, c) for c in partition.clusters]
-        k += 1
-        lb_k = []
-        n_ref += 1
-        trace.record("refinement", z, cuts=state.cut_counts(),
-                     n_clusters=partition.size, refinements=n_ref)
-    if config.final_mip_master and reason != REASON_TIME_LIMIT:
-        _, _, z_int = solve_master(state, relax_integrality=False,
-                                   deadline=deadline)
-        trace.record("lagrangian_round", z_int, cuts=state.cut_counts(),
-                     n_clusters=partition.size, refinements=n_ref)
-    trace.cuts = state.cuts
-    trace.final_partition = partition
-    trace.finish(reason)
-    return trace
+    return _cut_loop(instance, config or RunConfig(algorithm="apblagc"),
+                     "apblagc", single_cluster(instance.n_scenarios),
+                     KIND_PBBENC, KIND_PBLAGC, refines=True)
 
 
 def run(instance, config):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpModel, solve_lp, EQ, GE, LE, OPTIMAL as LP_OPTIMAL
-from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
-from .model import (Cut, theta_weights, CONTINUOUS,
+from .lp import LpModel, solve_lp, LE, OPTIMAL as LP_OPTIMAL
+from .mip import solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
+from .model import (Cut, theta_weights, stacked_model,
                     KIND_LAGRANGIAN, KIND_PBLAGC)
 from .partition import aggregate
 
@@ -38,7 +38,7 @@ BUDGET = "budget_exceeded"
 class SeparationTarget:
     """What the multiplier prices: one scenario or one aggregated cluster."""
 
-    kind: str              # "scenario" | "cluster"
+    cut_kind: str          # label of the cuts it yields: lagrangian | pblagc
     members: tuple
     technology: np.ndarray
     rhs: np.ndarray
@@ -47,14 +47,13 @@ class SeparationTarget:
 
 def scenario_target(instance, s):
     sc = instance.scenarios[s]
-    w = np.zeros(instance.n_scenarios)
-    w[s] = 1.0
-    return SeparationTarget("scenario", (s,), sc.technology, sc.rhs, w)
+    return SeparationTarget(KIND_LAGRANGIAN, (s,), sc.technology, sc.rhs,
+                            theta_weights(instance, (s,)))
 
 
-def cluster_target(instance, cluster):
+def cluster_target(instance, cluster, cut_kind=KIND_PBLAGC):
     agg = aggregate(instance, cluster)
-    return SeparationTarget("cluster", agg.cluster, agg.technology, agg.rhs,
+    return SeparationTarget(cut_kind, agg.cluster, agg.technology, agg.rhs,
                             theta_weights(instance, agg.cluster))
 
 
@@ -70,24 +69,7 @@ class SeparationOutcome:
 
 def inner_model(instance, target, pi, pi0):
     """The MIP behind Qbar: variables x then y, K's constraints verbatim."""
-    n1, n2 = instance.n1, instance.n2
-    c = np.concatenate([np.asarray(pi, dtype=float),
-                        float(pi0) * instance.second_stage_cost])
-    rows = np.hstack([target.technology, instance.recourse])
-    senses = [GE] * instance.m2
-    rhs = target.rhs
-    if instance.m1:
-        rows = np.vstack([np.hstack([instance.first_stage_matrix,
-                                     np.zeros((instance.m1, n2))]), rows])
-        senses = [EQ] * instance.m1 + senses
-        rhs = np.concatenate([instance.first_stage_rhs, target.rhs])
-    xlb, xub = instance.x_bounds()
-    lb = np.concatenate([xlb, np.zeros(n2)])
-    ub = np.concatenate([xub, np.full(n2, np.inf)])
-    lp = LpModel.make(c, rows, senses, rhs, lb, ub)
-    integer = np.zeros(n1 + n2, dtype=bool)
-    integer[:n1] = [m != CONTINUOUS for m in instance.integrality]
-    return MipModel(lp, integer)
+    return stacked_model(instance, pi, [(pi0, target.technology, target.rhs)])
 
 
 def evaluate_inner(instance, target, pi, pi0, deadline=None):
@@ -120,8 +102,7 @@ def _outer_lp(n1, pool, xhat, theta_hat, box):
 def make_lagrangian_cut(instance, target, pi, pi0, inner_value):
     """pi.x + pi0 * theta_target >= Qbar(pi, pi0), with theta_target spelled
     out over the per-scenario block via the target's weights."""
-    kind = KIND_LAGRANGIAN if target.kind == "scenario" else KIND_PBLAGC
-    return Cut(kind, np.asarray(pi, dtype=float),
+    return Cut(target.cut_kind, np.asarray(pi, dtype=float),
                float(pi0) * target.weights, float(inner_value),
                origin=target.members)
 

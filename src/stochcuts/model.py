@@ -193,23 +193,37 @@ def build_extensive(instance):
     bad = validate(instance)
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
+    return stacked_model(instance, instance.first_stage_cost,
+                         [(s.probability, s.technology, s.rhs)
+                          for s in instance.scenarios])
+
+
+def stacked_model(instance, x_cost, blocks):
+    """The MIP over x and one recourse copy y_k per block (weight, T, h):
+
+        min  x_cost.x + sum_k weight_k * d.y_k
+        s.t. A x = b,  T_k x + W y_k >= h_k,  y_k >= 0,  x in its box.
+
+    A block per scenario is the extensive form, a block per cluster the
+    partition relaxation, and one block priced (pi, pi0) a target's K.
+    """
     n1, n2, m1, m2 = instance.n1, instance.n2, instance.m1, instance.m2
-    ns = instance.n_scenarios
-    nvar = n1 + ns * n2
+    k = len(blocks)
+    nvar = n1 + k * n2
     c = np.zeros(nvar)
-    c[:n1] = instance.first_stage_cost
-    for k, s in enumerate(instance.scenarios):
-        c[n1 + k * n2:n1 + (k + 1) * n2] = s.probability * instance.second_stage_cost
-    rows = np.zeros((m1 + ns * m2, nvar))
-    rhs = np.zeros(m1 + ns * m2)
-    senses = [EQ] * m1 + [GE] * (ns * m2)
+    c[:n1] = x_cost
+    rows = np.zeros((m1 + k * m2, nvar))
+    rhs = np.zeros(m1 + k * m2)
+    senses = [EQ] * m1 + [GE] * (k * m2)
     rows[:m1, :n1] = instance.first_stage_matrix
     rhs[:m1] = instance.first_stage_rhs
-    for k, s in enumerate(instance.scenarios):
-        r0 = m1 + k * m2
-        rows[r0:r0 + m2, :n1] = s.technology
-        rows[r0:r0 + m2, n1 + k * n2:n1 + (k + 1) * n2] = instance.recourse
-        rhs[r0:r0 + m2] = s.rhs
+    for i, (weight, technology, h) in enumerate(blocks):
+        cols = slice(n1 + i * n2, n1 + (i + 1) * n2)
+        r0 = m1 + i * m2
+        c[cols] = float(weight) * instance.second_stage_cost
+        rows[r0:r0 + m2, :n1] = technology
+        rows[r0:r0 + m2, cols] = instance.recourse
+        rhs[r0:r0 + m2] = h
     xlb, xub = instance.x_bounds()
     lb = np.zeros(nvar)
     ub = np.full(nvar, np.inf)

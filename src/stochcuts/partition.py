@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpModel, EQ, GE
-from .mip import MipModel
-from .model import CONTINUOUS
+from .model import stacked_model
 
 
 @dataclass(frozen=True)
@@ -144,30 +142,6 @@ def build_partition_extensive(instance, partition):
     per cluster, first-stage variables and integrality kept exact."""
     if partition.universe != tuple(range(instance.n_scenarios)):
         raise ValueError("partition does not cover the scenario set")
-    n1, n2, m1, m2 = instance.n1, instance.n2, instance.m1, instance.m2
     aggs = [aggregate(instance, c) for c in partition.clusters]
-    k = len(aggs)
-    nvar = n1 + k * n2
-    c = np.zeros(nvar)
-    c[:n1] = instance.first_stage_cost
-    for i, agg in enumerate(aggs):
-        c[n1 + i * n2:n1 + (i + 1) * n2] = agg.weight * instance.second_stage_cost
-    rows = np.zeros((m1 + k * m2, nvar))
-    rhs = np.zeros(m1 + k * m2)
-    senses = [EQ] * m1 + [GE] * (k * m2)
-    rows[:m1, :n1] = instance.first_stage_matrix
-    rhs[:m1] = instance.first_stage_rhs
-    for i, agg in enumerate(aggs):
-        r0 = m1 + i * m2
-        rows[r0:r0 + m2, :n1] = agg.technology
-        rows[r0:r0 + m2, n1 + i * n2:n1 + (i + 1) * n2] = instance.recourse
-        rhs[r0:r0 + m2] = agg.rhs
-    xlb, xub = instance.x_bounds()
-    lb = np.zeros(nvar)
-    ub = np.full(nvar, np.inf)
-    lb[:n1] = xlb
-    ub[:n1] = xub
-    lp = LpModel.make(c, rows, senses, rhs, lb, ub)
-    integer = np.zeros(nvar, dtype=bool)
-    integer[:n1] = [m != CONTINUOUS for m in instance.integrality]
-    return MipModel(lp, integer)
+    return stacked_model(instance, instance.first_stage_cost,
+                         [(a.weight, a.technology, a.rhs) for a in aggs])

@@ -94,20 +94,6 @@ def test_compare_table(capsys):
     assert any("apblagc" in line for line in starred)
 
 
-def test_compare_parallel_matches_serial(capsys):
-    main(["compare", "thm1", "refinement-example",
-          "--algorithms", "benders,apblagc", "--jobs", "1"])
-    serial = capsys.readouterr().out
-    main(["compare", "thm1", "refinement-example",
-          "--algorithms", "benders,apblagc", "--jobs", "4"])
-    parallel = capsys.readouterr().out
-
-    def bounds(text):
-        return [line.split()[:3] for line in text.splitlines() if line]
-
-    assert bounds(serial) == bounds(parallel)
-
-
 def test_plot_writes_svg(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     svg_path = tmp_path / "trace.svg"

@@ -11,7 +11,8 @@ from stochcuts.drivers import (RunConfig, RunTrace, run, run_benders, run_bdd,
                                write_trace_csv, read_trace_csv,
                                TRACE_FORMAT_TAG, TRACE_COLUMNS,
                                REASON_CONVERGED, REASON_SATURATED,
-                               REASON_OUTER_STOP, REASON_TIME_LIMIT)
+                               REASON_BUDGET, REASON_OUTER_STOP,
+                               REASON_TIME_LIMIT)
 
 
 def test_thm1_bound_hierarchy(thm1):
@@ -21,10 +22,12 @@ def test_thm1_bound_hierarchy(thm1):
     benders = run_benders(thm1)
     assert benders.termination_reason == REASON_CONVERGED
     assert benders.final_lower_bound == pytest.approx(0.0, abs=1e-9)
+    assert benders.cut_counts() == {KIND_BENDERS: 2}
 
     bdd = run_bdd(thm1, RunConfig(algorithm="bdd", saturate=True))
     assert bdd.termination_reason == REASON_SATURATED
     assert bdd.final_lower_bound == pytest.approx(0.0, abs=1e-6)
+    assert bdd.cut_counts() == {KIND_BENDERS: 2}
 
     ap = run_apblagc(thm1, RunConfig(algorithm="apblagc"))
     assert ap.final_lower_bound == pytest.approx(0.5, abs=1e-6)
@@ -51,6 +54,7 @@ def test_refinement_example_values(refinement_example):
 
     bdd = run_bdd(inst, RunConfig(algorithm="bdd", saturate=True))
     assert bdd.final_lower_bound == pytest.approx(1.875, abs=1e-6)
+    assert bdd.cut_counts() == {KIND_BENDERS: 2, KIND_LAGRANGIAN: 3}
 
     alg1 = run_alg1(inst, RunConfig(algorithm="alg1"))
     assert alg1.termination_reason == REASON_CONVERGED
@@ -75,6 +79,15 @@ def test_single_scenario_instance():
         assert trace.final_lower_bound <= ext + 1e-6
         if algorithm == "alg1":
             assert trace.final_lower_bound == pytest.approx(ext, abs=1e-6)
+
+
+def test_bdd_budget_exhausted_reason(small_sslp):
+    # with 3 inner MIPs per separation the last round adds no cut, but its
+    # separations stop at their budget rather than prove that none exists
+    inst = small_sslp(seed=0, sites=6, clients=8, scenarios=8)
+    trace = run_bdd(inst, RunConfig(algorithm="bdd", separation_budget=3))
+    assert trace.termination_reason == REASON_BUDGET
+    assert trace.events[-2].kind == "lagrangian_round"
 
 
 def test_trace_monotone_and_rich(small_sslp):
