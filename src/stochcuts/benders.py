@@ -110,6 +110,9 @@ class MasterState:
     def __init__(self, instance):
         self.instance = instance
         self.cuts = []
+        # max-abs-normalized (x_coeffs, theta_coeffs, rhs), one row per cut
+        self._normalized = np.zeros(
+            (0, instance.n1 + instance.n_scenarios + 1))
         self.theta_lb = compute_theta_lower_bounds(instance)
         self.z_lb = -np.inf
         self.x_hat = None
@@ -122,15 +125,11 @@ class MasterState:
         scale = float(np.abs(stacked).max(initial=0.0))
         if scale <= 0.0:
             return False
-        stacked = stacked / scale
-        for other in self.cuts:
-            o = np.concatenate([other.x_coeffs, other.theta_coeffs, [other.rhs]])
-            oscale = float(np.abs(o).max(initial=0.0))
-            if oscale <= 0.0:
-                continue
-            if float(np.abs(o / oscale - stacked).max()) <= DEDUP_TOL:
-                return False
+        row = stacked / scale
+        if (np.abs(self._normalized - row).max(axis=1) <= DEDUP_TOL).any():
+            return False
         self.cuts.append(cut)
+        self._normalized = np.vstack([self._normalized, row])
         return True
 
     def cut_counts(self):

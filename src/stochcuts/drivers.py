@@ -234,6 +234,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
     trace = RunTrace(instance.name, algorithm, instance.n_scenarios)
     deadline = trace.t0 + config.time_limit
     state = MasterState(instance)
+    certified = {}   # this run's inner solves; the keys assume one instance
     lb0_first = None
     n_ref = 0
     reason = None
@@ -265,11 +266,13 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
         for _, target in blocks:
             out = separate(instance, target, x, float(target.weights @ theta),
                            budget=config.separation_budget,
-                           box=config.multiplier_box, deadline=deadline)
+                           box=config.multiplier_box, deadline=deadline,
+                           certified=certified)
             if out.status == VIOLATED and state.add_cut(out.cut):
                 found += 1
             budget += out.status == BUDGET
-        x, theta, z = solve_master(state)
+        if found:   # an unchanged pool would give back the same solution
+            x, theta, z = solve_master(state)
         lb_k.append(z)
         if lb0_first is None:
             lb0_first = lb_k[0]

@@ -108,26 +108,39 @@ def make_lagrangian_cut(instance, target, pi, pi0, inner_value):
 
 
 def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
-             deadline=None):
+             deadline=None, *, certified=None):
     """Search the multiplier box for a cut violated at (x_hat, theta_hat).
 
     theta_hat is the scalar value of the target's (possibly aggregated)
     epigraph variable at the master solution.  At most `budget` inner MIPs
     are spent; the pool is seeded at (pi, pi0) = (0, 1), whose certificate
     is exactly the Benders-closure gap of the target.
+
+    `certified`, a dict owned by the caller for one instance, holds every
+    completed inner solve by (target members, pi bytes, pi0) and is reused
+    and extended here.  A reuse still counts against the budget, so the
+    search takes the same steps with or without it.
     """
     n1 = instance.n1
     d = instance.second_stage_cost
     xhat = np.asarray(xhat, dtype=float)
     theta_hat = float(theta_hat)
 
+    if certified is None:
+        certified = {}
     calls = 0
     pool = []
     best = None   # (L, pi, pi0, Qbar)
 
     def certify(pi, pi0):
         nonlocal calls, best
-        val, x, y = evaluate_inner(instance, target, pi, pi0, deadline)
+        key = (target.members, pi.tobytes(), pi0)
+        if key in certified:
+            val, x, y = certified[key]
+        else:
+            val, x, y = evaluate_inner(instance, target, pi, pi0, deadline)
+            if val is not None:   # never one cut short by the deadline
+                certified[key] = (val, x, y)
         calls += 1
         if val is None:
             return False

@@ -16,6 +16,12 @@ return a silently wrong answer.
 Degenerate optima can leave the dual vector non-unique; callers that feed
 duals into clustering logic should expect ties to be broken by the fixed
 pivot rule, not by any problem-level preference.
+
+Contract: for a given model and BLAS build, the pivot sequence and every
+returned number are a pure function of the model -- no state survives a
+call.  A change to this kernel that keeps each floating-point expression
+feeding a decision or a result therefore reproduces every result bitwise,
+and can be checked that way.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ OPT_TOL = 1e-9        # reduced-cost optimality
 PIVOT_TOL = 1e-10     # smallest pivot magnitude accepted in the ratio test
 STALL_LIMIT = 1000    # non-improving pivots before Bland's rule kicks in
 REFACTOR_EVERY = 64
+RETRY_REFACTOR_EVERY = 8   # one more attempt when the final checks fail
 
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
+_SENSES = frozenset((LE, GE, EQ))
 
 
 class SimplexBreakdown(RuntimeError):
@@ -80,9 +88,9 @@ class LpModel:
             raise ValueError("bound length does not match column count")
         if np.any(self.lb > self.ub):
             raise ValueError("lower bound exceeds upper bound")
-        for s in self.senses:
-            if s not in (LE, GE, EQ):
-                raise ValueError(f"unknown row sense {s!r}")
+        if not _SENSES.issuperset(self.senses):
+            bad = next(s for s in self.senses if s not in _SENSES)
+            raise ValueError(f"unknown row sense {bad!r}")
 
     def with_bounds(self, lb, ub):
         return LpModel(self.c, self.A, self.senses, self.b,
@@ -100,39 +108,29 @@ class LpResult:
 
 
 class _Simplex:
-    def __init__(self, model):
+    def __init__(self, model, refactor_every=REFACTOR_EVERY):
         model.check()
         self.model = model
+        self.refactor_every = refactor_every
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
         self.m, self.n = m, n
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, s in enumerate(model.senses):
-            if s == LE:
-                slack_lb[i], slack_ub[i] = 0.0, np.inf
-            elif s == GE:
-                slack_lb[i], slack_ub[i] = -np.inf, 0.0
-            else:
-                slack_lb[i] = slack_ub[i] = 0.0
+        senses = np.asarray(model.senses, dtype="U2")
         self.Afull = np.hstack([A, np.eye(m)])
-        self.lb = np.concatenate([model.lb, slack_lb])
-        self.ub = np.concatenate([model.ub, slack_ub])
+        self.lb = np.concatenate(
+            [model.lb, np.where(senses == GE, -np.inf, 0.0)])
+        self.ub = np.concatenate(
+            [model.ub, np.where(senses == LE, np.inf, 0.0)])
         self.b = np.asarray(model.b, dtype=float).copy()
         self.ncols0 = n + m
-        status = np.empty(n + m, dtype=np.int8)
-        xval = np.zeros(n + m)
-        for j in range(n):
-            if np.isfinite(self.lb[j]):
-                status[j], xval[j] = _AT_LB, self.lb[j]
-            elif np.isfinite(self.ub[j]):
-                status[j], xval[j] = _AT_UB, self.ub[j]
-            else:
-                status[j], xval[j] = _FREE, 0.0
-        status[n:] = _BASIC
-        xval[n:] = self.b - A @ xval[:n]
-        self.status = status
-        self.xval = xval
+        lb, ub = self.lb[:n], self.ub[:n]
+        fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
+        self.status = np.full(n + m, _BASIC, dtype=np.int8)
+        self.status[:n] = np.where(fin_lb, _AT_LB,
+                                   np.where(fin_ub, _AT_UB, _FREE))
+        self.xval = np.zeros(n + m)
+        self.xval[:n] = np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0))
+        self.xval[n:] = self.b - A @ self.xval[:n]
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
         self.n_art = 0
@@ -152,32 +150,40 @@ class _Simplex:
         """Snap infeasible basic slacks to a bound and cover the residual
         with a unit artificial column; returns True if any were needed."""
         lo, hi = self.lb, self.ub
-        bad = [r for r in range(self.m)
-               if self.xval[self.basis[r]] < lo[self.basis[r]] - FEAS_TOL
-               or self.xval[self.basis[r]] > hi[self.basis[r]] + FEAS_TOL]
-        if not bad:
+        xb = self.xval[self.basis]
+        bad = np.flatnonzero((xb < lo[self.basis] - FEAS_TOL)
+                             | (xb > hi[self.basis] + FEAS_TOL))
+        if not bad.size:
             return False
-        k = len(bad)
+        k = bad.size
+        j = self.basis[bad]
+        snap = np.where(self.xval[j] < lo[j], lo[j], hi[j])
+        rho = self.xval[j] - snap
+        self.xval[j] = snap
+        self.status[j] = np.where(snap == lo[j], _AT_LB, _AT_UB)
         ext = np.zeros((self.m, k))
-        vals = np.zeros(k)
-        for t, r in enumerate(bad):
-            j = self.basis[r]
-            snap = lo[j] if self.xval[j] < lo[j] else hi[j]
-            rho = self.xval[j] - snap
-            self.xval[j] = snap
-            self.status[j] = _AT_LB if snap == lo[j] else _AT_UB
-            ext[r, t] = 1.0 if rho > 0 else -1.0
-            vals[t] = abs(rho)
-            self.basis[r] = self.ncols0 + t
+        ext[bad, np.arange(k)] = np.where(rho > 0, 1.0, -1.0)
+        self.basis[bad] = self.ncols0 + np.arange(k)
         self.Afull = np.hstack([self.Afull, ext])
         self.lb = np.concatenate([self.lb, np.zeros(k)])
         self.ub = np.concatenate([self.ub, np.full(k, np.inf)])
         self.status = np.concatenate(
             [self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.xval = np.concatenate([self.xval, vals])
+        self.xval = np.concatenate([self.xval, np.abs(rho)])
         self.n_art = k
         self._refactor()
         return True
+
+    def _price_by_status(self):
+        """Rebuild the pricing sign from the statuses and bounds: -1 at a
+        lower bound, +1 at an upper bound, 0 when basic, free or fixed.
+        Free nonbasic columns are priced by |d| and listed apart."""
+        st = self.status
+        self.sign = np.zeros(st.size)
+        self.sign[st == _AT_LB] = -1.0
+        self.sign[st == _AT_UB] = 1.0
+        self.sign[self.lb == self.ub] = 0.0
+        self.free = np.flatnonzero(st == _FREE)
 
     def _prices(self, cost):
         y = cost[self.basis] @ self.Binv
@@ -185,19 +191,29 @@ class _Simplex:
         d[self.basis] = 0.0
         return y, d
 
-    def _violations(self, d):
-        st = self.status
-        fixed = self.lb == self.ub
-        viol = np.zeros(d.size)
-        m = (st == _AT_LB) & ~fixed & (d < -OPT_TOL)
-        viol[m] = -d[m]
-        m = (st == _AT_UB) & ~fixed & (d > OPT_TOL)
-        viol[m] = d[m]
-        m = (st == _FREE) & (np.abs(d) > OPT_TOL)
-        viol[m] = np.abs(d[m])
-        return viol
+    def _entering(self, d, bland=False):
+        """(column to enter or None at optimality, violation vector).
+        Dantzig picks the largest violation, lowest index on ties; Bland
+        the lowest index over OPT_TOL."""
+        viol = self.sign * d
+        if self.free.size:
+            viol[self.free] = np.abs(d[self.free])
+        if not viol.size:
+            return None, viol
+        j = int(np.argmax(viol))
+        if not viol[j] > OPT_TOL:
+            return None, viol
+        if bland:
+            j = int(np.flatnonzero(viol > OPT_TOL)[0])
+        return j, viol
+
+    def _set_nonbasic(self, j, status):
+        self.status[j] = status
+        if self.lb[j] != self.ub[j]:
+            self.sign[j] = -1.0 if status == _AT_LB else 1.0
 
     def _iterate(self, cost, allow_unbounded):
+        self._price_by_status()
         bland = False
         stall = 0
         it = 0
@@ -206,30 +222,22 @@ class _Simplex:
             it += 1
             if it > max_iter:
                 raise SimplexBreakdown("iteration limit exceeded")
-            if it % REFACTOR_EVERY == 0:
+            if it % self.refactor_every == 0:
                 self._refactor()
             _, d = self._prices(cost)
-            viol = self._violations(d)
-            if not viol.any():
+            j, viol = self._entering(d, bland)
+            if j is None:
                 return OPTIMAL
-            if bland:
-                j = int(np.flatnonzero(viol > 0.0)[0])
-            else:
-                j = int(np.argmax(viol))
             st_j = self.status[j]
             dirn = 1.0 if (st_j == _AT_LB or (st_j == _FREE and d[j] < 0)) else -1.0
             w = self.Binv @ self.Afull[:, j]
             delta = dirn * w          # basic values move as x_B - t * delta
             bi = self.basis
             xb = self.xval[bi]
-            lo_b, hi_b = self.lb[bi], self.ub[bi]
+            bound = np.where(delta > 0.0, self.lb[bi], self.ub[bi])
             ratios = np.full(self.m, np.inf)
-            dec = delta > PIVOT_TOL
-            blocked = dec & np.isfinite(lo_b)
-            ratios[blocked] = (xb[blocked] - lo_b[blocked]) / delta[blocked]
-            inc = delta < -PIVOT_TOL
-            blocked = inc & np.isfinite(hi_b)
-            ratios[blocked] = (xb[blocked] - hi_b[blocked]) / delta[blocked]
+            np.divide(xb - bound, delta, out=ratios,
+                      where=(np.abs(delta) > PIVOT_TOL) & np.isfinite(bound))
             np.maximum(ratios, 0.0, out=ratios)   # degeneracy within tolerance
             rmin = float(ratios.min()) if self.m else np.inf
             tflip = self.ub[j] - self.lb[j]
@@ -243,10 +251,10 @@ class _Simplex:
                 self.xval[bi] = xb - t * delta
                 if st_j == _AT_LB:
                     self.xval[j] = self.ub[j]
-                    self.status[j] = _AT_UB
+                    self._set_nonbasic(j, _AT_UB)
                 else:
                     self.xval[j] = self.lb[j]
-                    self.status[j] = _AT_LB
+                    self._set_nonbasic(j, _AT_LB)
             else:
                 t = rmin
                 cand = np.flatnonzero(ratios <= rmin + 1e-12 + 1e-9 * abs(rmin))
@@ -255,20 +263,22 @@ class _Simplex:
                 self.xval[bi] = xb - t * delta
                 if delta[r] > 0:
                     self.xval[leave] = self.lb[leave]
-                    self.status[leave] = _AT_LB
+                    self._set_nonbasic(leave, _AT_LB)
                 else:
                     self.xval[leave] = self.ub[leave]
-                    self.status[leave] = _AT_UB
+                    self._set_nonbasic(leave, _AT_UB)
                 self.xval[j] = self.xval[j] + dirn * t
                 self.status[j] = _BASIC
+                self.sign[j] = 0.0
+                if st_j == _FREE:
+                    self.free = self.free[self.free != j]
                 self.basis[r] = j
-                wr = w[r]
-                row = self.Binv[r, :] / wr
-                self.Binv -= np.outer(w, row)
+                row = self.Binv[r, :] / w[r]
+                self.Binv -= w[:, None] * row
                 self.Binv[r, :] = row
             gain = float(viol[j]) * t
-            obj = float(cost[self.basis] @ self.xval[self.basis])
-            if gain <= 1e-12 * (1.0 + abs(obj)):
+            if gain == 0.0 or gain <= 1e-12 * (1.0 + abs(float(
+                    cost[self.basis] @ self.xval[self.basis]))):
                 stall += 1
                 if stall >= STALL_LIMIT:
                     bland = True
@@ -330,7 +340,7 @@ class _Simplex:
                 return LpResult(UNBOUNDED)
             self._refactor()
             _, d = self._prices(cost)
-            if not self._violations(d).any():
+            if self._entering(d)[0] is None:
                 break
         else:
             raise SimplexBreakdown("could not hold an optimal basis")
@@ -345,5 +355,13 @@ class _Simplex:
 
 
 def solve_lp(model):
-    """Solve a minimization LP; deterministic for a fixed input."""
-    return _Simplex(model).solve()
+    """Solve a minimization LP; deterministic for a fixed input.
+
+    When the final checks fail, the eta updates have usually drifted on an
+    ill-conditioned basis; the LP is solved once more from scratch with a
+    refactorization every RETRY_REFACTOR_EVERY pivots before the failure is
+    raised.  An LP that passes the first time never reaches the retry."""
+    try:
+        return _Simplex(model).solve()
+    except SimplexBreakdown:
+        return _Simplex(model, RETRY_REFACTOR_EVERY).solve()

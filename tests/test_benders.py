@@ -10,7 +10,7 @@ from stochcuts.benders import (solve_scenario_subproblem,
                                make_pbbenc, make_feasibility_cut,
                                compute_theta_lower_bounds, MasterState,
                                solve_master, MasterInfeasibleError,
-                               SubproblemResult)
+                               SubproblemResult, DEDUP_TOL)
 
 
 def test_scenario_subproblem_values(thm1):
@@ -162,6 +162,42 @@ def test_add_cut_dedup(thm1):
     # the zero cut carries no information
     assert not state.add_cut(Cut(KIND_BENDERS, [0.0, 0.0], [0.0, 0.0], 0.0))
     assert len(state.cuts) == 1
+
+
+def _loop_dedup_accepts(pool, cut):
+    """Reference for MasterState.add_cut: the pool scanned cut by cut."""
+    stacked = np.concatenate([cut.x_coeffs, cut.theta_coeffs, [cut.rhs]])
+    scale = float(np.abs(stacked).max(initial=0.0))
+    if scale <= 0.0:
+        return False
+    stacked = stacked / scale
+    for other in pool:
+        o = np.concatenate([other.x_coeffs, other.theta_coeffs, [other.rhs]])
+        oscale = float(np.abs(o).max(initial=0.0))
+        if float(np.abs(o / oscale - stacked).max()) <= DEDUP_TOL:
+            return False
+    return True
+
+
+def test_add_cut_dedup_matches_loop(thm1, rng):
+    # scaled copies, copies perturbed around DEDUP_TOL, and fresh cuts
+    state = MasterState(thm1)
+    pool = []
+    for _ in range(300):
+        if pool and rng.uniform() < 0.7:
+            base = pool[int(rng.integers(len(pool)))]
+            k = float(rng.choice([1.0, 3.0, 0.1]))
+            eps = float(rng.choice([0.0, 0.5, 1.0, 2.0])) * DEDUP_TOL
+            cut = Cut(KIND_BENDERS, k * base.x_coeffs + eps,
+                      k * base.theta_coeffs, k * base.rhs)
+        else:
+            cut = Cut(KIND_BENDERS, rng.integers(-2, 3, size=2),
+                      rng.integers(0, 2, size=2), float(rng.integers(-2, 3)))
+        want = _loop_dedup_accepts(pool, cut)
+        assert state.add_cut(cut) == want
+        if want:
+            pool.append(cut)
+    assert len(state.cuts) == len(pool)
 
 
 def test_master_infeasible(thm1):

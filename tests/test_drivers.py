@@ -119,12 +119,30 @@ def test_record_validates_kind_and_monotonicity(thm1):
     assert trace.events[-1].z_lb == 1.0
 
 
-def test_determinism(small_sslp):
+def test_determinism(small_sslp, monkeypatch):
+    from stochcuts import lagrangian
+    inner_solves = []
+    evaluate_inner = lagrangian.evaluate_inner
+
+    def counting_evaluate(*args, **kwargs):
+        inner_solves[-1] += 1
+        return evaluate_inner(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "evaluate_inner", counting_evaluate)
     inst = small_sslp(seed=6)
     cfg = RunConfig(algorithm="apblagc", separation_budget=5,
                     stall_window=2, stall_fraction=0.2)
+    inner_solves.append(0)
     a = run_apblagc(inst, cfg)
+    # same scenario count, so any inner-solve result that outlived its
+    # run would be keyed like this instance's own
+    inner_solves.append(0)
+    run_apblagc(small_sslp(seed=7), cfg)
+    inner_solves.append(0)
     b = run_apblagc(inst, cfg)
+    # certified inner solves are reused within a run, never across runs
+    assert inner_solves[0] > 0
+    assert inner_solves[-1] == inner_solves[0]
     assert a.termination_reason == b.termination_reason
     assert len(a.events) == len(b.events)
     for ea, eb in zip(a.events, b.events):
@@ -133,6 +151,48 @@ def test_determinism(small_sslp):
         assert ea.cuts == eb.cuts
         assert ea.n_clusters == eb.n_clusters
         assert ea.refinements == eb.refinements
+
+
+@pytest.fixture(scope="module")
+def apblagc_calls():
+    """Every evaluate_inner key and the pool size at every solve_master
+    call of one apblagc run on sslp-6-8-8 seed 0 at budget 6."""
+    from stochcuts import drivers, lagrangian
+    from stochcuts.instance_io import GeneratorConfig, generate_sslp
+    keys, pool_sizes = [], []
+    evaluate_inner, solve_master = (lagrangian.evaluate_inner,
+                                    drivers.solve_master)
+
+    def recording_evaluate(instance, target, pi, pi0, deadline=None):
+        keys.append((target.members, np.asarray(pi).tobytes(), pi0))
+        return evaluate_inner(instance, target, pi, pi0, deadline)
+
+    def recording_master(state, *args, **kwargs):
+        pool_sizes.append(len(state.cuts))
+        return solve_master(state, *args, **kwargs)
+
+    inst = generate_sslp(GeneratorConfig(sites=6, clients=8, scenarios=8,
+                                         seed=0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrangian, "evaluate_inner", recording_evaluate)
+        mp.setattr(drivers, "solve_master", recording_master)
+        trace = run_apblagc(inst, RunConfig(algorithm="apblagc",
+                                            separation_budget=6))
+    return trace, keys, pool_sizes
+
+
+def test_inner_solves_not_repeated(apblagc_calls):
+    # a (target, pi, pi0) certified once is reused within the run; the
+    # (0, 1) seed of every round is the most common repeat
+    _, keys, _ = apblagc_calls
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
+def test_master_not_resolved_on_unchanged_pool(apblagc_calls):
+    trace, _, pool_sizes = apblagc_calls
+    assert len(set(pool_sizes)) == len(pool_sizes)
+    assert trace.termination_reason == REASON_OUTER_STOP
 
 
 def test_cut_split():

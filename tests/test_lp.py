@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stochcuts
 from stochcuts.lp import (LpModel, solve_lp, OPTIMAL, INFEASIBLE, UNBOUNDED,
                           LE, GE, EQ)
 
@@ -243,3 +249,43 @@ def test_model_validation():
         LpModel.make([1.0], [[1.0]], ["??"], [0.0])
     with pytest.raises(ValueError):
         LpModel.make([1.0], None, None, None, [2.0], [1.0])
+
+
+DRIFT_MASTER = Path(__file__).parent / "data" / "master_breakdown.npz"
+
+_SOLVE_DRIFT_MASTER = """
+import sys
+import numpy as np
+from stochcuts.lp import LpModel, solve_lp
+d = np.load(sys.argv[1])
+model = LpModel.make(d["c"], d["A"], [str(s) for s in d["senses"]], d["b"],
+                     d["lb"], d["ub"])
+print(repr(solve_lp(model).objective))
+"""
+
+
+def test_drifted_master_solves_on_retry():
+    # A 135 x 30 master LP from run_apblagc (budget 3, sslp-10-10-20 seed 0,
+    # scenario order default_rng(23)): every row needs an artificial and the
+    # basis condition number is about 6e7.  With one BLAS thread the eta
+    # updates over 64 pivots leave basic slacks past their bounds, so the
+    # final check fails; the retry refactorizes every 8 pivots.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", _SOLVE_DRIFT_MASTER,
+                          str(DRIFT_MASTER)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    d = np.load(DRIFT_MASTER)
+    eq = d["senses"] == EQ
+    flip = np.where(d["senses"][~eq] == LE, 1.0, -1.0)   # rows as A x <= b
+    ref = linprog(d["c"], flip[:, None] * d["A"][~eq], flip * d["b"][~eq],
+                  d["A"][eq], d["b"][eq],
+                  bounds=[(lo, None if np.isinf(hi) else hi)
+                          for lo, hi in zip(d["lb"], d["ub"])],
+                  method="highs")
+    assert ref.status == 0
+    assert float(out.stdout) == pytest.approx(ref.fun, rel=1e-6)
