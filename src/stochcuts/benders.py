@@ -115,8 +115,6 @@ class MasterState:
             (0, instance.n1 + instance.n_scenarios + 1))
         self.theta_lb = compute_theta_lower_bounds(instance)
         self.z_lb = -np.inf
-        self.x_hat = None
-        self.theta_hat = None
 
     def add_cut(self, cut):
         """Append unless a pool cut matches coefficientwise after max-abs
@@ -168,7 +166,7 @@ def build_master_model(state, relax_integrality=True):
 
 
 def solve_master(state, relax_integrality=True, deadline=None):
-    """Solve the current master; updates and returns (x, theta, z_lb).
+    """Solve the current master; returns (x, theta, objective).
 
     With integrality relaxed the optimum is a valid global lower bound and
     is folded into state.z_lb (monotone under a growing pool).
@@ -186,11 +184,9 @@ def solve_master(state, relax_integrality=True, deadline=None):
         if res.status != MIP_OPTIMAL:
             raise MasterInfeasibleError(f"integer master ended {res.status}")
         obj, x = res.objective, res.x
-    n1 = state.instance.n1
-    state.x_hat = x[:n1].copy()
-    state.theta_hat = x[n1:].copy()
     if relax_integrality:
         if obj < state.z_lb - 1e-6 * (1.0 + abs(obj)):
             raise RuntimeError("master lower bound regressed beyond tolerance")
         state.z_lb = max(state.z_lb, float(obj))
-    return state.x_hat, state.theta_hat, float(obj)
+    n1 = state.instance.n1
+    return x[:n1].copy(), x[n1:].copy(), float(obj)

@@ -15,7 +15,8 @@ import sys
 
 from .drivers import (RunConfig, run, write_trace_csv, read_trace_csv,
                       REASON_TIME_LIMIT)
-from .instance_io import GeneratorConfig, generate_sslp, builtin, load, emit
+from .instance_io import (GeneratorConfig, generate_sslp, builtin, load, emit,
+                          FormatError)
 from .verify import run_suite, FAIL
 
 EXIT_OK = 0
@@ -33,7 +34,12 @@ class CliError(Exception):
 def _load_instance(source):
     """A path to an instance file, or a builtin name such as thm1."""
     if os.path.exists(source):
-        return load(source)
+        try:
+            return load(source)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError(f"cannot read instance: {exc}")
+        except FormatError as exc:
+            raise CliError(f"{source}: {exc}")
     try:
         return builtin(source)
     except ValueError:
@@ -64,7 +70,6 @@ def _run_config(args, algorithm):
             separation_budget=args.budget,
             multiplier_box=args.box,
             epsilon=args.epsilon,
-            seed=args.seed,
             saturate=args.saturate,
             final_mip_master=args.final_mip_master,
         )
@@ -73,20 +78,27 @@ def _run_config(args, algorithm):
 
 
 def _add_run_options(parser):
-    parser.add_argument("--kappa1", type=float, default=0.2)
-    parser.add_argument("--delta-coefficient", type=float, default=2.0)
-    parser.add_argument("--stall-window", type=int, default=5)
-    parser.add_argument("--stall-fraction", type=float, default=0.05)
-    parser.add_argument("--time-limit", type=float, default=3600.0)
-    parser.add_argument("--budget", type=int, default=50,
+    default = RunConfig()
+    parser.add_argument("--kappa1", type=float, default=default.kappa1)
+    parser.add_argument("--delta-coefficient", type=float,
+                        default=default.delta_coefficient)
+    parser.add_argument("--stall-window", type=int,
+                        default=default.stall_window)
+    parser.add_argument("--stall-fraction", type=float,
+                        default=default.stall_fraction)
+    parser.add_argument("--time-limit", type=float,
+                        default=default.time_limit)
+    parser.add_argument("--budget", type=int,
+                        default=default.separation_budget,
                         help="inner solves per separation call")
-    parser.add_argument("--box", type=float, default=1.0,
+    parser.add_argument("--box", type=float, default=default.multiplier_box,
                         help="sup-norm bound on the cut multipliers")
-    parser.add_argument("--epsilon", type=float, default=1e-6)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--epsilon", type=float, default=default.epsilon)
     parser.add_argument("--saturate", action="store_true",
+                        default=default.saturate,
                         help="ignore the stall rule; cut until none exist")
     parser.add_argument("--final-mip-master", action="store_true",
+                        default=default.final_mip_master,
                         help="solve the integer master once at the end")
 
 

@@ -60,7 +60,6 @@ class RunConfig:
     separation_budget: int = 50      # inner MIPs per target per round
     multiplier_box: float = 1.0
     epsilon: float = 1e-6            # relative gap target for run_alg1
-    seed: int = 0
     saturate: bool = False           # ignore the stall rule; stop only when no cut exists
     final_mip_master: bool = False   # solve the integer master once at the end
 

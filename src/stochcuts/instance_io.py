@@ -18,13 +18,16 @@ with repr, i.e. the shortest decimal that round-trips the double.
     T <s> <i> <j> <value>
     h <s> <i> <value>
 
-Duplicate triplets are summed and reported as warnings.
+Duplicate triplets are summed and reported as warnings.  Loading
+validates the instance: one that model.validate faults (probabilities
+that are not positive or do not sum to 1) raises FormatError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +39,7 @@ BUILTIN_NAMES = ("thm1", "dim1-random-<seed>", "refinement-example")
 
 
 class FormatError(ValueError):
-    """Malformed line or token."""
+    """Malformed line or token, or an invalid instance."""
 
 
 class SchemaError(FormatError):
@@ -45,6 +48,24 @@ class SchemaError(FormatError):
 
 class DimensionError(FormatError):
     """Index or count incompatible with the declared dimensions."""
+
+
+# the dims line's fields, in order
+DIMS = ("n1", "n2", "m1", "m2", "scenarios")
+
+# indexed directive -> (the Instance field it fills, or the Scenario field
+# when indexed by scenario first; the dimensions its indices range over;
+# what its arity error says it needs), in emit's order
+DIRECTIVES = {
+    "c": ("first_stage_cost", ("n1",), "index and value"),
+    "d": ("second_stage_cost", ("n2",), "index and value"),
+    "A": ("first_stage_matrix", ("m1", "n1"), "row, column and value"),
+    "b": ("first_stage_rhs", ("m1",), "index and value"),
+    "W": ("recourse", ("m2", "n2"), "row, column and value"),
+    "T": ("technology", ("scenarios", "m2", "n1"),
+          "scenario, row, column, value"),
+    "h": ("rhs", ("scenarios", "m2"), "scenario, row, value"),
+}
 
 
 def _num(tok, where):
@@ -65,41 +86,23 @@ def _idx(tok, limit, where):
 
 
 def parse_verbose(source):
-    """Parse an instance; returns (instance, warnings)."""
+    """Parse and validate an instance; returns (instance, warnings)."""
     if hasattr(source, "read"):
         source = source.read()
-    lines = source.splitlines()
-    warnings = []
-    it = iter(enumerate(lines, start=1))
-
-    tag = None
-    for lineno, raw in it:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tag = text
-        break
+    lines = [(lineno, text) for lineno, raw
+             in enumerate(source.splitlines(), start=1)
+             if (text := raw.split("#", 1)[0].strip())]
+    tag = lines[0][1] if lines else None
     if tag != FORMAT_TAG:
         raise SchemaError(f"unknown schema {tag!r}; expected {FORMAT_TAG!r}")
 
-    dims = None
+    shapes = None   # directive -> the extents of its indices, from dims
     name = "unnamed"
     marks = None
-    arrays = {}
+    entries = None  # directive -> {index tuple: value}
     probs = None
-    seen = {}
-
-    def put(field, key, value, where):
-        if key in arrays[field]:
-            arrays[field][key] += value
-            warnings.append(f"{where}: duplicate {field} entry {key} summed")
-        else:
-            arrays[field][key] = value
-
-    for lineno, raw in it:
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    warnings = []
+    for lineno, text in lines[1:]:
         toks = text.split()
         where = f"line {lineno}"
         head = toks[0]
@@ -110,7 +113,7 @@ def parse_verbose(source):
             continue
         if head == "dims":
             if len(toks) != 6:
-                raise FormatError(f"{where}: dims needs n1 n2 m1 m2 scenarios")
+                raise FormatError(f"{where}: dims needs " + " ".join(DIMS))
             try:
                 dims = tuple(int(t) for t in toks[1:])
             except ValueError:
@@ -122,14 +125,15 @@ def parse_verbose(source):
                 raise DimensionError(f"{where}: n1, n2 and m2 must be positive")
             if ns == 0:
                 raise DimensionError(f"{where}: no scenarios")
+            size = dict(zip(DIMS, dims))
+            shapes = {directive: [size[axis] for axis in axes]
+                      for directive, (_, axes, _) in DIRECTIVES.items()}
             marks = [CONTINUOUS] * n1
-            arrays = {"c": {}, "d": {}, "A": {}, "b": {}, "W": {},
-                      "T": {}, "h": {}}
+            entries = {directive: {} for directive in DIRECTIVES}
             probs = [None] * ns
             continue
-        if dims is None:
+        if shapes is None:
             raise FormatError(f"{where}: dims must come before {head!r}")
-        n1, n2, m1, m2, ns = dims
         if head == "mark":
             if len(toks) < 3:
                 raise FormatError(f"{where}: mark needs a kind and indices")
@@ -137,94 +141,65 @@ def parse_verbose(source):
             if kind not in (CONTINUOUS, BINARY, INTEGER):
                 raise FormatError(f"{where}: unknown integrality mark {kind!r}")
             for t in toks[2:]:
-                marks[_idx(t, n1, where)] = kind
-        elif head == "c":
-            if len(toks) != 3:
-                raise FormatError(f"{where}: c needs index and value")
-            put("c", _idx(toks[1], n1, where), _num(toks[2], where), where)
-        elif head == "d":
-            if len(toks) != 3:
-                raise FormatError(f"{where}: d needs index and value")
-            put("d", _idx(toks[1], n2, where), _num(toks[2], where), where)
-        elif head == "b":
-            if len(toks) != 3:
-                raise FormatError(f"{where}: b needs index and value")
-            put("b", _idx(toks[1], m1, where), _num(toks[2], where), where)
-        elif head == "A":
-            if len(toks) != 4:
-                raise FormatError(f"{where}: A needs row, column and value")
-            key = (_idx(toks[1], m1, where), _idx(toks[2], n1, where))
-            put("A", key, _num(toks[3], where), where)
-        elif head == "W":
-            if len(toks) != 4:
-                raise FormatError(f"{where}: W needs row, column and value")
-            key = (_idx(toks[1], m2, where), _idx(toks[2], n2, where))
-            put("W", key, _num(toks[3], where), where)
+                marks[_idx(t, len(marks), where)] = kind
         elif head == "scenario":
             if len(toks) != 3:
                 raise FormatError(f"{where}: scenario needs index and probability")
-            s = _idx(toks[1], ns, where)
+            s = _idx(toks[1], len(probs), where)
             if probs[s] is not None:
                 raise FormatError(f"{where}: scenario {s} declared twice")
             probs[s] = _num(toks[2], where)
-        elif head == "T":
-            if len(toks) != 5:
-                raise FormatError(f"{where}: T needs scenario, row, column, value")
-            s = _idx(toks[1], ns, where)
-            key = (s, _idx(toks[2], m2, where), _idx(toks[3], n1, where))
-            put("T", key, _num(toks[4], where), where)
-        elif head == "h":
-            if len(toks) != 4:
-                raise FormatError(f"{where}: h needs scenario, row, value")
-            s = _idx(toks[1], ns, where)
-            key = (s, _idx(toks[2], m2, where))
-            put("h", key, _num(toks[3], where), where)
+        elif head in DIRECTIVES:
+            shape = shapes[head]
+            if len(toks) != len(shape) + 2:
+                raise FormatError(f"{where}: {head} needs {DIRECTIVES[head][2]}")
+            key = tuple(map(_idx, toks[1:-1], shape, repeat(where)))
+            value = _num(toks[-1], where)
+            table = entries[head]
+            if key in table:
+                table[key] += value
+                shown = key if len(key) > 1 else key[0]
+                warnings.append(f"{where}: duplicate {head} entry {shown} summed")
+            else:
+                table[key] = value
         else:
             raise FormatError(f"{where}: unknown directive {head!r}")
 
-    if dims is None:
+    if shapes is None:
         raise FormatError("missing dims line")
-    n1, n2, m1, m2, ns = dims
-    for s in range(ns):
-        if probs[s] is None:
+    for s, p in enumerate(probs):
+        if p is None:
             raise DimensionError(f"scenario {s} never declared")
-    c = np.zeros(n1)
-    for j, v in arrays["c"].items():
-        c[j] = v
-    d = np.zeros(n2)
-    for j, v in arrays["d"].items():
-        d[j] = v
-    a = np.zeros((m1, n1))
-    for (i, j), v in arrays["A"].items():
-        a[i, j] = v
-    b = np.zeros(m1)
-    for i, v in arrays["b"].items():
-        b[i] = v
-    w = np.zeros((m2, n2))
-    for (i, j), v in arrays["W"].items():
-        w[i, j] = v
-    scenarios = []
-    for s in range(ns):
-        t = np.zeros((m2, n1))
-        h = np.zeros(m2)
-        for (si, i, j), v in arrays["T"].items():
-            if si == s:
-                t[i, j] = v
-        for (si, i), v in arrays["h"].items():
-            if si == s:
-                h[i] = v
-        scenarios.append(Scenario(probs[s], t, h))
-    instance = Instance(name, c, a, b, tuple(marks), d, w, tuple(scenarios))
+    fields, per_scenario = {}, {}
+    for head, (field, axes, _) in DIRECTIVES.items():
+        dense = np.zeros(shapes[head])
+        if entries[head]:
+            dense[tuple(zip(*entries[head]))] = list(entries[head].values())
+        (per_scenario if axes[0] == "scenarios" else fields)[field] = dense
+    scenarios = tuple(
+        Scenario(p, **{f: a[s] for f, a in per_scenario.items()})
+        for s, p in enumerate(probs))
+    instance = Instance(name=name, integrality=tuple(marks),
+                        scenarios=scenarios, **fields)
+    bad = validate(instance)
+    if bad:
+        raise FormatError("invalid instance: " + "; ".join(bad))
     return instance, warnings
 
 
 def parse(source):
-    """Parse an instance, discarding duplicate-entry warnings."""
+    """Parse and validate an instance, discarding duplicate-entry warnings."""
     return parse_verbose(source)[0]
 
 
 def _fmt(v):
     return repr(float(v))
+
+
+def _nonzeros(head, array, *prefix):
+    """One directive line per nonzero of array, in row-major order."""
+    return [" ".join([head, *map(str, prefix + idx), _fmt(array[idx])])
+            for idx in zip(*np.nonzero(array))]
 
 
 def emit(instance):
@@ -237,35 +212,14 @@ def emit(instance):
         idx = [str(j) for j, m in enumerate(instance.integrality) if m == kind]
         if idx:
             out.append(f"mark {kind} " + " ".join(idx))
-    for j, v in enumerate(instance.first_stage_cost):
-        if v != 0.0:
-            out.append(f"c {j} {_fmt(v)}")
-    for j, v in enumerate(instance.second_stage_cost):
-        if v != 0.0:
-            out.append(f"d {j} {_fmt(v)}")
-    for i in range(instance.m1):
-        for j in range(instance.n1):
-            v = instance.first_stage_matrix[i, j]
-            if v != 0.0:
-                out.append(f"A {i} {j} {_fmt(v)}")
-    for i, v in enumerate(instance.first_stage_rhs):
-        if v != 0.0:
-            out.append(f"b {i} {_fmt(v)}")
-    for i in range(instance.m2):
-        for j in range(instance.n2):
-            v = instance.recourse[i, j]
-            if v != 0.0:
-                out.append(f"W {i} {j} {_fmt(v)}")
+    for head, (field, axes, _) in DIRECTIVES.items():
+        if axes[0] != "scenarios":
+            out += _nonzeros(head, getattr(instance, field))
     for s, sc in enumerate(instance.scenarios):
         out.append(f"scenario {s} {_fmt(sc.probability)}")
-        for i in range(instance.m2):
-            for j in range(instance.n1):
-                v = sc.technology[i, j]
-                if v != 0.0:
-                    out.append(f"T {s} {i} {j} {_fmt(v)}")
-        for i, v in enumerate(sc.rhs):
-            if v != 0.0:
-                out.append(f"h {s} {i} {_fmt(v)}")
+        for head, (field, axes, _) in DIRECTIVES.items():
+            if axes[0] == "scenarios":
+                out += _nonzeros(head, getattr(sc, field), s)
     return "\n".join(out) + "\n"
 
 

@@ -166,16 +166,13 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
             pi0 = float(np.clip(outer.x[n1], 0.0, 1.0))
             if not certify(pi, pi0):
                 break
-        else:
-            converged = False
 
     if best is not None and best[0] > SEP_VIOLATION_TOL * (1.0 + abs(theta_hat)):
         level, pi, pi0, qbar = best
         cut = make_lagrangian_cut(instance, target, pi, pi0, qbar)
         return SeparationOutcome(VIOLATED, pi, pi0, level, cut, calls)
-    if converged and best is not None:
+    if converged:
         return SeparationOutcome(NO_VIOLATED, best[1], best[2], best[0],
                                  None, calls)
-    if best is None:
-        return SeparationOutcome(BUDGET, None, None, None, None, calls)
-    return SeparationOutcome(BUDGET, best[1], best[2], best[0], None, calls)
+    level, pi, pi0, _ = best or (None, None, None, None)
+    return SeparationOutcome(BUDGET, pi, pi0, level, None, calls)

@@ -62,11 +62,9 @@ def _snap(x, marked):
     return out
 
 
-def solve_mip(model, time_budget=None, deadline=None):
+def solve_mip(model, deadline=None):
     """Best-first branch and bound; most-fractional branching, lowest index
     on ties, down-child explored first.  Deterministic for a fixed input."""
-    if deadline is None and time_budget is not None:
-        deadline = time.monotonic() + float(time_budget)
     lp0 = model.lp
     marked = np.flatnonzero(model.integer)
     root = solve_lp(lp0)

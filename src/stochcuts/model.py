@@ -172,10 +172,10 @@ def validate(instance):
         out.append("no scenarios")
     else:
         total = float(sum(s.probability for s in instance.scenarios))
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:    # NaN fails too
             out.append(f"probabilities sum to {total:g}")
         for idx, s in enumerate(instance.scenarios):
-            if s.probability <= 0.0:
+            if not s.probability > 0.0:
                 out.append(f"scenario {idx}: probability {s.probability:g} "
                            "is not positive")
             if s.technology.shape != (instance.m2, n1):

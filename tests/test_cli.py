@@ -2,10 +2,10 @@ import io
 
 import pytest
 
-from stochcuts.cli import (main, render_trace_svg, EXIT_OK, EXIT_FAILURE,
-                           EXIT_USAGE, EXIT_TIME_LIMIT)
+from stochcuts.cli import (main, build_parser, render_trace_svg, _run_config,
+                           EXIT_OK, EXIT_FAILURE, EXIT_USAGE, EXIT_TIME_LIMIT)
 from stochcuts.instance_io import load, FORMAT_TAG
-from stochcuts.drivers import read_trace_csv
+from stochcuts.drivers import RunConfig, read_trace_csv
 
 
 def test_generate_writes_parseable_instance(tmp_path):
@@ -73,6 +73,38 @@ def test_solve_bad_config_value(capsys):
     code = main(["solve", "thm1", "--kappa1", "7"])
     assert code == EXIT_USAGE
     assert "kappa1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("dims 1 1 0 1 1\nbogus 1 2\n", "line 3: unknown directive 'bogus'"),
+    ("dims 1 1 0 1 1\nW 0 0 1.0\nscenario 0 0.5\n",
+     "invalid instance: probabilities sum to 0.5"),
+])
+def test_solve_rejects_bad_file(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{FORMAT_TAG}\n{body}")
+    for argv in (["solve", str(path)], ["compare", "thm1", str(path)]):
+        assert main(argv) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: {message}\n"
+
+
+def test_solve_unreadable_file(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read instance: ")
+    assert err.count("\n") == 1
+
+
+def test_run_option_defaults_are_run_config_defaults():
+    for argv, algorithm in ((["solve", "thm1"], "apblagc"),
+                            (["solve", "thm1", "--algorithm", "bdd"], "bdd"),
+                            (["compare", "thm1"], "benders")):
+        args = build_parser().parse_args(argv)
+        assert _run_config(args, algorithm) == RunConfig(algorithm=algorithm)
+    for command in (["solve", "thm1"], ["compare", "thm1"]):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--seed", "0"])
 
 
 def test_solve_time_limit_exit_code(tmp_path):

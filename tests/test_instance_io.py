@@ -1,11 +1,44 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochcuts.instance_io import (parse, parse_verbose, emit, load, save,
                                    builtin, generate_sslp, GeneratorConfig,
                                    FormatError, SchemaError, DimensionError,
                                    FORMAT_TAG, BUILTIN_NAMES)
-from stochcuts.model import validate
+from stochcuts.model import (Instance, Scenario, CONTINUOUS, BINARY, INTEGER,
+                             validate)
+
+# sha256 of emit() for the builtins and the benchmark's server-location
+# instances (sites, clients, scenarios, seed): the benchmark solves these
+# bytes, so an emitter change that moves them changes its input
+EMIT_SHA256 = {
+    "thm1": "5505461eb9d97c7778bfded0d7468462e3d37c43beca3d94da4a925108b37836",
+    "refinement-example":
+        "76940a1ef32b88b9262cd82fa960721211147d7f61eacc6529c2303b74b4e524",
+    "dim1-random-0":
+        "a8032933962c541e9c160970232ca5deb84262727668ea0f19264bea6c5f3df9",
+    "dim1-random-1":
+        "f7a4a83bc6d48e487f4597e32710f702d32975cdcb8136ab2407e140c942c3b4",
+    "dim1-random-2":
+        "6c3ea1bdadaf8a16324cf270d83902706bf6d753dc5daa6c4fc588806d36a26a",
+    "dim1-random-3":
+        "287e70644c0e76dae00671c09f3d4c2aff25eff7572c627249ee9a958ac525a3",
+    "dim1-random-4":
+        "b1f8ac3d400c425ba6d8823146bfad8bbc376a73e09c35ac9091a724ebfc3734",
+    "dim1-random-5":
+        "eed05bd60575ba4bcee52d2fbfa38b1d774157ec20f282ebdc8fb1d1d7e4a92e",
+    (10, 10, 20, 0):
+        "fa3d2d59435ede8db4a91fb7952d1449f019f9dc3f6200bd6bd9348908087866",
+    (10, 10, 20, 1):
+        "a24ef0133f6a1495a8921b163ee49a1d658db3a8e71c24d5f3a6f855989529d6",
+    (6, 8, 8, 0):
+        "5973eaea4d8e7fa04e0ecc72219ea2ac73fd8fd2fcf114f4675c827a71d62d8f",
+    (6, 8, 8, 1):
+        "9383cbbe7f8e24790d3ed712e169950897817eadc20f212fc5a7da0b81a89ad1",
+}
 
 
 def test_round_trip_identity(thm1, refinement_example, small_sslp):
@@ -165,3 +198,66 @@ def test_builtin_unknown_name():
         builtin("nope")
     for name in BUILTIN_NAMES:
         assert name.split("<")[0].rstrip("-") in str(err.value) or name in str(err.value)
+
+
+@pytest.mark.parametrize("key", EMIT_SHA256, ids=str)
+def test_emit_bytes_pinned(key):
+    if isinstance(key, tuple):
+        sites, clients, scenarios, seed = key
+        inst = generate_sslp(GeneratorConfig(
+            sites=sites, clients=clients, scenarios=scenarios, seed=seed))
+    else:
+        inst = builtin(key)
+    text = emit(inst)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMIT_SHA256[key]
+    assert emit(parse(text)) == text
+
+
+@pytest.mark.parametrize("p0, p1, defects", [
+    ("0.1", "0.75", ["probabilities sum to 0.85"]),
+    ("0", "1", ["scenario 0: probability 0 is not positive"]),
+    ("-0.5", "1.5", ["scenario 0: probability -0.5 is not positive"]),
+    ("nan", "1", ["probabilities sum to nan",
+                  "scenario 0: probability nan is not positive"]),
+    ("inf", "1", ["probabilities sum to inf"]),
+])
+def test_invalid_probabilities_rejected_at_load(p0, p1, defects):
+    text = "\n".join([FORMAT_TAG, "dims 1 1 0 1 2", "W 0 0 1.0",
+                      f"scenario 0 {p0}", f"scenario 1 {p1}", ""])
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == "invalid instance: " + "; ".join(defects)
+
+
+@st.composite
+def instances(draw):
+    """Small valid instances with finite data, every mark kind."""
+    n1, n2, m2, ns = (draw(st.integers(1, 3)) for _ in range(4))
+    m1 = draw(st.integers(0, 2))
+    value = st.one_of(st.just(0.0), st.floats(allow_nan=False,
+                                              allow_infinity=False))
+
+    def array(*shape):
+        flat = draw(st.lists(value, min_size=int(np.prod(shape)),
+                             max_size=int(np.prod(shape))))
+        return np.array(flat, dtype=float).reshape(shape)
+
+    weights = draw(st.lists(st.integers(1, 9), min_size=ns, max_size=ns))
+    total = sum(weights)
+    scenarios = tuple(Scenario(w / total, array(m2, n1), array(m2))
+                      for w in weights)
+    marks = draw(st.lists(st.sampled_from((CONTINUOUS, BINARY, INTEGER)),
+                          min_size=n1, max_size=n1))
+    name = draw(st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True))
+    return Instance(name, array(n1), array(m1, n1), array(m1), marks,
+                    array(n2), array(m2, n2), scenarios)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_emit_parse_round_trip(inst):
+    assert validate(inst) == []
+    text = emit(inst)
+    again = parse(text)
+    assert again == inst
+    assert emit(again) == text

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_infeasible_integer_model():
 
 def test_budget_exceeded_reports_bound():
     inst = builtin("thm1")
-    res = solve_mip(build_extensive(inst), time_budget=0.0)
+    res = solve_mip(build_extensive(inst), deadline=time.monotonic())
     assert res.status == MIP_BUDGET
     assert res.bound <= 0.5 + 1e-9
 
