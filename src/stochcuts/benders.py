@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lp import (LpModel, solve_lp, EQ, GE,
+from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL
 from .model import (Cut, theta_weights, stacked_model, CONTINUOUS,
                     KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY)
+from .partition import AggregatedScenario
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
 DEDUP_TOL = 1e-9           # coefficientwise match after max-abs normalization
@@ -36,26 +37,46 @@ class SubproblemResult:
         self.farkas = farkas
 
 
-def _solve_recourse(instance, target, technology, rhs, xhat):
-    res = solve_lp(LpModel.make(instance.second_stage_cost, instance.recourse,
-                                (GE,) * instance.m2, rhs - technology @ xhat))
-    if res.status == LP_INFEASIBLE:
-        return SubproblemResult(target, feasible=False, farkas=res.farkas)
-    if res.status == LP_UNBOUNDED:
-        raise ValueError(f"target {target}: recourse unbounded below")
-    return SubproblemResult(target, value=res.objective, duals=res.duals)
+def _solve_recourse(instance, targets, technologies, rhss, xhat):
+    """One result per target, all solved by one solve_lps call: fixed
+    recourse makes every subproblem the same LP but for its rhs."""
+    results = solve_lps([
+        LpModel.make(instance.second_stage_cost, instance.recourse,
+                     (GE,) * instance.m2, rhs - technology @ xhat)
+        for technology, rhs in zip(technologies, rhss)])
+    out = []
+    for target, res in zip(targets, results):
+        if res.status == LP_INFEASIBLE:
+            out.append(SubproblemResult(target, feasible=False,
+                                        farkas=res.farkas))
+        elif res.status == LP_UNBOUNDED:
+            raise ValueError(f"target {target}: recourse unbounded below")
+        else:
+            out.append(SubproblemResult(target, value=res.objective,
+                                        duals=res.duals))
+    return out
 
 
 def solve_scenario_subproblem(instance, s, xhat):
-    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0."""
-    sc = instance.scenarios[s]
-    return _solve_recourse(instance, s, sc.technology, sc.rhs, xhat)
+    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0.  Given a sequence
+    of scenario indices, a list with one result per index."""
+    many = np.ndim(s) > 0
+    ss = list(s) if many else [s]
+    out = _solve_recourse(instance, ss,
+                          [instance.scenarios[i].technology for i in ss],
+                          [instance.scenarios[i].rhs for i in ss], xhat)
+    return out if many else out[0]
 
 
 def solve_cluster_subproblem(instance, agg, xhat):
-    """Same LP on the cluster's probability-averaged technology and rhs."""
-    return _solve_recourse(instance, agg.cluster, agg.technology, agg.rhs,
-                           xhat)
+    """Same LP on the cluster's probability-averaged technology and rhs.
+    Given a sequence of aggregates, a list with one result per aggregate."""
+    many = not isinstance(agg, AggregatedScenario)
+    aggs = list(agg) if many else [agg]
+    out = _solve_recourse(instance, [a.cluster for a in aggs],
+                          [a.technology for a in aggs],
+                          [a.rhs for a in aggs], xhat)
+    return out if many else out[0]
 
 
 def _optimality_cut(instance, kind, cluster, technology, rhs, result):
@@ -91,11 +112,12 @@ def make_feasibility_cut(instance, technology, rhs, result):
 def compute_theta_lower_bounds(instance):
     """L_s = min d.y over W y >= h_s - T_s x with x anywhere in its relaxed
     box; keeps the master bounded before any cut mentions theta_s."""
+    results = solve_lps([
+        stacked_model(instance, np.zeros(instance.n1),
+                      [(1.0, sc.technology, sc.rhs)]).lp
+        for sc in instance.scenarios])
     out = np.zeros(instance.n_scenarios)
-    for s, sc in enumerate(instance.scenarios):
-        model = stacked_model(instance, np.zeros(instance.n1),
-                              [(1.0, sc.technology, sc.rhs)])
-        res = solve_lp(model.lp)
+    for s, res in enumerate(results):
         if res.status == LP_INFEASIBLE:
             raise ValueError(f"scenario {s}: infeasible for every first stage")
         if res.status == LP_UNBOUNDED:

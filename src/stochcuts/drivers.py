@@ -178,8 +178,8 @@ def _blocks(instance, partition, lagrangian_kind):
 def _benders_round(instance, state, blocks, kind, x, theta):
     """Add each cluster's violated optimality (or feasibility) cut at x."""
     added = 0
-    for agg, target in blocks:
-        res = solve_cluster_subproblem(instance, agg, x)
+    results = solve_cluster_subproblem(instance, [agg for agg, _ in blocks], x)
+    for (agg, target), res in zip(blocks, results):
         if not res.feasible:
             cut = make_feasibility_cut(instance, agg.technology, agg.rhs, res)
         else:
@@ -198,8 +198,9 @@ def _scenario_duals(instance, x):
     p = instance.probabilities
     duals = {}
     expected = 0.0
-    for s in range(instance.n_scenarios):
-        res = solve_scenario_subproblem(instance, s, x)
+    results = solve_scenario_subproblem(
+        instance, range(instance.n_scenarios), x)
+    for s, res in enumerate(results):
         if res.feasible:
             duals[s] = res.duals
             if expected is not None:

@@ -20,7 +20,8 @@ with repr, i.e. the shortest decimal that round-trips the double.
 
 Duplicate triplets are summed and reported as warnings.  Loading
 validates the instance: one that model.validate faults (probabilities
-that are not positive or do not sum to 1) raises FormatError.
+that are not positive or do not sum to 1, a NaN or infinite value in c, A,
+b, d, W, T or h) raises FormatError.
 """
 
 from __future__ import annotations

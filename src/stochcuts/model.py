@@ -168,6 +168,9 @@ def validate(instance):
     w = instance.recourse
     if w.ndim != 2 or w.shape[1] != n2:
         out.append(f"recourse matrix shape {w.shape} does not match n2 = {n2}")
+    out += _non_finite("", c=instance.first_stage_cost, A=a,
+                       b=instance.first_stage_rhs,
+                       d=instance.second_stage_cost, W=w)
     if instance.n_scenarios == 0:
         out.append("no scenarios")
     else:
@@ -185,7 +188,16 @@ def validate(instance):
             if s.rhs.shape != (instance.m2,):
                 out.append(f"scenario {idx}: rhs length {s.rhs.size} "
                            f"does not match m2 = {instance.m2}")
+            out += _non_finite(f"scenario {idx}: ", T=s.technology, h=s.rhs)
     return out
+
+
+def _non_finite(prefix, **arrays):
+    """A defect per array (named as in the file format) holding NaN or
+    an infinity."""
+    return [f"{prefix}{name} has a non-finite entry"
+            for name, values in arrays.items()
+            if not np.isfinite(values).all()]
 
 
 def build_extensive(instance):

@@ -79,6 +79,8 @@ def test_solve_bad_config_value(capsys):
     ("dims 1 1 0 1 1\nbogus 1 2\n", "line 3: unknown directive 'bogus'"),
     ("dims 1 1 0 1 1\nW 0 0 1.0\nscenario 0 0.5\n",
      "invalid instance: probabilities sum to 0.5"),
+    ("dims 1 1 0 1 1\nd 0 1.0\nW 0 0 1.0\nscenario 0 1\nh 0 0 nan\n",
+     "invalid instance: scenario 0: h has a non-finite entry"),
 ])
 def test_solve_rejects_bad_file(tmp_path, capsys, body, message):
     path = tmp_path / "bad.txt"

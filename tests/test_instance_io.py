@@ -229,6 +229,31 @@ def test_invalid_probabilities_rejected_at_load(p0, p1, defects):
     assert str(err.value) == "invalid instance: " + "; ".join(defects)
 
 
+@pytest.mark.parametrize("line, edit, defect", [
+    ("h 0 0 1.0", "h 0 0 nan", "scenario 0: h has a non-finite entry"),
+    ("d 0 3.0", "d 0 inf", "d has a non-finite entry"),
+    ("c 0 1.0", "c 0 -inf", "c has a non-finite entry"),
+    ("W 0 0 1.0", "W 0 0 nan", "W has a non-finite entry"),
+    ("T 2 0 0 -2.0", "T 2 0 0 inf", "scenario 2: T has a non-finite entry"),
+])
+def test_non_finite_data_rejected_at_load(line, edit, defect):
+    # refinement-example with one value replaced; at load time it used to
+    # load, and then benders ended `converged` at a wrong bound (h 0 0 nan)
+    # or raised "master problem unbounded" (d 0 inf) inside the driver
+    text = emit(builtin("refinement-example"))
+    assert line in text.splitlines()
+    with pytest.raises(FormatError) as err:
+        parse(text.replace(line, edit))
+    assert str(err.value) == "invalid instance: " + defect
+
+
+def test_validate_flags_non_finite_first_stage_rows():
+    inst = Instance("rows", [1.0], [[np.nan]], [np.inf], [CONTINUOUS], [1.0],
+                    [[1.0]], (Scenario(1.0, [[1.0]], [0.0]),))
+    assert validate(inst) == ["A has a non-finite entry",
+                              "b has a non-finite entry"]
+
+
 @st.composite
 def instances(draw):
     """Small valid instances with finite data, every mark kind."""

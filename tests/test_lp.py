@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import stochcuts
-from stochcuts.lp import (LpModel, solve_lp, OPTIMAL, INFEASIBLE, UNBOUNDED,
-                          LE, GE, EQ)
+import stochcuts.lp as lp_module
+from stochcuts import builtin
+from stochcuts.lp import (LpModel, solve_lp, solve_lps, OPTIMAL, INFEASIBLE,
+                          UNBOUNDED, LE, GE, EQ, STACK_MIN, SimplexBreakdown,
+                          _Simplex, _Stack)
 
 
 def check_optimal(model, res, tol=1e-7):
@@ -251,6 +254,65 @@ def test_model_validation():
         LpModel.make([1.0], None, None, None, [2.0], [1.0])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("c", [np.nan], "objective has a non-finite entry"),
+    ("c", [-np.inf], "objective has a non-finite entry"),
+    ("A", [[np.inf]], "matrix has a non-finite entry"),
+    ("b", [np.nan], "rhs has a non-finite entry"),
+    ("b", [np.inf], "rhs has a non-finite entry"),
+    ("lb", [np.nan], "a bound is NaN"),
+    ("ub", [np.nan], "a bound is NaN"),
+])
+def test_model_rejects_nan_and_infinite_data(field, value, message):
+    args = dict(c=[1.0], A=[[1.0]], senses=[GE], b=[0.0], lb=[0.0],
+                ub=[np.inf])
+    args[field] = value
+    with pytest.raises(ValueError, match=message):
+        LpModel.make(**args)
+
+
+def test_model_keeps_infinite_bounds():
+    model = LpModel.make([1.0, 1.0], [[1.0, 1.0]], [GE], [1.0],
+                         [-np.inf, 0.0], [np.inf, np.inf])
+    assert solve_lp(model).objective == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nan_recourse_rhs_raises():
+    # refinement-example's scenario-0 recourse LP at x = 0 with rhs[0] NaN
+    # used to come back `optimal` with objective 0.0
+    inst = builtin("refinement-example")
+    sc = inst.scenarios[0]
+    rhs = sc.rhs - sc.technology @ np.zeros(inst.n1)
+    rhs[0] = np.nan
+    senses = (GE,) * inst.m2
+    with pytest.raises(ValueError, match="rhs has a non-finite entry"):
+        LpModel.make(inst.second_stage_cost, inst.recourse, senses, rhs)
+    unchecked = LpModel(inst.second_stage_cost, inst.recourse, senses, rhs,
+                        np.zeros(inst.n2), np.full(inst.n2, np.inf))
+    with pytest.raises(ValueError, match="rhs has a non-finite entry"):
+        solve_lp(unchecked)
+
+
+@pytest.mark.parametrize("poke, message", [
+    ("xval", "primal residual"),
+    ("lb", "bound violation"),
+    ("d", "dual feasibility"),
+    ("y", "strong duality gap"),
+])
+def test_final_checks_fail_on_nan(poke, message):
+    # each check of _verify is a comparison that NaN used to pass
+    model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0], ub=[3.0, 3.0])
+    lp = _Simplex(model)
+    assert lp.solve().status == OPTIMAL
+    cost = np.zeros(lp.Afull.shape[1])
+    cost[:model.c.size] = model.c
+    y, d = lp._prices(cost)
+    lp._verify(cost, y, d)
+    {"xval": lp.xval, "lb": lp.lb, "d": d, "y": y}[poke][0] = np.nan
+    with pytest.raises(SimplexBreakdown, match=message):
+        lp._verify(cost, y, d)
+
+
 DRIFT_MASTER = Path(__file__).parent / "data" / "master_breakdown.npz"
 
 _SOLVE_DRIFT_MASTER = """
@@ -289,3 +351,152 @@ def test_drifted_master_solves_on_retry():
                   method="highs")
     assert ref.status == 0
     assert float(out.stdout) == pytest.approx(ref.fun, rel=1e-6)
+
+
+def _result_bytes(res):
+    return (res.status, repr(res.objective),
+            *(None if a is None else a.tobytes()
+              for a in (res.x, res.duals, res.reduced_costs, res.farkas)))
+
+
+def _family(rng, k, m, n, degenerate=False):
+    """k LPs on one matrix and row senses, each with its own rhs, costs and
+    bounds: a batch mixes optimal, infeasible and unbounded members, free
+    and boxed columns, equality rows and different artificial counts.  A
+    degenerate family has mostly zero rhs, so pivots stall."""
+    a = rng.integers(-4, 5, size=(m, n)).astype(float)
+    senses = [(GE, LE, EQ)[i] for i in rng.integers(0, 3, size=m)]
+    models = []
+    for _ in range(k):
+        b = a @ rng.uniform(0.0, 2.0, size=n) + rng.normal(0.0, 1.5, size=m)
+        if degenerate:
+            b = np.where(rng.uniform(size=m) < 0.6, 0.0, np.round(b))
+        c = rng.integers(-5, 6, size=n).astype(float)
+        lb = np.where(rng.uniform(size=n) < 0.2, -np.inf, 0.0)
+        ub = np.where(rng.uniform(size=n) < 0.5, rng.uniform(1.0, 5.0, size=n),
+                      np.inf)
+        models.append(LpModel.make(c, a, senses, b, lb, ub))
+    return models
+
+
+def _artificials(model):
+    lp = _Simplex(model)
+    lp._install_artificials()
+    return lp.n_art
+
+
+def _check_families(seed, trials, degenerate):
+    """solve_lps against one solve_lp per model, byte for byte, over seeded
+    random batches; returns what the batches covered."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(trials):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 14))
+        models = _family(rng, int(rng.integers(1, 3 * STACK_MIN)), m, n,
+                         degenerate)
+        want = [_result_bytes(solve_lp(model)) for model in models]
+        assert [_result_bytes(res) for res in solve_lps(models)] == want
+        statuses = {w[0] for w in want}
+        seen |= statuses
+        if len(statuses) == 3:
+            seen.add("mixed statuses")
+        if len(models) >= STACK_MIN:
+            seen.add("stack")
+            if len({_artificials(model) for model in models}) > 1:
+                seen.add("artificial counts differ")
+        for model in models:
+            if (np.isinf(model.lb) & np.isinf(model.ub)).any():
+                seen.add("free column")
+            if np.isfinite(model.ub).any():
+                seen.add("boxed column")
+            if EQ in model.senses:
+                seen.add("equality row")
+    return seen
+
+
+def test_solve_lps_matches_solve_lp():
+    # The stack reproduces every number of a one-at-a-time solve.  A stack
+    # that prices with one 2-D product over the shared columns instead of
+    # one product per LP fails here or under Bland below.
+    assert _check_families(11, 120, degenerate=False) >= {
+        OPTIMAL, INFEASIBLE, UNBOUNDED, "mixed statuses", "stack",
+        "artificial counts differ", "free column", "boxed column",
+        "equality row"}
+
+
+def test_solve_lps_matches_solve_lp_under_bland(monkeypatch):
+    # on degenerate LPs a stall limit of 2 sends many runs of pivots to
+    # Bland's rule; a stack that kept Dantzig pricing there fails
+    monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
+    assert _check_families(12, 60, degenerate=True) >= {
+        OPTIMAL, INFEASIBLE, UNBOUNDED, "stack"}
+
+
+def test_stacked_prices_are_each_lps_own():
+    # The LPs of a stack differ in width, so its pricing product has a shape
+    # none of theirs has; the column layout must still give every column
+    # the bits of the LP's own product.  Real-valued data and at most three
+    # rows put structural columns into the product's tail.
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        models = [LpModel.make(rng.normal(size=n), rng.normal(size=(m, n)),
+                               [GE] * m, rng.normal(size=m))
+                  for n in rng.integers(1, 14, size=6)]
+        lps = [_Simplex(model) for model in models]
+        stack = _Stack(lps)
+        stack.cb = rng.normal(size=stack.cb.shape)
+        stack.binv = rng.normal(size=stack.binv.shape)
+        d = stack._reduced_costs()
+        for k, (lp, cols) in enumerate(zip(lps, stack.cols)):
+            y = stack.cb[k] @ stack.binv[k]
+            own = stack.cost[k, cols] - y @ lp.Afull
+            assert d[k, cols].tobytes() == own.tobytes()
+
+
+def test_solve_lps_needs_one_row_count():
+    with pytest.raises(ValueError, match="one row count"):
+        solve_lps([LpModel.make([1.0], [[1.0]], [GE], [1.0]),
+                   LpModel.make([1.0], [[1.0], [1.0]], [GE, GE], [1.0, 2.0])])
+    assert solve_lps([]) == []
+
+
+_STACK_WITH_DRIFTED_MASTER = """
+import sys
+import numpy as np
+import stochcuts.lp as L
+d = np.load(sys.argv[1])
+senses = [str(s) for s in d["senses"]]
+rng = np.random.default_rng(3)
+models = [L.LpModel.make(d["c"], d["A"], senses, d["b"], d["lb"], d["ub"])]
+for _ in range(L.STACK_MIN):
+    models.append(L.LpModel.make(d["c"] * rng.uniform(0.5, 1.5, d["c"].size),
+                                 d["A"], senses, d["b"], d["lb"], d["ub"]))
+try:
+    L._Simplex(models[0]).solve()
+    raise SystemExit("the first attempt no longer breaks down")
+except L.SimplexBreakdown:
+    pass
+def key(r):
+    return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
+            r.reduced_costs.tobytes())
+assert [key(r) for r in L.solve_lps(models)] == \
+    [key(L.solve_lp(m)) for m in models]
+print("ok")
+"""
+
+
+def test_solve_lps_retries_one_member():
+    # The drifted master (see test_drifted_master_solves_on_retry) in a
+    # stack with cost-perturbed copies of itself: it breaks down, is retried
+    # alone, and every result still matches solve_lp.  One BLAS thread, as
+    # that breakdown needs.
+    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", _STACK_WITH_DRIFTED_MASTER,
+                          str(DRIFT_MASTER)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.strip() == "ok"

@@ -6,22 +6,27 @@ cut counts, cluster counts, refinements and the reason must match exactly;
 the bounds to 1e-9 relative.  Keys read instance:algorithm[:flag], with
 every other RunConfig field at its default.
 
-Run as a script, it prints one `key sha256` line per golden run, over the
-trace CSV without its wall-clock column and the final cut pool (kind,
-coefficient bytes, rhs repr, origin), so two commits can be compared bit
-for bit:
+Run as a script, it prints one `key trace-sha256 lp-sha256` line per
+golden run, so two commits can be compared bit for bit.  The first digest
+covers the trace CSV without its wall-clock column and the final cut pool
+(kind, coefficient bytes, rhs repr, origin); the second every LP result of
+the run in call order (status, objective repr, x, duals, reduced costs and
+Farkas ray bytes), whether it came from solve_lp or solve_lps:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import stochcuts
 from stochcuts import builtin, generate_sslp, GeneratorConfig, run, RunConfig
 from stochcuts.drivers import cut_split, write_trace_csv
 
@@ -66,6 +71,54 @@ def trace_sha256(trace):
     return h.hexdigest()
 
 
+def _lp_result_bytes(res):
+    parts = [res.status.encode(), repr(res.objective).encode()]
+    for arr in (res.x, res.duals, res.reduced_costs, res.farkas):
+        parts.append(b"-" if arr is None else arr.tobytes())
+    return b"|".join(parts)
+
+
+@contextlib.contextmanager
+def lp_sha256():
+    """Yields a sha256 that takes in every LP result, in call order, while
+    the block runs: solve_lp and solve_lps are rebound in every stochcuts
+    module that holds them, and only the outermost call of a nest counts."""
+    digest = hashlib.sha256()
+    depth = [0]
+    saved = []
+
+    def recording(fn, many):
+        def recorded(*args, **kwargs):
+            depth[0] += 1
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                for res in (out if many else [out]):
+                    digest.update(_lp_result_bytes(res))
+            return out
+        return recorded
+
+    modules = [m for key, m in sorted(sys.modules.items())
+               if m is not None and key.startswith("stochcuts")]
+    for name, many in (("solve_lp", False), ("solve_lps", True)):
+        orig = getattr(stochcuts.lp, name, None)
+        if orig is None:
+            continue
+        wrapper = recording(orig, many)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    setattr(mod, attr, wrapper)
+                    saved.append((mod, attr, orig))
+    try:
+        yield digest
+    finally:
+        for mod, attr, orig in reversed(saved):
+            setattr(mod, attr, orig)
+
+
 def _close(got, want):
     if want is None:
         return got is None
@@ -89,4 +142,7 @@ def test_trace_matches_golden(key):
 if __name__ == "__main__":
     for key in sorted(GOLDEN):
         name, config = _parse(key)
-        print(key, trace_sha256(run(_instance(name), config)))
+        instance = _instance(name)
+        with lp_sha256() as lps:
+            trace = run(instance, config)
+        print(key, trace_sha256(trace), lps.hexdigest())
