@@ -2,8 +2,9 @@
 
 File format (version header "stochcuts-v1"): line-oriented, whitespace
 separated, '#' starts a comment.  Matrices and vectors are sparse triplets
-or (index, value) pairs; omitted entries are zero.  Numbers are written
-with repr, i.e. the shortest decimal that round-trips the double.
+or (index, value) pairs; omitted entries are zero, and an omitted u is no
+upper bound.  Numbers are written with repr, i.e. the shortest decimal
+that round-trips the double.
 
     stochcuts-v1
     name example
@@ -13,6 +14,7 @@ with repr, i.e. the shortest decimal that round-trips the double.
     d <j> <value>          second-stage cost
     A <i> <j> <value>      first-stage rows  (A x = b)
     b <i> <value>
+    u <j> <value>          first-stage upper bound (0 <= x_j <= u_j)
     W <i> <j> <value>      recourse matrix
     scenario <s> <probability>
     T <s> <i> <j> <value>
@@ -21,7 +23,8 @@ with repr, i.e. the shortest decimal that round-trips the double.
 Duplicate triplets are summed and reported as warnings.  Loading
 validates the instance: one that model.validate faults (probabilities
 that are not positive or do not sum to 1, a NaN or infinite value in c, A,
-b, d, W, T or h) raises FormatError.
+b, d, W, T or h, a negative or NaN u, an integer column without a finite
+u) raises FormatError.
 """
 
 from __future__ import annotations
@@ -56,16 +59,18 @@ DIMS = ("n1", "n2", "m1", "m2", "scenarios")
 
 # indexed directive -> (the Instance field it fills, or the Scenario field
 # when indexed by scenario first; the dimensions its indices range over;
-# what its arity error says it needs), in emit's order
+# what its arity error says it needs; the value of an omitted entry), in
+# emit's order
 DIRECTIVES = {
-    "c": ("first_stage_cost", ("n1",), "index and value"),
-    "d": ("second_stage_cost", ("n2",), "index and value"),
-    "A": ("first_stage_matrix", ("m1", "n1"), "row, column and value"),
-    "b": ("first_stage_rhs", ("m1",), "index and value"),
-    "W": ("recourse", ("m2", "n2"), "row, column and value"),
+    "c": ("first_stage_cost", ("n1",), "index and value", 0.0),
+    "d": ("second_stage_cost", ("n2",), "index and value", 0.0),
+    "A": ("first_stage_matrix", ("m1", "n1"), "row, column and value", 0.0),
+    "b": ("first_stage_rhs", ("m1",), "index and value", 0.0),
+    "u": ("first_stage_upper", ("n1",), "index and value", np.inf),
+    "W": ("recourse", ("m2", "n2"), "row, column and value", 0.0),
     "T": ("technology", ("scenarios", "m2", "n1"),
-          "scenario, row, column, value"),
-    "h": ("rhs", ("scenarios", "m2"), "scenario, row, value"),
+          "scenario, row, column, value", 0.0),
+    "h": ("rhs", ("scenarios", "m2"), "scenario, row, value", 0.0),
 }
 
 
@@ -128,7 +133,7 @@ def parse_verbose(source):
                 raise DimensionError(f"{where}: no scenarios")
             size = dict(zip(DIMS, dims))
             shapes = {directive: [size[axis] for axis in axes]
-                      for directive, (_, axes, _) in DIRECTIVES.items()}
+                      for directive, (_, axes, _, _) in DIRECTIVES.items()}
             marks = [CONTINUOUS] * n1
             entries = {directive: {} for directive in DIRECTIVES}
             probs = [None] * ns
@@ -172,8 +177,8 @@ def parse_verbose(source):
         if p is None:
             raise DimensionError(f"scenario {s} never declared")
     fields, per_scenario = {}, {}
-    for head, (field, axes, _) in DIRECTIVES.items():
-        dense = np.zeros(shapes[head])
+    for head, (field, axes, _, omitted) in DIRECTIVES.items():
+        dense = np.full(shapes[head], omitted)
         if entries[head]:
             dense[tuple(zip(*entries[head]))] = list(entries[head].values())
         (per_scenario if axes[0] == "scenarios" else fields)[field] = dense
@@ -197,10 +202,11 @@ def _fmt(v):
     return repr(float(v))
 
 
-def _nonzeros(head, array, *prefix):
-    """One directive line per nonzero of array, in row-major order."""
+def _entries(head, array, omitted, *prefix):
+    """One directive line per entry of array other than the omitted value,
+    in row-major order."""
     return [" ".join([head, *map(str, prefix + idx), _fmt(array[idx])])
-            for idx in zip(*np.nonzero(array))]
+            for idx in zip(*np.nonzero(array != omitted))]
 
 
 def emit(instance):
@@ -213,14 +219,14 @@ def emit(instance):
         idx = [str(j) for j, m in enumerate(instance.integrality) if m == kind]
         if idx:
             out.append(f"mark {kind} " + " ".join(idx))
-    for head, (field, axes, _) in DIRECTIVES.items():
+    for head, (field, axes, _, omitted) in DIRECTIVES.items():
         if axes[0] != "scenarios":
-            out += _nonzeros(head, getattr(instance, field))
+            out += _entries(head, getattr(instance, field), omitted)
     for s, sc in enumerate(instance.scenarios):
         out.append(f"scenario {s} {_fmt(sc.probability)}")
-        for head, (field, axes, _) in DIRECTIVES.items():
+        for head, (field, axes, _, omitted) in DIRECTIVES.items():
             if axes[0] == "scenarios":
-                out += _nonzeros(head, getattr(sc, field), s)
+                out += _entries(head, getattr(sc, field), omitted, s)
     return "\n".join(out) + "\n"
 
 

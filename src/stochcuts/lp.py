@@ -33,6 +33,36 @@ or more LPs; smaller batches go one at a time.  STACK_MIN is measured:
 on the 340 recourse LPs of a benders solve of sslp-10-10-20 (20 rows,
 one BLAS thread) the stack took 2.93, 1.89, 1.20, 0.86 and 0.60 times the
 one-at-a-time CPU time at batch sizes 1, 2, 4, 8 and 20.
+
+Unit columns.  Every slack and artificial column is a signed unit vector,
+and Binv's column for a row covered by its own basic slack or artificial
+stays a unit vector; with at most n structural columns basic, a row of
+Binv has at most n + 1 nonzeros.  From UNIT_MIN rows on, _iterate stops
+doing dense arithmetic on these columns: it prices the structural block
+with one gemv, padded to a multiple of four columns, and each unit column
+as cost - sign * y[row] (pinned artificials, sign 0, not at all); it
+solves an entering unit column as sign * Binv[:, row] + 0.0; and it
+applies the rank-1 update only to the columns where the pivot row is
+nonzero.  Every LP also starts from the exact inverse of its diagonal +-1
+starting basis.  Each number that reaches a decision or a result is still
+the dense path's, by two properties of the BLAS that tests/test_lp.py
+checks:
+  - a (1, m) @ (m, c) product computes its columns in blocks of four and
+    a column's bits depend only on whether a block or the tail loop over
+    the last c % 4 computed it (as for _Stack).  With three rows or more,
+    every structural column is in the body of the full product, and the
+    padding puts it in the body of the structural one;
+  - an output whose only nonzero term is t comes out as t exactly, and an
+    all-zero sum as +0.0.  So a unit column's product is sign * y[row] or
+    sign * Binv[i, row], and the + 0.0 gives the product's +0.0 for a
+    zero; and the zeros whose sign the restricted update leaves different
+    from the dense one never change a product.
+UNIT_MIN is measured: CPU time of the unit path over the dense one on
+benders masters of sslp-10-10-20 (30 structural columns) cut to their
+first k rows, one BLAS thread, median of 9 alternating solves:
+
+    rows   40    60    80    96    104   112   120   144   160   182
+    ratio  1.23  1.12  1.08  1.03  0.97  0.94  0.92  0.87  0.83  0.70
 """
 
 from __future__ import annotations
@@ -56,6 +86,8 @@ STALL_LIMIT = 1000    # non-improving pivots before Bland's rule kicks in
 REFACTOR_EVERY = 64
 RETRY_REFACTOR_EVERY = 8   # one more attempt when the final checks fail
 STACK_MIN = 8              # smaller solve_lps batches go one LP at a time
+UNIT_MIN = 112             # rows from which _iterate prices unit columns
+                           # apart; 3 or more (see the module docstring)
 
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
 _SENSES = frozenset((LE, GE, EQ))
@@ -126,7 +158,9 @@ class LpResult:
 
 
 class _Simplex:
-    def __init__(self, model, refactor_every=REFACTOR_EVERY):
+    def __init__(self, model, refactor_every=REFACTOR_EVERY, afull=None):
+        """afull: the working matrix [A | I], when the caller already has
+        it for another LP with the same A; it is never written to."""
         model.check()
         self.model = model
         self.refactor_every = refactor_every
@@ -134,7 +168,7 @@ class _Simplex:
         m, n = A.shape
         self.m, self.n = m, n
         senses = np.asarray(model.senses, dtype="U2")
-        self.Afull = np.hstack([A, np.eye(m)])
+        self.Afull = np.hstack([A, np.eye(m)]) if afull is None else afull
         self.lb = np.concatenate(
             [model.lb, np.where(senses == GE, -np.inf, 0.0)])
         self.ub = np.concatenate(
@@ -152,6 +186,9 @@ class _Simplex:
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
         self.n_art = 0
+        self.art_rows = np.zeros(0, dtype=np.intp)   # row of artificial k
+        self.art_sign = np.zeros(0)                  # and its +-1 there
+        self.astruct = None     # A padded to a multiple of four columns
 
     def _refactor(self):
         B = self.Afull[:, self.basis]
@@ -159,6 +196,10 @@ class _Simplex:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise SimplexBreakdown(f"singular basis: {exc}")
+        self._basic_values()
+
+    def _basic_values(self):
+        """Solve the basic values from Binv and the nonbasic ones."""
         nonbasic = np.ones(self.Afull.shape[1], dtype=bool)
         nonbasic[self.basis] = False
         rhs = self.b - self.Afull[:, nonbasic] @ self.xval[nonbasic]
@@ -179,8 +220,9 @@ class _Simplex:
         rho = self.xval[j] - snap
         self.xval[j] = snap
         self.status[j] = np.where(snap == lo[j], _AT_LB, _AT_UB)
+        self.art_rows, self.art_sign = bad, np.where(rho > 0, 1.0, -1.0)
         ext = np.zeros((self.m, k))
-        ext[bad, np.arange(k)] = np.where(rho > 0, 1.0, -1.0)
+        ext[bad, np.arange(k)] = self.art_sign
         self.basis[bad] = self.ncols0 + np.arange(k)
         self.Afull = np.hstack([self.Afull, ext])
         self.lb = np.concatenate([self.lb, np.zeros(k)])
@@ -189,7 +231,10 @@ class _Simplex:
             [self.status, np.full(k, _BASIC, dtype=np.int8)])
         self.xval = np.concatenate([self.xval, np.abs(rho)])
         self.n_art = k
-        self._refactor()
+        # basis slot i holds row i's slack or artificial: B is diagonal +-1
+        # and is its own inverse
+        self.Binv = np.diag(self.Afull[np.arange(self.m), self.basis])
+        self._basic_values()
         return True
 
     def _price_by_status(self):
@@ -213,7 +258,7 @@ class _Simplex:
         """(column to enter or None at optimality, violation vector).
         Dantzig picks the largest violation, lowest index on ties; Bland
         the lowest index over OPT_TOL."""
-        viol = self.sign * d
+        viol = self.sign[:d.size] * d
         if self.free.size:
             viol[self.free] = np.abs(d[self.free])
         if not viol.size:
@@ -230,13 +275,49 @@ class _Simplex:
         if self.lb[j] != self.ub[j]:
             self.sign[j] = -1.0 if status == _AT_LB else 1.0
 
+    def _unit_prices(self, cost, cb, ncols):
+        """cost - (cb @ Binv) @ Afull over the first ncols columns, with
+        the slack and artificial columns priced as the unit vectors they
+        are: one gemv over the structural block, whose padding to a
+        multiple of four keeps every structural column in the body of the
+        product, as it is in the full one; then cost - sign * y[row].  Each
+        number is the full product's (see the module docstring)."""
+        n, m = self.n, self.m
+        if self.astruct is None:
+            self.astruct = np.zeros((m, -(-n // 4) * 4))
+            self.astruct[:, :n] = self.Afull[:, :n]
+        y = cb @ self.Binv
+        d = np.empty(ncols)
+        d[:n] = cost[:n] - (y @ self.astruct)[:n]
+        d[n:n + m] = cost[n:n + m] - y
+        if ncols > self.ncols0:
+            d[self.ncols0:] = (cost[self.ncols0:]
+                               - self.art_sign * y[self.art_rows])
+        return d
+
+    def _unit_column(self, j):
+        """Binv @ Afull[:, j] for a slack or artificial column j: the sign
+        times Binv's column for its row, plus 0.0, which turns a -0.0 into
+        the +0.0 that the product's all-zero sums return."""
+        if j < self.ncols0:
+            return self.Binv[:, j - self.n] + 0.0
+        k = j - self.ncols0
+        return self.art_sign[k] * self.Binv[:, self.art_rows[k]] + 0.0
+
     def _iterate(self, cost, allow_unbounded):
         """Pivot to optimality under `cost`; returns OPTIMAL or UNBOUNDED.
         The basic variables' values, bounds and costs are kept per basis
-        slot (xb, lbb, ubb, cb) and written back to xval on return."""
+        slot (xb, lbb, ubb, cb) and written back to xval on return.  From
+        UNIT_MIN rows on, the slack and artificial columns are priced,
+        solved and updated as unit vectors."""
         self._price_by_status()
         bi, lb, ub, xval = self.basis, self.lb, self.ub, self.xval
         xb, lbb, ubb, cb = xval[bi], lb[bi], ub[bi], cost[bi]
+        unit = self.m >= UNIT_MIN
+        # the unit path skips pinned artificials (phase 2): sign 0, they
+        # never enter
+        ncols = (self.ncols0 if (lb[self.ncols0:] == ub[self.ncols0:]).all()
+                 else xval.size)
         ratios = np.empty(self.m)
         last = xval.size        # past every column index
         bland = False
@@ -252,14 +333,20 @@ class _Simplex:
                 xb = xval[bi]
             # d is not zeroed at the basic columns: their sign is 0 and they
             # are never free, so no decision reads it there
-            d = cost - (cb @ self.Binv) @ self.Afull
+            if unit:
+                d = self._unit_prices(cost, cb, ncols)
+            else:
+                d = cost - (cb @ self.Binv) @ self.Afull
             j, viol = self._entering(d, bland)
             if j is None:
                 xval[bi] = xb
                 return OPTIMAL
             st_j = self.status[j]
             dirn = 1.0 if (st_j == _AT_LB or (st_j == _FREE and d[j] < 0)) else -1.0
-            w = self.Binv @ self.Afull[:, j]
+            if unit and j >= self.n:
+                w = self._unit_column(j)
+            else:
+                w = self.Binv @ self.Afull[:, j]
             delta = dirn * w          # basic values move as x_B - t * delta
             bound = np.where(delta > 0.0, lbb, ubb)
             ratios.fill(np.inf)
@@ -303,7 +390,15 @@ class _Simplex:
                 bi[r] = j
                 lbb[r], ubb[r], cb[r] = lb[j], ub[j], cost[j]
                 row = self.Binv[r, :] / w[r]
-                self.Binv -= w[:, None] * row
+                if unit:
+                    # a column where row is 0 would only change the sign of
+                    # its zeros, which no product reads; the columns are
+                    # taken as rows of the transpose, which numpy gathers
+                    # faster
+                    nz = np.flatnonzero(row)
+                    self.Binv.T[nz] -= row[nz, None] * w
+                else:
+                    self.Binv -= w[:, None] * row
                 self.Binv[r, :] = row
             gain = float(viol[j]) * t
             if gain == 0.0 or gain <= 1e-12 * (1.0 + abs(float(cb @ xb))):
@@ -664,7 +759,13 @@ def solve_lps(models):
         raise ValueError("solve_lps needs models with one row count")
     if len(models) < STACK_MIN:
         return [solve_lp(model) for model in models]
-    results = _Stack([_Simplex(model) for model in models]).run()
+    # under fixed recourse every LP has the first one's A: build [A | I] once
+    first = models[0].A
+    shared = np.hstack([first, np.eye(first.shape[0])])
+    afulls = [shared if model.A is first or np.array_equal(model.A, first)
+              else None for model in models]
+    results = _Stack([_Simplex(model, afull=afull)
+                      for model, afull in zip(models, afulls)]).run()
     return [res if res is not None
-            else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
-            for res, model in zip(results, models)]
+            else _Simplex(model, RETRY_REFACTOR_EVERY, afull).solve()
+            for res, model, afull in zip(results, models, afulls)]

@@ -5,7 +5,7 @@ An instance is
     min  c.x + sum_s p_s * d.y_s
     s.t. A x = b,
          T_s x + W y_s >= h_s        for every scenario s,
-         x >= 0 (plus integrality marks),  y_s >= 0,
+         0 <= x <= u (plus integrality marks),  y_s >= 0,
 
 where W and d are shared by all scenarios (fixed recourse).  Matrices are
 held dense; at the sizes this toolkit targets that is both faster and
@@ -71,6 +71,7 @@ class Instance:
     second_stage_cost: np.ndarray         # d, (n2,)
     recourse: np.ndarray                  # W, (m2, n2)
     scenarios: tuple                      # Scenario, ...
+    first_stage_upper: np.ndarray = None  # u, (n1,); None: no upper bounds
 
     def __post_init__(self):
         object.__setattr__(self, "first_stage_cost",
@@ -89,6 +90,10 @@ class Instance:
         object.__setattr__(self, "recourse",
                            _frozen(np.atleast_2d(self.recourse)))
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        upper = self.first_stage_upper
+        object.__setattr__(self, "first_stage_upper", _frozen(
+            np.full(self.n1, np.inf) if upper is None
+            else np.atleast_1d(upper)))
 
     # dimensions
     @property
@@ -124,9 +129,11 @@ class Instance:
         return np.array([m == BINARY for m in self.integrality])
 
     def x_bounds(self):
-        """(lb, ub) for the first-stage box: binaries in [0,1], rest [0,inf)."""
+        """(lb, ub) for the first-stage box: [0, u], and at most 1 for a
+        binary."""
         lb = np.zeros(self.n1)
-        ub = np.where(self.binary_mask, 1.0, np.inf)
+        u = self.first_stage_upper
+        ub = np.where(self.binary_mask, np.minimum(u, 1.0), u)
         return lb, ub
 
     def __eq__(self, other):
@@ -136,7 +143,7 @@ class Instance:
                 or self.n_scenarios != other.n_scenarios):
             return False
         for f in ("first_stage_cost", "first_stage_matrix", "first_stage_rhs",
-                  "second_stage_cost", "recourse"):
+                  "first_stage_upper", "second_stage_cost", "recourse"):
             if not np.array_equal(getattr(self, f), getattr(other, f)):
                 return False
         for a, b in zip(self.scenarios, other.scenarios):
@@ -165,6 +172,18 @@ def validate(instance):
     if len(instance.integrality) != n1:
         out.append(f"integrality has {len(instance.integrality)} marks "
                    f"for {n1} first-stage variables")
+    u = instance.first_stage_upper
+    if u.shape != (n1,):
+        out.append(f"upper bounds have length {u.size} for {n1} "
+                   "first-stage variables")
+    else:
+        if np.isnan(u).any():
+            out.append("u has a NaN entry")
+        out += [f"u {j} is negative" for j in np.flatnonzero(u < 0.0)]
+        # branch and bound, and Lagrangian separation, need a bounded box
+        out += [f"integer column {j} needs a finite bound: u {j} <value>"
+                for j, mark in enumerate(instance.integrality)
+                if mark == INTEGER and j < n1 and not np.isfinite(u[j])]
     w = instance.recourse
     if w.ndim != 2 or w.shape[1] != n2:
         out.append(f"recourse matrix shape {w.shape} does not match n2 = {n2}")

@@ -81,6 +81,8 @@ def test_solve_bad_config_value(capsys):
      "invalid instance: probabilities sum to 0.5"),
     ("dims 1 1 0 1 1\nd 0 1.0\nW 0 0 1.0\nscenario 0 1\nh 0 0 nan\n",
      "invalid instance: scenario 0: h has a non-finite entry"),
+    ("dims 1 1 0 1 1\nmark integer 0\nW 0 0 1.0\nscenario 0 1\n",
+     "invalid instance: integer column 0 needs a finite bound: u 0 <value>"),
 ])
 def test_solve_rejects_bad_file(tmp_path, capsys, body, message):
     path = tmp_path / "bad.txt"

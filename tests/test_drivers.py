@@ -1,10 +1,11 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from stochcuts.model import (build_extensive, KIND_BENDERS, KIND_PBBENC,
-                             KIND_LAGRANGIAN, KIND_PBLAGC)
+from stochcuts.model import (build_extensive, INTEGER, KIND_BENDERS,
+                             KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC)
 from stochcuts.mip import solve_mip
 from stochcuts.drivers import (RunConfig, RunTrace, run, run_benders, run_bdd,
                                run_alg1, run_apblagc, cut_split,
@@ -45,6 +46,29 @@ def test_thm1_alg1(thm1):
     assert trace.termination_reason == REASON_CONVERGED
     assert trace.final_lower_bound == pytest.approx(0.5, abs=1e-9)
     assert trace.final_upper_bound == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("algorithm", ["benders", "bdd", "apblagc", "alg1"])
+def test_bounded_integer_column(refinement_example, algorithm):
+    # Every driver used to raise "integer variables need finite bounds" on
+    # an integer column.  Bounded by u = 1 it is the binary column: the same
+    # trace.  With u = 2 the bound stays under the MIP optimum, and alg1,
+    # exact, reaches it.
+    def integer(upper):
+        return dataclasses.replace(refinement_example, integrality=(INTEGER,),
+                                   first_stage_upper=[upper])
+    config = RunConfig(algorithm=algorithm)
+    binary = run(refinement_example, config)
+    same = run(integer(1.0), config)
+    assert same.termination_reason == binary.termination_reason
+    assert [(ev.kind, ev.z_lb) for ev in same.events] == \
+        [(ev.kind, ev.z_lb) for ev in binary.events]
+    wider = integer(2.0)
+    optimum = solve_mip(build_extensive(wider)).objective
+    trace = run(wider, config)
+    assert trace.final_lower_bound <= optimum + 1e-6
+    if algorithm == "alg1":
+        assert trace.final_lower_bound == pytest.approx(optimum, abs=1e-9)
 
 
 def test_refinement_example_values(refinement_example):

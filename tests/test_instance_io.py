@@ -247,6 +247,51 @@ def test_non_finite_data_rejected_at_load(line, edit, defect):
     assert str(err.value) == "invalid instance: " + defect
 
 
+def _integer_example(upper=None):
+    """refinement-example with its column marked integer, plus `u 0 upper`
+    unless upper is None."""
+    text = emit(builtin("refinement-example"))
+    text = text.replace("mark binary 0", "mark integer 0")
+    if upper is not None:
+        text = text.replace("W 0 0", f"u 0 {upper}\nW 0 0")
+    return text
+
+
+def test_integer_column_needs_an_upper_bound():
+    # every driver used to crash on this file deep inside branch and bound
+    # ("integer variables need finite bounds"); now it fails at load
+    with pytest.raises(FormatError) as err:
+        parse(_integer_example())
+    assert str(err.value) == ("invalid instance: integer column 0 needs a "
+                              "finite bound: u 0 <value>")
+
+
+@pytest.mark.parametrize("line, defect", [
+    ("u 0 -1.0", "u 0 is negative"),
+    ("u 0 nan", "u has a NaN entry"),
+])
+def test_bad_upper_bound_rejected_at_load(line, defect):
+    text = emit(builtin("refinement-example")).replace(
+        "W 0 0", line + "\nW 0 0")
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert str(err.value) == "invalid instance: " + defect
+
+
+def test_upper_bound_line():
+    text = _integer_example(2.0)
+    inst = parse(text)
+    assert inst.first_stage_upper.tolist() == [2.0]
+    assert [b.tolist() for b in inst.x_bounds()] == [[0.0], [2.0]]
+    assert emit(inst) == text
+    # a binary column keeps its [0, 1] box under a looser u
+    binary = parse(text.replace("mark integer 0", "mark binary 0"))
+    assert binary.x_bounds()[1].tolist() == [1.0]
+    # no u line: no upper bound, and nothing extra emitted
+    assert parse(emit(builtin("thm1"))).first_stage_upper.tolist() == \
+        [np.inf, np.inf]
+
+
 def test_validate_flags_non_finite_first_stage_rows():
     inst = Instance("rows", [1.0], [[np.nan]], [np.inf], [CONTINUOUS], [1.0],
                     [[1.0]], (Scenario(1.0, [[1.0]], [0.0]),))
@@ -273,9 +318,14 @@ def instances(draw):
                       for w in weights)
     marks = draw(st.lists(st.sampled_from((CONTINUOUS, BINARY, INTEGER)),
                           min_size=n1, max_size=n1))
+    # a u line on every integer column, which needs one, and on some others
+    bound = st.floats(0.0, 1e6)
+    upper = [draw(bound if mark == INTEGER else st.one_of(st.none(), bound))
+             for mark in marks]
     name = draw(st.from_regex(r"[a-z0-9-]{1,8}", fullmatch=True))
     return Instance(name, array(n1), array(m1, n1), array(m1), marks,
-                    array(n2), array(m2, n2), scenarios)
+                    array(n2), array(m2, n2), scenarios,
+                    [np.inf if u is None else u for u in upper])
 
 
 @settings(max_examples=150, deadline=None)

@@ -454,6 +454,148 @@ def test_stacked_prices_are_each_lps_own():
             assert d[k, cols].tobytes() == own.tobytes()
 
 
+def _signed_zeros(rng, a):
+    """a with every zero given a random sign."""
+    return np.where(a == 0.0, np.copysign(0.0, rng.uniform(-1, 1, a.shape)),
+                    a)
+
+
+def test_unit_terms_sum_exactly():
+    # The unit-column path (UNIT_MIN) rests on this: in a BLAS product, an
+    # output whose only nonzero term is t comes out as t exactly, and one
+    # with no nonzero term as +0.0, so the signs of zeros never matter.
+    # Both gemv orientations the simplex uses, sparse enough that most
+    # outputs have zero or one nonzero term.
+    rng = np.random.default_rng(19)
+    outputs = {0: 0, 1: 0}
+    for _ in range(40):
+        m, c = (int(k) for k in rng.integers(1, 400, size=2))
+        dense = 1.5 / max(m, c)
+        a = _signed_zeros(rng, rng.normal(size=(m, c))
+                          * (rng.uniform(size=(m, c)) < dense))
+        v = _signed_zeros(rng, rng.normal(size=m) * (rng.uniform(size=m) < 0.7))
+        u = _signed_zeros(rng, rng.normal(size=c) * (rng.uniform(size=c) < 0.7))
+        # (outputs, their terms along axis 0)
+        for got, terms in ((v @ a, v[:, None] * a), (a @ u, (a * u).T)):
+            count = (terms != 0.0).sum(axis=0)
+            one = count == 1
+            assert got[one].tobytes() == terms.sum(axis=0)[one].tobytes()
+            assert got[count == 0].tobytes() == np.zeros(
+                (count == 0).sum()).tobytes()
+            outputs[0] += int((count == 0).sum())
+            outputs[1] += int(one.sum())
+    assert min(outputs.values()) > 1000
+
+
+def test_unit_columns_match_dense_products():
+    # _unit_prices and _unit_column against the dense products they
+    # replace, on basis inverses full of zeros of either sign, as eta
+    # updates leave them.  Real-valued data make the body and tail of a
+    # product differ (see test_stacked_prices_are_each_lps_own).
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        m, n = int(rng.integers(3, 40)), int(rng.integers(1, 14))
+        model = _family(rng, 1, m, n)[0]
+        lp = _Simplex(model)
+        lp._install_artificials()
+        width = lp.Afull.shape[1]
+        lp.Binv = _signed_zeros(rng, rng.normal(size=(m, m))
+                                * (rng.uniform(size=(m, m)) < 0.3))
+        cb = _signed_zeros(rng, rng.normal(size=m)
+                           * (rng.uniform(size=m) < 0.7))
+        phase1 = np.zeros(width)
+        phase1[lp.ncols0:] = 1.0
+        phase2 = np.zeros(width)
+        phase2[:n] = model.c
+        for cost, ncols in ((phase1, width), (phase2, lp.ncols0)):
+            dense = cost - (cb @ lp.Binv) @ lp.Afull
+            got = lp._unit_prices(cost, cb, ncols)
+            assert got.tobytes() == dense[:ncols].tobytes()
+        for j in range(n, width):
+            want = lp.Binv @ lp.Afull[:, j]
+            assert lp._unit_column(j).tobytes() == want.tobytes()
+
+
+def _unit_against_dense(monkeypatch, seed, trials, degenerate):
+    """Every result with the unit-column path forced on (UNIT_MIN 0) is
+    byte-equal to the dense path's (UNIT_MIN never reached), over seeded
+    random LPs with at least three rows; returns what they covered."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(trials):
+        m, n = int(rng.integers(3, 16)), int(rng.integers(1, 14))
+        for model in _family(rng, 4, m, n, degenerate):
+            monkeypatch.setattr(lp_module, "UNIT_MIN", 10 ** 9)
+            want = _result_bytes(solve_lp(model))
+            monkeypatch.setattr(lp_module, "UNIT_MIN", 0)
+            assert _result_bytes(solve_lp(model)) == want
+            seen.add(want[0])
+            lp = _Simplex(model)
+            lp._install_artificials()
+            seen |= {f"artificial {s:+.0f}" for s in lp.art_sign}
+            if lp.n_art and want[0] != INFEASIBLE:
+                seen.add("phase 2 with pinned artificials")
+            if (np.isinf(model.lb) & np.isinf(model.ub)).any():
+                seen.add("free column")
+            if np.isfinite(model.ub).any():
+                seen.add("boxed column")
+            if EQ in model.senses:
+                seen.add("equality row")
+    return seen
+
+
+def test_unit_path_matches_dense_path(monkeypatch):
+    # Three rows at least: with fewer, a structural column can sit in the
+    # tail of the full pricing product, which UNIT_MIN rules out.
+    assert _unit_against_dense(monkeypatch, 21, 60, degenerate=False) >= {
+        OPTIMAL, INFEASIBLE, UNBOUNDED, "artificial +1", "artificial -1",
+        "phase 2 with pinned artificials", "free column", "boxed column",
+        "equality row"}
+
+
+def test_unit_path_matches_dense_path_under_bland(monkeypatch):
+    monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
+    assert _unit_against_dense(monkeypatch, 22, 40, degenerate=True) >= {
+        OPTIMAL, "artificial +1", "artificial -1",
+        "phase 2 with pinned artificials"}
+
+
+_UNIT_ON_MASTERS = """
+import numpy as np
+import stochcuts.benders as benders
+import stochcuts.lp as L
+from stochcuts import generate_sslp, GeneratorConfig, RunConfig, run
+masters = []
+solve = benders.solve_lp
+benders.solve_lp = lambda model: (masters.append(model), solve(model))[1]
+run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20, seed=0)),
+    RunConfig(algorithm="benders"))
+benders.solve_lp = solve
+def key(r):
+    return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
+            r.reduced_costs.tobytes())
+for model in masters:
+    L.UNIT_MIN = 10 ** 9
+    want = key(L.solve_lp(model))
+    L.UNIT_MIN = 0
+    assert key(L.solve_lp(model)) == want, model.A.shape
+print(len(masters), max(model.A.shape[0] for model in masters))
+"""
+
+
+def test_unit_path_matches_dense_path_on_masters():
+    # the 17 masters of a benders solve of sslp-10-10-20 (up to 182 rows,
+    # most of them over UNIT_MIN), solved both ways with one BLAS thread
+    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", _UNIT_ON_MASTERS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["17", "182"]
+
+
 def test_solve_lps_needs_one_row_count():
     with pytest.raises(ValueError, match="one row count"):
         solve_lps([LpModel.make([1.0], [[1.0]], [GE], [1.0]),

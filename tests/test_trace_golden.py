@@ -14,24 +14,43 @@ the run in call order (status, objective repr, x, duals, reduced costs and
 Farkas ray bytes), whether it came from solve_lp or solve_lps:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py
+
+With --wide it prints the same two digests for the runs in WIDE instead:
+larger generated instances with their scenarios in the benchmark's order
+(bench/run.py --seed 0).  Unlike the golden runs, their masters grow past
+lp.UNIT_MIN rows.  They take about a minute.
 """
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stochcuts
-from stochcuts import builtin, generate_sslp, GeneratorConfig, run, RunConfig
+from stochcuts import (builtin, emit, generate_sslp, GeneratorConfig, parse,
+                       run, RunConfig)
 from stochcuts.drivers import cut_split, write_trace_csv
 
 GOLDEN = json.loads((Path(__file__).parent / "trace_golden.json")
                     .read_text(encoding="utf-8"))
+
+# the --wide sweep: (instance, algorithm, separation budget or None)
+WIDE = (
+    ("sslp-10-10-20-s0", "benders", None),
+    ("sslp-10-10-20-s1", "benders", None),
+    ("sslp-10-10-50-s0", "benders", None),
+    ("sslp-6-8-8-s0", "apblagc", 6),
+    ("sslp-6-8-8-s1", "apblagc", 6),
+    ("sslp-6-8-8-s0", "bdd", 6),
+    ("sslp-10-10-20-s0", "alg1", None),
+)
 
 
 def _instance(name):
@@ -41,6 +60,14 @@ def _instance(name):
             sites=int(sites), clients=int(clients), scenarios=int(scenarios),
             seed=int(seed.lstrip("s"))))
     return builtin(name)
+
+
+def _bench_order(instance):
+    """The instance as bench/run.py --seed 0 hands it to the package: its
+    scenarios drawn in default_rng(0) order, emitted and read back."""
+    order = np.random.default_rng(0).permutation(instance.n_scenarios)
+    return parse(emit(dataclasses.replace(
+        instance, scenarios=tuple(instance.scenarios[i] for i in order))))
 
 
 def _parse(key):
@@ -139,10 +166,22 @@ def test_trace_matches_golden(key):
         assert _close(ev.z_ub, row[2]), (ev.z_ub, row[2])
 
 
+def _runs(wide):
+    """(key, instance, RunConfig) of every run the script digests."""
+    if not wide:
+        for key in sorted(GOLDEN):
+            name, config = _parse(key)
+            yield key, _instance(name), config
+        return
+    for name, algorithm, budget in WIDE:
+        extra = {} if budget is None else {"separation_budget": budget}
+        key = f"{name}:{algorithm}" + ("" if budget is None else f":b{budget}")
+        yield (key + ":bench-order", _bench_order(_instance(name)),
+               RunConfig(algorithm=algorithm, **extra))
+
+
 if __name__ == "__main__":
-    for key in sorted(GOLDEN):
-        name, config = _parse(key)
-        instance = _instance(name)
+    for key, instance, config in _runs("--wide" in sys.argv[1:]):
         with lp_sha256() as lps:
             trace = run(instance, config)
         print(key, trace_sha256(trace), lps.hexdigest())
