@@ -64,22 +64,24 @@ class RunConfig:
     final_mip_master: bool = False   # solve the integer master once at the end
 
     def __post_init__(self):
+        # each check is written so that NaN fails it; time_limit alone may
+        # be infinite, for no limit
         if not 0.0 < self.kappa1 < 1.0:
             raise ValueError("kappa1 must lie in (0, 1)")
-        if self.delta_coefficient <= 0:
-            raise ValueError("delta_coefficient must be positive")
-        if self.stall_window < 1:
+        if not 0.0 < self.delta_coefficient < np.inf:
+            raise ValueError("delta_coefficient must be positive and finite")
+        if not self.stall_window >= 1:
             raise ValueError("stall_window must be at least 1")
         if not 0.0 < self.stall_fraction < 1.0:
             raise ValueError("stall_fraction must lie in (0, 1)")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.separation_budget < 1:
+        if not self.separation_budget >= 1:
             raise ValueError("separation_budget must be at least 1")
-        if self.multiplier_box <= 0:
-            raise ValueError("multiplier_box must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 < self.multiplier_box < np.inf:
+            raise ValueError("multiplier_box must be positive and finite")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
 
 
 @dataclass
@@ -235,6 +237,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
     deadline = trace.t0 + config.time_limit
     state = MasterState(instance)
     certified = {}   # this run's inner solves; the keys assume one instance
+    starts = {}      # this run's node-LP phase-1 states (lp.solve_lp)
     lb0_first = None
     n_ref = 0
     reason = None
@@ -267,7 +270,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             out = separate(instance, target, x, float(target.weights @ theta),
                            budget=config.separation_budget,
                            box=config.multiplier_box, deadline=deadline,
-                           certified=certified)
+                           certified=certified, starts=starts)
             if out.status == VIOLATED and state.add_cut(out.cut):
                 found += 1
             budget += out.status == BUDGET

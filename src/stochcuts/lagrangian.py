@@ -72,9 +72,11 @@ def inner_model(instance, target, pi, pi0):
     return stacked_model(instance, pi, [(pi0, target.technology, target.rhs)])
 
 
-def evaluate_inner(instance, target, pi, pi0, deadline=None):
-    """Exact Qbar(pi, pi0) with a minimizer (x, y); None value on deadline."""
-    res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline)
+def evaluate_inner(instance, target, pi, pi0, deadline=None, starts=None):
+    """Exact Qbar(pi, pi0) with a minimizer (x, y); None value on deadline.
+    `starts`: the node LPs' phase-1 cache (see solve_mip)."""
+    res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline,
+                    starts=starts)
     if res.status == MIP_INFEASIBLE:
         raise ValueError(f"target {target.members}: K is empty")
     if res.status != MIP_OPTIMAL:
@@ -108,7 +110,7 @@ def make_lagrangian_cut(instance, target, pi, pi0, inner_value):
 
 
 def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
-             deadline=None, *, certified=None):
+             deadline=None, *, certified=None, starts=None):
     """Search the multiplier box for a cut violated at (x_hat, theta_hat).
 
     theta_hat is the scalar value of the target's (possibly aggregated)
@@ -119,7 +121,10 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
     `certified`, a dict owned by the caller for one instance, holds every
     completed inner solve by (target members, pi bytes, pi0) and is reused
     and extended here.  A reuse still counts against the budget, so the
-    search takes the same steps with or without it.
+    search takes the same steps with or without it.  `starts`, the
+    caller's phase-1 cache, goes to every inner MIP (see solve_mip); the
+    inner MIPs of a target differ only in their objective, so its K keeps
+    meeting the same node regions.
     """
     n1 = instance.n1
     d = instance.second_stage_cost
@@ -138,7 +143,8 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
         if key in certified:
             val, x, y = certified[key]
         else:
-            val, x, y = evaluate_inner(instance, target, pi, pi0, deadline)
+            val, x, y = evaluate_inner(instance, target, pi, pi0, deadline,
+                                       starts)
             if val is not None:   # never one cut short by the deadline
                 certified[key] = (val, x, y)
         calls += 1

@@ -62,12 +62,17 @@ def _snap(x, marked):
     return out
 
 
-def solve_mip(model, deadline=None):
+def solve_mip(model, deadline=None, starts=None):
     """Best-first branch and bound; most-fractional branching, lowest index
-    on ties, down-child explored first.  Deterministic for a fixed input."""
+    on ties, down-child explored first.  Deterministic for a fixed input.
+
+    `starts` is passed to every node LP's solve_lp: MIPs over one feasible
+    region, such as a target's inner MIPs, keep meeting the same node
+    regions, and a cache of their phase-1 end states solves each region's
+    phase 1 once, with bitwise the same results."""
     lp0 = model.lp
     marked = np.flatnonzero(model.integer)
-    root = solve_lp(lp0)
+    root = solve_lp(lp0, starts)
     nodes = 1
     if root.status == LP_INFEASIBLE:
         return MipResult(MIP_INFEASIBLE, nodes=nodes)
@@ -106,7 +111,7 @@ def solve_mip(model, deadline=None):
                 (_with(lb, j, np.ceil(v)), ub)):
             if child_lb[j] > child_ub[j]:
                 continue
-            res = solve_lp(lp0.with_bounds(child_lb, child_ub))
+            res = solve_lp(lp0.with_bounds(child_lb, child_ub), starts)
             nodes += 1
             if res.status == LP_INFEASIBLE:
                 continue

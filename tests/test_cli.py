@@ -70,9 +70,18 @@ def test_solve_unknown_instance(capsys):
 
 
 def test_solve_bad_config_value(capsys):
-    code = main(["solve", "thm1", "--kappa1", "7"])
-    assert code == EXIT_USAGE
-    assert "kappa1" in capsys.readouterr().err
+    # one error line and the usage exit code, before any solve: --box inf
+    # used to fail deep in separation, --time-limit nan to run unlimited
+    for flag, value, field in (("--kappa1", "7", "kappa1"),
+                               ("--box", "inf", "multiplier_box"),
+                               ("--box", "nan", "multiplier_box"),
+                               ("--time-limit", "nan", "time_limit"),
+                               ("--epsilon", "nan", "epsilon")):
+        code = main(["solve", "thm1", flag, value])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
 
 @pytest.mark.parametrize("body, message", [

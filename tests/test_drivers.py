@@ -187,9 +187,10 @@ def apblagc_calls():
     evaluate_inner, solve_master = (lagrangian.evaluate_inner,
                                     drivers.solve_master)
 
-    def recording_evaluate(instance, target, pi, pi0, deadline=None):
+    def recording_evaluate(instance, target, pi, pi0, deadline=None,
+                           starts=None):
         keys.append((target.members, np.asarray(pi).tobytes(), pi0))
-        return evaluate_inner(instance, target, pi, pi0, deadline)
+        return evaluate_inner(instance, target, pi, pi0, deadline, starts)
 
     def recording_master(state, *args, **kwargs):
         pool_sizes.append(len(state.cuts))
@@ -217,6 +218,42 @@ def test_master_not_resolved_on_unchanged_pool(apblagc_calls):
     trace, _, pool_sizes = apblagc_calls
     assert len(set(pool_sizes)) == len(pool_sizes)
     assert trace.termination_reason == REASON_OUTER_STOP
+
+
+def test_node_lp_phase1_reuse_per_run(thm1, monkeypatch):
+    # The inner MIPs of a run share one phase-1 cache (lp.solve_lp), owned
+    # by the run: apblagc on sslp-6-8-8 seed 0 at budget 6 runs phase 1 in
+    # 269 of its 567 node LPs, again after a run on another instance.  A
+    # cache that outlived its run would leave the second run none to do.
+    from stochcuts import lp, mip
+    from stochcuts.instance_io import GeneratorConfig, generate_sslp
+    counts = {"node_lps": 0, "phase1": 0}
+    in_node = [False]
+    phase1, solve_lp = lp._Simplex._phase1, mip.solve_lp
+
+    def counted_phase1(self):
+        counts["phase1"] += in_node[0]
+        return (yield from phase1(self))
+
+    def counted_solve_lp(model, starts=None):
+        counts["node_lps"] += 1
+        in_node[0] = True
+        try:
+            return solve_lp(model, starts)
+        finally:
+            in_node[0] = False
+
+    monkeypatch.setattr(lp._Simplex, "_phase1", counted_phase1)
+    monkeypatch.setattr(mip, "solve_lp", counted_solve_lp)
+    inst = generate_sslp(GeneratorConfig(sites=6, clients=8, scenarios=8,
+                                         seed=0))
+    config = RunConfig(algorithm="apblagc", separation_budget=6)
+    seen = []
+    for instance in (inst, thm1, inst):
+        run_apblagc(instance, config)
+        seen.append(dict(counts))
+        counts.update(node_lps=0, phase1=0)
+    assert seen[0] == seen[2] == {"node_lps": 567, "phase1": 269}
 
 
 def test_cut_split():
@@ -267,22 +304,25 @@ def test_run_dispatch(thm1):
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError, match="kappa1"):
-        RunConfig(kappa1=1.5)
-    with pytest.raises(ValueError, match="delta_coefficient"):
-        RunConfig(delta_coefficient=0.0)
-    with pytest.raises(ValueError, match="stall_window"):
-        RunConfig(stall_window=0)
-    with pytest.raises(ValueError, match="stall_fraction"):
-        RunConfig(stall_fraction=0.0)
-    with pytest.raises(ValueError, match="time_limit"):
-        RunConfig(time_limit=0.0)
-    with pytest.raises(ValueError, match="separation_budget"):
-        RunConfig(separation_budget=0)
-    with pytest.raises(ValueError, match="multiplier_box"):
-        RunConfig(multiplier_box=0.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        RunConfig(epsilon=-1.0)
+    # NaN fails every check, infinity every one but time_limit's
+    for field, value in (
+            ("kappa1", 1.5), ("kappa1", np.nan),
+            ("delta_coefficient", 0.0), ("delta_coefficient", np.nan),
+            ("delta_coefficient", np.inf),
+            ("stall_window", 0), ("stall_window", np.nan),
+            ("stall_fraction", 0.0), ("stall_fraction", np.nan),
+            ("time_limit", 0.0), ("time_limit", np.nan),
+            ("separation_budget", 0), ("separation_budget", np.nan),
+            ("multiplier_box", 0.0), ("multiplier_box", np.nan),
+            ("multiplier_box", np.inf),
+            ("epsilon", -1.0), ("epsilon", np.nan), ("epsilon", np.inf)):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
+
+def test_unlimited_time_allowed(thm1):
+    trace = run_apblagc(thm1, RunConfig(time_limit=np.inf))
+    assert trace.final_lower_bound == pytest.approx(0.5, abs=1e-6)
 
 
 def test_time_limit_reason(small_sslp):

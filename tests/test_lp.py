@@ -642,3 +642,110 @@ def test_solve_lps_retries_one_member():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr + out.stdout
     assert out.stdout.strip() == "ok"
+
+
+def _shared_region_lps(rng, count, m, n, degenerate):
+    """count LPs on one matrix and row senses whose rhs, bounds and costs
+    are drawn from pools of two, two and four: feasible regions repeat, and
+    some LPs share A, bounds and senses but not b, or A and b but not the
+    bounds."""
+    pool = _family(rng, 4, m, n, degenerate)
+    pick = rng.integers(0, (2, 2, 4), size=(count, 3))
+    return [LpModel.make(pool[k].c, pool[0].A, pool[0].senses, pool[i].b,
+                         pool[j].lb, pool[j].ub) for i, j, k in pick]
+
+
+def _check_start_cache(seed, trials, degenerate):
+    """Every LP solved through one start cache per batch is byte-equal to
+    solve_lp without it; returns what the cache hits covered."""
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(trials):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 14))
+        models = _shared_region_lps(rng, 12, m, n, degenerate)
+        starts, regions = {}, set()
+        for model in models:
+            want = _result_bytes(solve_lp(model))
+            assert _result_bytes(solve_lp(model, starts)) == want
+            region = (model.b.tobytes(), model.lb.tobytes(),
+                      model.ub.tobytes())
+            if region in regions:
+                seen.add(f"hit {want[0]}")
+                if _artificials(model):
+                    seen.add("hit after phase-1 pivots")
+            regions.add(region)
+    return seen
+
+
+def test_start_cache_is_bitwise_neutral():
+    # A cache hit runs phase 2 from a copy of the stored phase-1 state.  A
+    # key without b or without the bounds, or a restore that shares the
+    # stored basis inverse with the LP it starts, fails here.
+    assert _check_start_cache(31, 80, degenerate=False) >= {
+        f"hit {OPTIMAL}", f"hit {INFEASIBLE}", f"hit {UNBOUNDED}",
+        "hit after phase-1 pivots"}
+
+
+def test_start_cache_is_bitwise_neutral_under_bland(monkeypatch):
+    monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
+    assert _check_start_cache(32, 40, degenerate=True) >= {
+        f"hit {OPTIMAL}", f"hit {INFEASIBLE}", "hit after phase-1 pivots"}
+
+
+def test_start_cache_checks_the_model_on_a_hit():
+    model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0])
+    starts = {}
+    solve_lp(model, starts)
+    bad = LpModel(np.array([1.0, np.nan]), model.A, model.senses, model.b,
+                  model.lb, model.ub)
+    with pytest.raises(ValueError, match="objective"):
+        solve_lp(bad, starts)
+
+
+_CACHE_WITH_DRIFTED_MASTER = """
+import sys
+import numpy as np
+import stochcuts.lp as L
+d = np.load(sys.argv[1])
+senses = [str(s) for s in d["senses"]]
+rng = np.random.default_rng(3)
+master = L.LpModel.make(d["c"], d["A"], senses, d["b"], d["lb"], d["ub"])
+models = [L.LpModel.make(d["c"] * rng.uniform(0.5, 1.5, d["c"].size),
+                         d["A"], senses, d["b"], d["lb"], d["ub"])
+          for _ in range(4)]
+models[1:1] = [master]
+models.append(master)
+retries = []
+init = L._Simplex.__init__
+def counted(self, model, refactor_every=L.REFACTOR_EVERY, afull=None):
+    retries.append(refactor_every == L.RETRY_REFACTOR_EVERY)
+    init(self, model, refactor_every, afull)
+L._Simplex.__init__ = counted
+def key(r):
+    return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
+            r.reduced_costs.tobytes())
+want = [key(L.solve_lp(m)) for m in models]
+assert sum(retries) == 2, retries
+del retries[:]
+starts = {}
+assert [key(L.solve_lp(m, starts)) for m in models] == want
+# one phase 1 and the two retries
+print(len(retries), sum(retries), len(starts))
+"""
+
+
+def test_start_cache_retries_a_breakdown():
+    # The drifted master (see test_drifted_master_solves_on_retry) passes
+    # phase 1 and breaks down in phase 2.  Behind a cost-perturbed copy of
+    # itself it is a cache hit that breaks down, then a second hit: each
+    # time it is solved again from scratch, and every result matches
+    # solve_lp's.  One BLAS thread, as that breakdown needs.
+    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", _CACHE_WITH_DRIFTED_MASTER,
+                          str(DRIFT_MASTER)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr + out.stdout
+    assert out.stdout.split() == ["3", "2", "2"]
