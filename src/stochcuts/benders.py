@@ -13,9 +13,9 @@ import numpy as np
 from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL
-from .model import (Cut, theta_weights, stacked_model, CONTINUOUS,
-                    KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY)
-from .partition import AggregatedScenario
+from .model import (Cut, stacked_model, CONTINUOUS, KIND_BENDERS,
+                    KIND_PBBENC, KIND_FEASIBILITY)
+from .partition import AggregatedScenario, aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
 DEDUP_TOL = 1e-9           # coefficientwise match after max-abs normalization
@@ -58,11 +58,12 @@ def _solve_recourse(instance, targets, technologies, rhss, xhat):
 
 
 def solve_scenario_subproblem(instance, s, xhat):
-    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0.  Given a sequence
-    of scenario indices, a list with one result per index."""
+    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0, on the scenario's own
+    T_s and h_s; the result's target is the singleton cluster (s,).  Given
+    a sequence of scenario indices, a list with one result per index."""
     many = np.ndim(s) > 0
     ss = list(s) if many else [s]
-    out = _solve_recourse(instance, ss,
+    out = _solve_recourse(instance, [(i,) for i in ss],
                           [instance.scenarios[i].technology for i in ss],
                           [instance.scenarios[i].rhs for i in ss], xhat)
     return out if many else out[0]
@@ -79,34 +80,27 @@ def solve_cluster_subproblem(instance, agg, xhat):
     return out if many else out[0]
 
 
-def _optimality_cut(instance, kind, cluster, technology, rhs, result):
-    lam = result.duals
-    return Cut(kind, technology.T @ lam, theta_weights(instance, cluster),
-               float(lam @ rhs), origin=cluster, gen_dual=lam)
-
-
 def make_benders_cut(instance, s, result):
-    """theta_s >= dual.(h_s - T_s x), rearranged onto the master's left side."""
-    sc = instance.scenarios[s]
-    return _optimality_cut(instance, KIND_BENDERS, (s,), sc.technology,
-                           sc.rhs, result)
+    """theta_s >= dual.(h_s - T_s x): the singleton cluster's cut."""
+    return make_pbbenc(instance, aggregate(instance, (s,)), result,
+                       KIND_BENDERS)
 
 
 def make_pbbenc(instance, agg, result, kind=KIND_PBBENC):
-    """Aggregated Benders cut over theta_P = sum of weighted theta_s.  A
-    singleton cluster gives the scenario's own cut; `kind` labels it."""
-    return _optimality_cut(instance, kind, agg.cluster, agg.technology,
-                           agg.rhs, result)
+    """Aggregated Benders cut theta_P >= dual.(h_P - T_P x) over
+    theta_P = sum of weighted theta_s, rearranged onto the master's left
+    side; `kind` labels it."""
+    lam = result.duals
+    return Cut(kind, agg.technology.T @ lam, agg.theta_weights,
+               float(lam @ agg.rhs), origin=agg.cluster, gen_dual=lam)
 
 
 def make_feasibility_cut(instance, technology, rhs, result):
     """From a Farkas ray sigma >= 0 with sigma.W <= 0: sigma.(h - T x) <= 0."""
     ray = result.farkas
-    coeffs = technology.T @ ray
-    theta = np.zeros(instance.n_scenarios)
-    origin = result.target if isinstance(result.target, tuple) else (result.target,)
-    return Cut(KIND_FEASIBILITY, coeffs, theta, float(ray @ rhs),
-               origin=origin, gen_dual=ray)
+    return Cut(KIND_FEASIBILITY, technology.T @ ray,
+               np.zeros(instance.n_scenarios), float(ray @ rhs),
+               origin=result.target, gen_dual=ray)
 
 
 def compute_theta_lower_bounds(instance):

@@ -58,48 +58,42 @@ def _parse_seeds(text):
     return seeds
 
 
+# (RunConfig field, flag, help) of every run option; a flag's type and
+# default are its field's, and a bool field is a switch that turns it on
+RUN_OPTIONS = (
+    ("kappa1", "--kappa1", None),
+    ("delta_coefficient", "--delta-coefficient", None),
+    ("stall_window", "--stall-window", None),
+    ("stall_fraction", "--stall-fraction", None),
+    ("time_limit", "--time-limit", None),
+    ("separation_budget", "--budget", "inner solves per separation call"),
+    ("multiplier_box", "--box", "sup-norm bound on the cut multipliers"),
+    ("epsilon", "--epsilon", None),
+    ("saturate", "--saturate", "ignore the stall rule; cut until none exist"),
+    ("final_mip_master", "--final-mip-master",
+     "solve the integer master once at the end"),
+)
+
+
 def _run_config(args, algorithm):
+    values = {field: getattr(args, flag[2:].replace("-", "_"))
+              for field, flag, _ in RUN_OPTIONS}
     try:
-        return RunConfig(
-            algorithm=algorithm,
-            kappa1=args.kappa1,
-            delta_coefficient=args.delta_coefficient,
-            stall_window=args.stall_window,
-            stall_fraction=args.stall_fraction,
-            time_limit=args.time_limit,
-            separation_budget=args.budget,
-            multiplier_box=args.box,
-            epsilon=args.epsilon,
-            saturate=args.saturate,
-            final_mip_master=args.final_mip_master,
-        )
+        return RunConfig(algorithm=algorithm, **values)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
 
 
 def _add_run_options(parser):
     default = RunConfig()
-    parser.add_argument("--kappa1", type=float, default=default.kappa1)
-    parser.add_argument("--delta-coefficient", type=float,
-                        default=default.delta_coefficient)
-    parser.add_argument("--stall-window", type=int,
-                        default=default.stall_window)
-    parser.add_argument("--stall-fraction", type=float,
-                        default=default.stall_fraction)
-    parser.add_argument("--time-limit", type=float,
-                        default=default.time_limit)
-    parser.add_argument("--budget", type=int,
-                        default=default.separation_budget,
-                        help="inner solves per separation call")
-    parser.add_argument("--box", type=float, default=default.multiplier_box,
-                        help="sup-norm bound on the cut multipliers")
-    parser.add_argument("--epsilon", type=float, default=default.epsilon)
-    parser.add_argument("--saturate", action="store_true",
-                        default=default.saturate,
-                        help="ignore the stall rule; cut until none exist")
-    parser.add_argument("--final-mip-master", action="store_true",
-                        default=default.final_mip_master,
-                        help="solve the integer master once at the end")
+    for field, flag, help_text in RUN_OPTIONS:
+        value = getattr(default, field)
+        if isinstance(value, bool):
+            parser.add_argument(flag, action="store_true", default=value,
+                                help=help_text)
+        else:
+            parser.add_argument(flag, type=type(value), default=value,
+                                help=help_text)
 
 
 def cmd_generate(args):

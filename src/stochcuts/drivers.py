@@ -2,7 +2,10 @@
 
 A scenario is a singleton cluster, so three of the four solvers are one
 cut loop over a scenario partition, configured by the start partition, the
-kind of Benders and Lagrangian cuts, and whether to refine:
+kind of Benders and Lagrangian cuts, and whether to refine.  The loop
+builds one SeparationTarget (a cluster's aggregate plus its cut kind) per
+cluster of the current partition; its Benders and Lagrangian rounds both
+work from that list:
 
   run_benders   multi-cut Benders on the LP relaxation at the singleton
                 partition; no Lagrangian rounds, no refinement,
@@ -35,8 +38,8 @@ from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
 from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
 from .model import (CONTINUOUS, KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN,
                     KIND_PBLAGC)
-from .partition import (single_cluster, singletons, aggregate, refine,
-                        delta_schedule, build_partition_extensive)
+from .partition import (single_cluster, singletons, refine, delta_schedule,
+                        build_partition_extensive)
 
 EVENT_KINDS = ("benders_round", "lagrangian_round", "refinement", "termination")
 
@@ -170,25 +173,19 @@ def _outer_stop(lb_k, lb0_first, kappa1):
     return progress <= kappa1 * total + 1e-9
 
 
-def _blocks(instance, partition, lagrangian_kind):
-    """(aggregate, separation target) of every cluster of the partition."""
-    return [(aggregate(instance, c),
-             cluster_target(instance, c, lagrangian_kind))
-            for c in partition.clusters]
-
-
-def _benders_round(instance, state, blocks, kind, x, theta):
+def _benders_round(instance, state, targets, kind, x, theta):
     """Add each cluster's violated optimality (or feasibility) cut at x."""
     added = 0
-    results = solve_cluster_subproblem(instance, [agg for agg, _ in blocks], x)
-    for (agg, target), res in zip(blocks, results):
+    results = solve_cluster_subproblem(instance, targets, x)
+    for target, res in zip(targets, results):
         if not res.feasible:
-            cut = make_feasibility_cut(instance, agg.technology, agg.rhs, res)
+            cut = make_feasibility_cut(instance, target.technology,
+                                       target.rhs, res)
         else:
-            t_p = float(target.weights @ theta)
+            t_p = float(target.theta_weights @ theta)
             if res.value <= t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
                 continue
-            cut = make_pbbenc(instance, agg, res, kind)
+            cut = make_pbbenc(instance, target, res, kind)
         added += state.add_cut(cut)
     return added
 
@@ -246,7 +243,8 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
         trace.record(kind, z, cuts=state.cut_counts(),
                      n_clusters=partition.size, refinements=n_ref)
 
-    blocks = _blocks(instance, partition, lagrangian_kind)
+    targets = [cluster_target(instance, c, lagrangian_kind)
+               for c in partition.clusters]
     lb_k = []
     x, theta, z = solve_master(state)
     record("benders_round", z)
@@ -255,7 +253,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             if time.monotonic() > deadline:
                 reason = REASON_TIME_LIMIT
                 break
-            if _benders_round(instance, state, blocks, benders_kind,
+            if _benders_round(instance, state, targets, benders_kind,
                               x, theta) == 0:
                 break
             x, theta, z = solve_master(state)
@@ -266,8 +264,9 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             reason = REASON_CONVERGED
             break
         found = budget = 0
-        for _, target in blocks:
-            out = separate(instance, target, x, float(target.weights @ theta),
+        for target in targets:
+            out = separate(instance, target, x,
+                           float(target.theta_weights @ theta),
                            budget=config.separation_budget,
                            box=config.multiplier_box, deadline=deadline,
                            certified=certified, starts=starts)
@@ -303,7 +302,8 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             reason = REASON_EXHAUSTED
             break
         partition = newp
-        blocks = _blocks(instance, partition, lagrangian_kind)
+        targets = [cluster_target(instance, c, lagrangian_kind)
+                   for c in partition.clusters]
         lb_k = []
         n_ref += 1
         record("refinement", z)

@@ -240,6 +240,15 @@ def save(instance, path):
         fh.write(emit(instance))
 
 
+# generate_sslp's draws, integers uniform on [low, high]: site costs,
+# demands and service costs; and the factor by which each site's capacity
+# exceeds the clients' total peak demand shared out over the sites
+SITE_COST_RANGE = (40, 80)
+DEMAND_RANGE = (1, 25)
+SERVICE_COST_RANGE = (1, 25)
+CAPACITY_SLACK = 1.5
+
+
 @dataclass
 class GeneratorConfig:
     """Server-location family: binary site openings, continuous assignment
@@ -249,10 +258,6 @@ class GeneratorConfig:
     clients: int = 10
     scenarios: int = 10
     seed: int = 0
-    site_cost_range: tuple = (40, 80)
-    demand_range: tuple = (1, 25)
-    service_cost_range: tuple = (1, 25)
-    capacity_slack: float = 1.5
     site_budget: int = None    # optional row: open exactly this many sites
 
     def __post_init__(self):
@@ -262,13 +267,6 @@ class GeneratorConfig:
             raise ValueError("scenario_count must be >= 1")
         if self.site_budget is not None and not 1 <= self.site_budget <= self.sites:
             raise ValueError("site_budget must lie in [1, sites]")
-        for label, (lo, hi) in (("site_cost_range", self.site_cost_range),
-                                ("demand_range", self.demand_range),
-                                ("service_cost_range", self.service_cost_range)):
-            if lo > hi or lo <= 0:
-                raise ValueError(f"{label} must satisfy 0 < low <= high")
-        if self.capacity_slack < 1.0:
-            raise ValueError("capacity_slack must be at least 1")
 
 
 def generate_sslp(config):
@@ -287,14 +285,14 @@ def generate_sslp(config):
     ns1, m = config.sites, config.clients
     n2 = m * ns1
     m2 = ns1 + m
-    lo, hi = config.site_cost_range
+    lo, hi = SITE_COST_RANGE
     c = rng.integers(lo, hi + 1, size=ns1).astype(float)
-    dlo, dhi = config.demand_range
-    dem = rng.integers(dlo, dhi + 1, size=(m, ns1)).astype(float)
-    slo, shi = config.service_cost_range
-    cost = rng.integers(slo, shi + 1, size=(m, ns1)).astype(float)
+    lo, hi = DEMAND_RANGE
+    dem = rng.integers(lo, hi + 1, size=(m, ns1)).astype(float)
+    lo, hi = SERVICE_COST_RANGE
+    cost = rng.integers(lo, hi + 1, size=(m, ns1)).astype(float)
     total = float(dem.max(axis=1).sum())
-    u = max(math.ceil(config.capacity_slack * total / ns1), float(dem.max()))
+    u = max(math.ceil(CAPACITY_SLACK * total / ns1), float(dem.max()))
     d = np.zeros(n2)
     w = np.zeros((m2, n2))
     t = np.zeros((m2, ns1))

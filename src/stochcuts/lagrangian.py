@@ -1,7 +1,8 @@
 """Lagrangian cut separation via a cutting-plane game on the multiplier box.
 
-For a target (one scenario or one cluster) with system  T x + W y >= h  and
-K = {x in X, A x = b, y >= 0, T x + W y >= h}, the inner problem
+For a target cluster P (a scenario s is the singleton cluster (s,)) with
+its aggregated system  T_P x + W y >= h_P  and
+K = {x in X, A x = b, y >= 0, T_P x + W y >= h_P}, the inner problem
 
     Qbar(pi, pi0) = min { pi.x + pi0 * d.y : (x, y) in K }
 
@@ -10,7 +11,8 @@ theta_hat  over the box ||pi||_inf <= box, 0 <= pi0 <= 1: an outer LP keeps
 a pool of inner minimizers and proposes multipliers, the inner MIP certifies
 them.  Every certified value is a true lower bound on the separation
 optimum, so the returned cut is valid regardless of how early the loop
-stops.
+stops.  The cut's theta_P = sum_s w_s theta_s takes the weights w of the
+cluster's record (partition.aggregate).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import numpy as np
 
 from .lp import LpModel, solve_lp, LE, OPTIMAL as LP_OPTIMAL
 from .mip import solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
-from .model import (Cut, theta_weights, stacked_model,
-                    KIND_LAGRANGIAN, KIND_PBLAGC)
-from .partition import aggregate
+from .model import Cut, stacked_model, KIND_LAGRANGIAN, KIND_PBLAGC
+from .partition import AggregatedScenario, aggregate
 
 SEP_GAP_TOL = 1e-6         # outer-minus-certified convergence tolerance
 SEP_VIOLATION_TOL = 1e-6   # certified violation needed to emit a cut
@@ -35,26 +36,20 @@ BUDGET = "budget_exceeded"
 
 
 @dataclass(frozen=True)
-class SeparationTarget:
-    """What the multiplier prices: one scenario or one aggregated cluster."""
+class SeparationTarget(AggregatedScenario):
+    """What the multiplier prices: a cluster's aggregate, and the label of
+    the cuts it yields (lagrangian | pblagc)."""
 
-    cut_kind: str          # label of the cuts it yields: lagrangian | pblagc
-    members: tuple
-    technology: np.ndarray
-    rhs: np.ndarray
-    weights: np.ndarray    # theta aggregation weights over all scenarios
+    cut_kind: str
 
 
 def scenario_target(instance, s):
-    sc = instance.scenarios[s]
-    return SeparationTarget(KIND_LAGRANGIAN, (s,), sc.technology, sc.rhs,
-                            theta_weights(instance, (s,)))
+    return cluster_target(instance, (s,), KIND_LAGRANGIAN)
 
 
 def cluster_target(instance, cluster, cut_kind=KIND_PBLAGC):
-    agg = aggregate(instance, cluster)
-    return SeparationTarget(cut_kind, agg.cluster, agg.technology, agg.rhs,
-                            theta_weights(instance, agg.cluster))
+    return SeparationTarget(**vars(aggregate(instance, cluster)),
+                            cut_kind=cut_kind)
 
 
 @dataclass
@@ -78,7 +73,7 @@ def evaluate_inner(instance, target, pi, pi0, deadline=None, starts=None):
     res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline,
                     starts=starts)
     if res.status == MIP_INFEASIBLE:
-        raise ValueError(f"target {target.members}: K is empty")
+        raise ValueError(f"target {target.cluster}: K is empty")
     if res.status != MIP_OPTIMAL:
         return None, None, None
     n1 = instance.n1
@@ -103,10 +98,10 @@ def _outer_lp(n1, pool, xhat, theta_hat, box):
 
 def make_lagrangian_cut(instance, target, pi, pi0, inner_value):
     """pi.x + pi0 * theta_target >= Qbar(pi, pi0), with theta_target spelled
-    out over the per-scenario block via the target's weights."""
+    out over the per-scenario block via the target's theta weights."""
     return Cut(target.cut_kind, np.asarray(pi, dtype=float),
-               float(pi0) * target.weights, float(inner_value),
-               origin=target.members)
+               float(pi0) * target.theta_weights, float(inner_value),
+               origin=target.cluster)
 
 
 def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
@@ -119,7 +114,7 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
     is exactly the Benders-closure gap of the target.
 
     `certified`, a dict owned by the caller for one instance, holds every
-    completed inner solve by (target members, pi bytes, pi0) and is reused
+    completed inner solve by (target cluster, pi bytes, pi0) and is reused
     and extended here.  A reuse still counts against the budget, so the
     search takes the same steps with or without it.  `starts`, the
     caller's phase-1 cache, goes to every inner MIP (see solve_mip); the
@@ -139,7 +134,7 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
 
     def certify(pi, pi0):
         nonlocal calls, best
-        key = (target.members, pi.tobytes(), pi0)
+        key = (target.cluster, pi.tobytes(), pi0)
         if key in certified:
             val, x, y = certified[key]
         else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import stacked_model
+from .model import stacked_model, theta_weights
 
 
 @dataclass(frozen=True)
@@ -55,27 +55,30 @@ def singletons(n_scenarios, generation=0):
 
 @dataclass(frozen=True)
 class AggregatedScenario:
-    """Probability-weighted average of a cluster's technology and rhs."""
+    """The one record of a cluster P: its probability p_P, its
+    probability-weighted technology T_P and rhs h_P, and the weights
+    w_s = p_s / p_P that spell theta_P = sum_s w_s theta_s over the
+    per-scenario block.  A scenario s is the singleton cluster (s,)."""
 
     cluster: tuple
     weight: float          # total probability of the cluster
     technology: np.ndarray
     rhs: np.ndarray
+    theta_weights: np.ndarray
 
 
 def aggregate(instance, cluster):
     cluster = tuple(sorted(cluster))
-    if not cluster:
-        raise ValueError("empty cluster")
-    p = instance.probabilities
-    total = float(p[list(cluster)].sum())
+    w = theta_weights(instance, cluster)
     t_bar = np.zeros((instance.m2, instance.n1))
     h_bar = np.zeros(instance.m2)
     for s in cluster:
         sc = instance.scenarios[s]
-        t_bar += (p[s] / total) * sc.technology
-        h_bar += (p[s] / total) * sc.rhs
-    return AggregatedScenario(cluster, total, t_bar, h_bar)
+        t_bar += w[s] * sc.technology
+        h_bar += w[s] * sc.rhs
+    return AggregatedScenario(
+        cluster, float(instance.probabilities[list(cluster)].sum()), t_bar,
+        h_bar, w)
 
 
 def is_refinement(fine, coarse):

@@ -71,16 +71,10 @@ def feasible_first_stage_points(instance, cap=512):
             resid = instance.first_stage_matrix @ x - instance.first_stage_rhs
             if np.abs(resid).max(initial=0.0) > 1e-7:
                 continue
-        values = np.empty(instance.n_scenarios)
-        ok = True
-        for s in range(instance.n_scenarios):
-            sub = solve_scenario_subproblem(instance, s, x)
-            if not sub.feasible:
-                ok = False
-                break
-            values[s] = sub.value
-        if ok:
-            points.append((x, values))
+        subs = solve_scenario_subproblem(instance, range(instance.n_scenarios),
+                                         x)
+        if all(sub.feasible for sub in subs):
+            points.append((x, np.array([sub.value for sub in subs])))
     return points
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from stochcuts.model import (Instance, Scenario, Cut, BINARY,
                              KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY,
-                             theta_weights)
-from stochcuts.partition import aggregate, single_cluster
+                             KIND_LAGRANGIAN, theta_weights)
+from stochcuts.partition import AggregatedScenario, aggregate, single_cluster
+from stochcuts.lagrangian import scenario_target, cluster_target
 from stochcuts.benders import (solve_scenario_subproblem,
                                solve_cluster_subproblem, make_benders_cut,
                                make_pbbenc, make_feasibility_cut,
@@ -115,6 +116,52 @@ def test_feasibility_cut_from_farkas_ray():
     # and the subproblem really is feasible at x = 1
     at_one = solve_scenario_subproblem(inst, 0, np.ones(1))
     assert at_one.feasible
+
+
+def _bitwise(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+    return a == b
+
+
+def test_scenario_is_singleton_cluster(thm1, refinement_example, small_sslp):
+    """The scenario entry points are the cluster path at (s,), bit for bit:
+    target, subproblem result and Benders cut."""
+    infeasible = 0
+    for inst in (thm1, refinement_example, small_sslp()):
+        for s in range(inst.n_scenarios):
+            agg = aggregate(inst, (s,))
+            st = scenario_target(inst, s)
+            ct = cluster_target(inst, (s,), KIND_LAGRANGIAN)
+            assert isinstance(st, AggregatedScenario)
+            assert st.cluster == (s,) and st.cut_kind == KIND_LAGRANGIAN
+            for name in ("cluster", "weight", "technology", "rhs",
+                         "theta_weights", "cut_kind"):
+                assert _bitwise(getattr(st, name), getattr(ct, name)), name
+            for x in (np.zeros(inst.n1), np.ones(inst.n1),
+                      np.full(inst.n1, 0.5)):
+                res = solve_scenario_subproblem(inst, s, x)
+                ref = solve_cluster_subproblem(inst, agg, x)
+                assert res.target == ref.target == (s,)
+                assert res.feasible == ref.feasible
+                if not res.feasible:
+                    infeasible += 1
+                    assert _bitwise(res.farkas, ref.farkas)
+                    cut = make_feasibility_cut(
+                        inst, inst.scenarios[s].technology,
+                        inst.scenarios[s].rhs, res)
+                    assert cut.origin == (s,)
+                    continue
+                assert _bitwise(res.value, ref.value)
+                assert _bitwise(res.duals, ref.duals)
+                one = make_benders_cut(inst, s, res)
+                two = make_pbbenc(inst, agg, res, KIND_BENDERS)
+                for name in ("kind", "x_coeffs", "theta_coeffs", "rhs",
+                             "origin", "gen_dual"):
+                    assert _bitwise(getattr(one, name),
+                                    getattr(two, name)), name
+    assert infeasible > 0   # the sslp instance has no recourse at x = 0
 
 
 def test_theta_lower_bounds(thm1, refinement_example):

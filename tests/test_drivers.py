@@ -189,7 +189,7 @@ def apblagc_calls():
 
     def recording_evaluate(instance, target, pi, pi0, deadline=None,
                            starts=None):
-        keys.append((target.members, np.asarray(pi).tobytes(), pi0))
+        keys.append((target.cluster, np.asarray(pi).tobytes(), pi0))
         return evaluate_inner(instance, target, pi, pi0, deadline, starts)
 
     def recording_master(state, *args, **kwargs):

@@ -163,8 +163,6 @@ def test_generator_config_validation():
         GeneratorConfig(scenarios=0)
     with pytest.raises(ValueError):
         GeneratorConfig(sites=0)
-    with pytest.raises(ValueError):
-        GeneratorConfig(demand_range=(10, 2))
 
 
 def test_builtin_thm1_arrays(thm1):

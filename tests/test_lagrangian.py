@@ -14,12 +14,12 @@ from stochcuts.mip import solve_mip, MIP_OPTIMAL
 def test_targets(thm1):
     st = scenario_target(thm1, 1)
     assert st.cut_kind == KIND_LAGRANGIAN
-    assert st.members == (1,)
-    assert st.weights == pytest.approx([0.0, 1.0])
+    assert st.cluster == (1,)
+    assert st.theta_weights == pytest.approx([0.0, 1.0])
     ct = cluster_target(thm1, (0, 1))
     assert ct.cut_kind == KIND_PBLAGC
-    assert ct.members == (0, 1)
-    assert ct.weights == pytest.approx([0.5, 0.5])
+    assert ct.cluster == (0, 1)
+    assert ct.theta_weights == pytest.approx([0.5, 0.5])
     assert ct.rhs == pytest.approx([0.5, -0.5])
 
 
