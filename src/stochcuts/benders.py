@@ -12,9 +12,9 @@ import numpy as np
 
 from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
-from .mip import MipModel, solve_mip, MIP_OPTIMAL
-from .model import (Cut, stacked_model, CONTINUOUS, KIND_BENDERS,
-                    KIND_PBBENC, KIND_FEASIBILITY)
+from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
+from .model import (Cut, stacked_model, KIND_BENDERS, KIND_PBBENC,
+                    KIND_FEASIBILITY)
 from .partition import AggregatedScenario, aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
@@ -177,12 +177,13 @@ def build_master_model(state, relax_integrality=True):
     if relax_integrality:
         return lp
     integer = np.zeros(nvar, dtype=bool)
-    integer[:n1] = [m != CONTINUOUS for m in instance.integrality]
+    integer[:n1] = instance.integer_mask
     return MipModel(lp, integer)
 
 
 def solve_master(state, relax_integrality=True, deadline=None):
-    """Solve the current master; returns (x, theta, objective).
+    """Solve the current master; returns (x, theta, objective), or None
+    when the integer master reaches `deadline` before its optimum.
 
     With integrality relaxed the optimum is a valid global lower bound and
     is folded into state.z_lb (monotone under a growing pool).
@@ -194,15 +195,15 @@ def solve_master(state, relax_integrality=True, deadline=None):
             raise MasterInfeasibleError("master problem infeasible")
         if res.status == LP_UNBOUNDED:
             raise ValueError("master problem unbounded; theta bounds missing?")
-        obj, x = res.objective, res.x
-    else:
-        res = solve_mip(model, deadline=deadline)
-        if res.status != MIP_OPTIMAL:
-            raise MasterInfeasibleError(f"integer master ended {res.status}")
-        obj, x = res.objective, res.x
-    if relax_integrality:
+        obj = res.objective
         if obj < state.z_lb - 1e-6 * (1.0 + abs(obj)):
             raise RuntimeError("master lower bound regressed beyond tolerance")
         state.z_lb = max(state.z_lb, float(obj))
+    else:
+        res = solve_mip(model, deadline=deadline)
+        if res.status == MIP_BUDGET:
+            return None
+        if res.status != MIP_OPTIMAL:
+            raise MasterInfeasibleError(f"integer master ended {res.status}")
     n1 = state.instance.n1
-    return x[:n1].copy(), x[n1:].copy(), float(obj)
+    return res.x[:n1].copy(), res.x[n1:].copy(), float(res.objective)

@@ -36,8 +36,7 @@ from .benders import (MasterState, solve_master, solve_scenario_subproblem,
                       make_feasibility_cut, CUT_VIOLATION_TOL)
 from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
 from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import (CONTINUOUS, KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN,
-                    KIND_PBLAGC)
+from .model import KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC
 from .partition import (single_cluster, singletons, refine, delta_schedule,
                         build_partition_extensive)
 
@@ -308,9 +307,11 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
         n_ref += 1
         record("refinement", z)
     if config.final_mip_master and reason != REASON_TIME_LIMIT:
-        _, _, z_int = solve_master(state, relax_integrality=False,
-                                   deadline=deadline)
-        record("lagrangian_round", z_int)
+        final = solve_master(state, relax_integrality=False, deadline=deadline)
+        if final is None:   # the deadline came first: the LP bound stands
+            reason = REASON_TIME_LIMIT
+        else:
+            record("lagrangian_round", final[2])
     trace.cuts = state.cuts
     trace.final_partition = partition
     trace.finish(reason)
@@ -342,7 +343,6 @@ def run_alg1(instance, config=None):
     deadline = trace.t0 + config.time_limit
     partition = single_cluster(instance.n_scenarios)
     n1 = instance.n1
-    marked = np.array([m != CONTINUOUS for m in instance.integrality])
     z_ub = np.inf
     n_ref = 0
     reason = None
@@ -355,8 +355,7 @@ def run_alg1(instance, config=None):
         if res.status != MIP_OPTIMAL:
             raise ValueError("partition problem infeasible")
         z_n = res.objective
-        x = res.x[:n1].copy()
-        x[marked] = np.round(x[marked])
+        x = res.x[:n1].copy()   # solve_mip rounds the integer columns
         duals, expected = _scenario_duals(instance, x)
         if expected is not None:
             z_ub = min(z_ub, float(instance.first_stage_cost @ x) + expected)

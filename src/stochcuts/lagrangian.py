@@ -35,7 +35,7 @@ NO_VIOLATED = "no_violated_cut"
 BUDGET = "budget_exceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparationTarget(AggregatedScenario):
     """What the multiplier prices: a cluster's aggregate, and the label of
     the cuts it yields (lagrangian | pblagc)."""

@@ -26,24 +26,25 @@ reproduces every result bitwise, and can be checked that way.
 
 Start cache.  Phase 1 reads A, the senses, b and the bounds, never the
 objective, so its end state is a function of the feasible region.
-solve_lp(model, starts) looks the region up by the bytes of all five in
-`starts`, a dict the caller owns: a hit returns the stored INFEASIBLE
-result, or runs phase 2 from a copy of the stored basis, statuses, values
-and refactorized inverse, artificials pinned, sharing the working matrix;
-a miss runs phase 1 and stores its end.  The regions of one A also share
-one [A | I].  A breakdown anywhere falls back to the from-scratch retry,
-and a phase 1 that breaks down stores nothing.  Branch and bound passes
-one cache to all its node LPs, and a run passes one to all its inner
-MIPs, which differ only in their objective: in an apblagc run on
-sslp-6-8-8 at budget 6, 298 of 567 node LPs repeat a region.
+solve_lp(model, starts) keeps in `starts`, a dict the caller owns, one
+entry per A, by its shape and bytes: the [A | I] its LPs share, and its
+regions, by the senses and the bytes of b, lb and ub.  A hit returns the
+stored INFEASIBLE result, or runs phase 2 from a copy of the stored
+basis, statuses, values and refactorized inverse, artificials pinned; a
+miss runs phase 1 and stores its end.  A breakdown anywhere falls back to
+the from-scratch retry, and a phase 1 that breaks down stores no region.
+Branch and bound passes one cache to all its node LPs, and a run passes
+one to all its inner MIPs, which differ only in their objective: in an
+apblagc run on sslp-6-8-8 at budget 6, 298 of 567 node LPs repeat a
+region.
 
 The contract extends to stacks.  solve_lps solves LPs that share a row
 count -- a round of recourse subproblems under fixed recourse -- in
 lockstep: each takes exactly the pivots solve_lp would take, and each
-result is bitwise solve_lp's (_Stack says how, and which property of the
-BLAS it rests on; tests/test_lp.py checks that property).  Lockstep saves
-numpy call overhead, not flops, so it pays only for batches of STACK_MIN
-or more LPs; smaller batches go one at a time.  STACK_MIN is measured:
+result is bitwise solve_lp's, by the unit-column argument below (_Stack).
+Lockstep saves numpy call overhead, not flops, so it pays only for
+batches of STACK_MIN or more LPs of three rows or more; other batches go
+one LP at a time.  STACK_MIN is measured:
 on the 340 recourse LPs of a benders solve of sslp-10-10-20 (20 rows,
 one BLAS thread) the stack took 2.93, 1.89, 1.20, 0.86 and 0.60 times the
 one-at-a-time CPU time at batch sizes 1, 2, 4, 8 and 20.
@@ -63,9 +64,9 @@ the dense path's, by two properties of the BLAS that tests/test_lp.py
 checks:
   - a (1, m) @ (m, c) product computes its columns in blocks of four and
     a column's bits depend only on whether a block or the tail loop over
-    the last c % 4 computed it (as for _Stack).  With three rows or more,
-    every structural column is in the body of the full product, and the
-    padding puts it in the body of the structural one;
+    the last c % 4 computed it.  With three rows or more, every structural
+    column is in the body of any product n + 3 or more columns wide, as
+    the full one and a stack's are, and of the padded structural one;
   - an output whose only nonzero term is t comes out as t exactly, and an
     all-zero sum as +0.0.  So a unit column's product is sign * y[row] or
     sign * Binv[i, row], and the + 0.0 gives the product's +0.0 for a
@@ -175,8 +176,7 @@ class LpResult:
 class _Simplex:
     def __init__(self, model, refactor_every=REFACTOR_EVERY, afull=None):
         """afull: the working matrix [A | I], when the caller already has
-        it for another LP with the same A; it is never written to."""
-        model.check()
+        it for an LP on A; never written to.  The caller checks the model."""
         self.model = model
         self.refactor_every = refactor_every
         A = np.asarray(model.A, dtype=float)
@@ -540,21 +540,16 @@ class _Stack:
     or a result is the one _iterate computes.  Refactorizations and the
     work between runs of pivots (_phases) go through the LP's own _Simplex.
 
-    The one product whose shape differs is the pricing y @ Afull, since the
-    LPs' column counts differ (artificials).  OpenBLAS computes a (1, m) @
-    (m, c) product in blocks of four columns plus a tail loop over the last
-    c % 4, and an output's bits depend only on which of the two computed it
-    (test_stacked_prices_are_each_lps_own checks this).  So an LP's columns
-    up to its last multiple of four keep their places, zeros pad them to
-    `body` columns, a multiple of four, and its 0-3 remaining columns go to
-    body, body + 1, body + 2: the tail of a body + 3 product.  The map is
-    monotone, so index order, and with it every tie-break, is the LP's
-    own."""
+    Stack column j is the LP's column j; zeros pad each LP to the widest,
+    fixed at zero, priced zero and never entered.  The one product whose
+    shape differs is the pricing y @ Afull, and with three rows or more the
+    unit-column argument of the module docstring gives each of its columns
+    the LP's own bits (test_stacked_prices_are_each_lps_own checks this)."""
 
     # per-row arrays and lists, cut down together when LPs leave
     _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "free",
                "binv", "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
-    _LISTS = ("lps", "phases", "ids", "cols", "it", "max_iter", "allow")
+    _LISTS = ("lps", "phases", "ids", "it", "max_iter", "allow")
 
     def __init__(self, lps):
         k, m = len(lps), lps[0].m
@@ -564,21 +559,16 @@ class _Stack:
         runs = [next(phases) for phases in self.phases]
         self.results = [None] * k
         widths = [lp.Afull.shape[1] for lp in lps]
-        body = max(4, max(w - w % 4 for w in widths))
-        # the LP's column -> its stack column, increasing
-        self.cols = [np.concatenate([np.arange(w - w % 4),
-                                     body + np.arange(w % 4)]) for w in widths]
-        self.af = np.zeros((k, m, body + 3))
-        for i, (lp, cols) in enumerate(zip(lps, self.cols)):
-            self.af[i][:, cols] = lp.Afull
-        # padding columns: fixed at zero, priced zero, never entered
-        shape = (k, body + 3)
+        shape = (k, max(widths))
+        self.af = np.zeros((k, m, shape[1]))
+        for i, (lp, w) in enumerate(zip(lps, widths)):
+            self.af[i, :, :w] = lp.Afull
         self.xval, self.lb, self.ub, self.cost, self.sign = (
             np.zeros(shape) for _ in range(5))
         self.status = np.full(shape, _AT_LB, dtype=np.int8)
         self.free = np.zeros(shape, dtype=bool)
         self.binv = np.zeros((k, m, m))
-        self.basis = np.zeros((k, m), dtype=np.intp)   # stack columns
+        self.basis = np.zeros((k, m), dtype=np.intp)
         self.xb, self.lbb, self.ubb, self.cb = (np.zeros((k, m))
                                                 for _ in range(4))
         self.stall = np.zeros(k, dtype=np.int64)
@@ -590,19 +580,19 @@ class _Stack:
 
     def _load(self, k, cost, allow_unbounded):
         """Start LP k's next run of pivots from its _Simplex state."""
-        lp, cols = self.lps[k], self.cols[k]
+        lp = self.lps[k]
         lp._price_by_status()
-        bi = lp.basis
-        self.xval[k, cols] = lp.xval
-        self.lb[k, cols] = lp.lb
-        self.ub[k, cols] = lp.ub
-        self.cost[k, cols] = cost
-        self.sign[k, cols] = lp.sign
-        self.status[k, cols] = lp.status
+        bi, w = lp.basis, lp.xval.size
+        self.xval[k, :w] = lp.xval
+        self.lb[k, :w] = lp.lb
+        self.ub[k, :w] = lp.ub
+        self.cost[k, :w] = cost
+        self.sign[k, :w] = lp.sign
+        self.status[k, :w] = lp.status
         self.free[k] = False
-        self.free[k, cols[lp.free]] = True
+        self.free[k, lp.free] = True
         self.binv[k] = lp.Binv
-        self.basis[k] = cols[bi]
+        self.basis[k] = bi
         self.xb[k], self.lbb[k], self.ubb[k], self.cb[k] = (
             lp.xval[bi], lp.lb[bi], lp.ub[bi], cost[bi])
         self.stall[k] = 0
@@ -612,13 +602,14 @@ class _Stack:
 
     def _store(self, k):
         """Write LP k's row back into its _Simplex."""
-        lp, cols = self.lps[k], self.cols[k]
-        lp.basis[:] = np.searchsorted(cols, self.basis[k])
-        lp.xval[:] = self.xval[k, cols]
+        lp = self.lps[k]
+        w = lp.xval.size
+        lp.basis[:] = self.basis[k]
+        lp.xval[:] = self.xval[k, :w]
         lp.xval[lp.basis] = self.xb[k]
-        lp.status[:] = self.status[k, cols]
-        lp.sign[:] = self.sign[k, cols]
-        lp.free = np.flatnonzero(self.free[k, cols])
+        lp.status[:] = self.status[k, :w]
+        lp.sign[:] = self.sign[k, :w]
+        lp.free = np.flatnonzero(self.free[k, :w])
         lp.Binv = self.binv[k].copy()
 
     def _refactor(self, k):
@@ -792,6 +783,7 @@ def solve_lp(model, starts=None):
     feasible region and is reused and extended here: an LP whose region it
     holds runs phase 2 only (see the module docstring).  The result is
     bitwise the one without it."""
+    model.check()
     try:
         if starts is None:
             return _Simplex(model).solve()
@@ -800,24 +792,27 @@ def solve_lp(model, starts=None):
         return _Simplex(model, RETRY_REFACTOR_EVERY).solve()
 
 
+def _matrix_entry(A, cache):
+    """A's entry in `cache`, made on first use: ([A | I], a dict of A's
+    regions), under the key (A's shape, A's bytes)."""
+    key = (A.shape, A.tobytes())
+    if key not in cache:
+        cache[key] = (np.hstack([A, np.eye(A.shape[0])]), {})
+    return cache[key]
+
+
 def _solve_from(model, starts):
-    """solve_lp's first attempt through the cache `starts`.  Its keys are
-    the bytes of everything phase 1 reads, (A, senses, b, lb, ub), and map
+    """solve_lp's first attempt through the cache `starts`.  A region maps
     to the INFEASIBLE result or to the LP after phase 1, which phase 2
-    never runs on, only on copies; (A's shape and bytes) maps to the
-    [A | I] that A's regions share.  A phase 1 that breaks down stores
-    nothing."""
-    A = np.asarray(model.A, dtype=float)
-    region = (A.shape, A.tobytes(), tuple(model.senses),
+    never runs on, only on copies."""
+    afull, regions = _matrix_entry(model.A, starts)
+    region = (tuple(model.senses),
               *(np.asarray(v, dtype=float).tobytes()
                 for v in (model.b, model.lb, model.ub)))
-    start = starts.get(region)
+    start = regions.get(region)
     if start is None:
-        lp = _Simplex(model, afull=starts.get(region[:2]))
-        starts.setdefault(region[:2], lp.Afull)
-        start = starts[region] = lp._run(lp._phase1()) or lp
-    else:
-        model.check()
+        lp = _Simplex(model, afull=afull)
+        start = regions[region] = lp._run(lp._phase1()) or lp
     if isinstance(start, LpResult):
         return LpResult(INFEASIBLE, farkas=start.farkas.copy())
     lp = start._restart(model)
@@ -826,17 +821,17 @@ def _solve_from(model, starts):
 
 def solve_lps(models):
     """Solve LPs that share a row count; result i is bitwise
-    solve_lp(models[i]).  From STACK_MIN models on they pivot in lockstep
-    (_Stack); a breakdown retries that LP alone, as solve_lp does."""
+    solve_lp(models[i]).  From STACK_MIN models of three rows or more on
+    they pivot in lockstep (_Stack), sharing one [A | I] per A; a breakdown
+    retries that LP alone, as solve_lp does."""
     if len({model.A.shape[0] for model in models}) > 1:
         raise ValueError("solve_lps needs models with one row count")
-    if len(models) < STACK_MIN:
+    if len(models) < STACK_MIN or models[0].A.shape[0] < 3:
         return [solve_lp(model) for model in models]
-    # under fixed recourse every LP has the first one's A: build [A | I] once
-    first = models[0].A
-    shared = np.hstack([first, np.eye(first.shape[0])])
-    afulls = [shared if model.A is first or np.array_equal(model.A, first)
-              else None for model in models]
+    for model in models:
+        model.check()
+    matrices = {}
+    afulls = [_matrix_entry(model.A, matrices)[0] for model in models]
     results = _Stack([_Simplex(model, afull=afull)
                       for model, afull in zip(models, afulls)]).run()
     return [res if res is not None

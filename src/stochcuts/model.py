@@ -118,7 +118,7 @@ class Instance:
 
     @property
     def p1(self):
-        return sum(1 for m in self.integrality if m != CONTINUOUS)
+        return int(self.integer_mask.sum())
 
     @property
     def probabilities(self):
@@ -127,6 +127,10 @@ class Instance:
     @property
     def binary_mask(self):
         return np.array([m == BINARY for m in self.integrality])
+
+    @property
+    def integer_mask(self):
+        return np.array([m != CONTINUOUS for m in self.integrality])
 
     def x_bounds(self):
         """(lb, ub) for the first-stage box: [0, u], and at most 1 for a
@@ -262,7 +266,7 @@ def stacked_model(instance, x_cost, blocks):
     ub[:n1] = xub
     lp = LpModel.make(c, rows, senses, rhs, lb, ub)
     integer = np.zeros(nvar, dtype=bool)
-    integer[:n1] = [m != CONTINUOUS for m in instance.integrality]
+    integer[:n1] = instance.integer_mask
     return MipModel(lp, integer)
 
 

@@ -53,7 +53,7 @@ def singletons(n_scenarios, generation=0):
     return Partition(tuple((s,) for s in range(n_scenarios)), generation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # by identity: arrays have no truth value
 class AggregatedScenario:
     """The one record of a cluster P: its probability p_P, its
     probability-weighted technology T_P and rhs h_P, and the weights

@@ -1,4 +1,5 @@
 import io
+from math import inf
 
 import pytest
 
@@ -126,6 +127,18 @@ def test_solve_time_limit_exit_code(tmp_path):
           "--out", str(inst_path)])
     code = main(["solve", str(inst_path), "--time-limit", "0.001"])
     assert code == EXIT_TIME_LIMIT
+
+
+def test_solve_final_mip_master_at_the_deadline(monkeypatch, capsys):
+    # branch and bound on the integer master stops at the deadline: the
+    # run reports time_limit and its LP bound, no traceback
+    from types import SimpleNamespace
+    from stochcuts import mip
+    monkeypatch.setattr(mip, "time", SimpleNamespace(monotonic=lambda: inf))
+    code = main(["solve", "thm1", "--algorithm", "benders",
+                 "--final-mip-master"])
+    assert code == EXIT_TIME_LIMIT
+    assert "reason time_limit" in capsys.readouterr().out
 
 
 def test_compare_table(capsys):

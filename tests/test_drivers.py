@@ -1,9 +1,11 @@
 import dataclasses
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from stochcuts import builtin
 from stochcuts.model import (build_extensive, INTEGER, KIND_BENDERS,
                              KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC)
 from stochcuts.mip import solve_mip
@@ -332,8 +334,33 @@ def test_time_limit_reason(small_sslp):
     assert trace.termination_reason == REASON_TIME_LIMIT
 
 
+def test_final_mip_master_at_the_deadline(thm1, monkeypatch):
+    # branch and bound on the final integer master stops at the deadline:
+    # the run ends time_limit at its last LP bound, as without the option
+    from stochcuts import mip
+    want = run_benders(thm1)
+    monkeypatch.setattr(mip, "time", SimpleNamespace(monotonic=lambda: np.inf))
+    trace = run_benders(thm1, RunConfig(algorithm="benders",
+                                        final_mip_master=True))
+    assert trace.termination_reason == REASON_TIME_LIMIT
+    assert [(ev.kind, ev.z_lb) for ev in trace.events[:-1]] == \
+        [(ev.kind, ev.z_lb) for ev in want.events[:-1]]
+    assert trace.final_lower_bound == want.final_lower_bound
+
+
 def test_final_mip_master(thm1):
     cfg = RunConfig(algorithm="apblagc", final_mip_master=True)
     trace = run_apblagc(thm1, cfg)
     # thm1's cut pool already prices the binary optimum exactly
     assert trace.final_lower_bound == pytest.approx(0.5, abs=1e-6)
+    # in general the integer master over the final pool lies between the
+    # run's last LP bound and the MIP optimum
+    for inst in (thm1, builtin("refinement-example")):
+        opt = solve_mip(build_extensive(inst)).objective
+        for algorithm in ("benders", "bdd", "apblagc"):
+            trace = run(inst, RunConfig(algorithm=algorithm,
+                                        final_mip_master=True))
+            *_, before, final, end = trace.events
+            assert (final.kind, end.kind) == ("lagrangian_round",
+                                              "termination")
+            assert before.z_lb <= final.z_lb <= opt + 1e-9 * (1.0 + abs(opt))

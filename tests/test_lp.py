@@ -385,9 +385,23 @@ def _artificials(model):
     return lp.n_art
 
 
-def _check_families(seed, trials, degenerate):
+def _count_stacks(monkeypatch):
+    """A list that records the size of every _Stack built from now on."""
+    built = []
+
+    class Counted(_Stack):
+        def __init__(self, lps):
+            built.append(len(lps))
+            super().__init__(lps)
+
+    monkeypatch.setattr(lp_module, "_Stack", Counted)
+    return built
+
+
+def _check_families(monkeypatch, seed, trials, degenerate):
     """solve_lps against one solve_lp per model, byte for byte, over seeded
     random batches; returns what the batches covered."""
+    built = _count_stacks(monkeypatch)
     rng = np.random.default_rng(seed)
     seen = set()
     for _ in range(trials):
@@ -395,12 +409,13 @@ def _check_families(seed, trials, degenerate):
         models = _family(rng, int(rng.integers(1, 3 * STACK_MIN)), m, n,
                          degenerate)
         want = [_result_bytes(solve_lp(model)) for model in models]
+        built.clear()
         assert [_result_bytes(res) for res in solve_lps(models)] == want
         statuses = {w[0] for w in want}
         seen |= statuses
         if len(statuses) == 3:
             seen.add("mixed statuses")
-        if len(models) >= STACK_MIN:
+        if built:
             seen.add("stack")
             if len({_artificials(model) for model in models}) > 1:
                 seen.add("artificial counts differ")
@@ -414,11 +429,11 @@ def _check_families(seed, trials, degenerate):
     return seen
 
 
-def test_solve_lps_matches_solve_lp():
+def test_solve_lps_matches_solve_lp(monkeypatch):
     # The stack reproduces every number of a one-at-a-time solve.  A stack
     # that prices with one 2-D product over the shared columns instead of
     # one product per LP fails here or under Bland below.
-    assert _check_families(11, 120, degenerate=False) >= {
+    assert _check_families(monkeypatch, 11, 120, degenerate=False) >= {
         OPTIMAL, INFEASIBLE, UNBOUNDED, "mixed statuses", "stack",
         "artificial counts differ", "free column", "boxed column",
         "equality row"}
@@ -428,18 +443,32 @@ def test_solve_lps_matches_solve_lp_under_bland(monkeypatch):
     # on degenerate LPs a stall limit of 2 sends many runs of pivots to
     # Bland's rule; a stack that kept Dantzig pricing there fails
     monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
-    assert _check_families(12, 60, degenerate=True) >= {
+    assert _check_families(monkeypatch, 12, 60, degenerate=True) >= {
         OPTIMAL, INFEASIBLE, UNBOUNDED, "stack"}
+
+
+def test_solve_lps_stacks_three_rows_or_more(monkeypatch):
+    # With one or two rows a structural column can sit in the tail of an
+    # LP's own pricing product and in the body of the wider stack's, so
+    # such batches go one LP at a time; from three rows on they stack.
+    built = _count_stacks(monkeypatch)
+    rng = np.random.default_rng(14)
+    for m in (1, 2, 3):
+        built.clear()
+        models = _family(rng, STACK_MIN, m, 5)
+        want = [_result_bytes(solve_lp(model)) for model in models]
+        assert [_result_bytes(res) for res in solve_lps(models)] == want
+        assert built == ([STACK_MIN] if m >= 3 else [])
 
 
 def test_stacked_prices_are_each_lps_own():
     # The LPs of a stack differ in width, so its pricing product has a shape
-    # none of theirs has; the column layout must still give every column
-    # the bits of the LP's own product.  Real-valued data and at most three
-    # rows put structural columns into the product's tail.
+    # none of theirs has; with three rows or more the in-place layout must
+    # still give every column the bits of the LP's own product.  Real-valued
+    # data make the body and tail of a product differ.
     rng = np.random.default_rng(13)
     for _ in range(40):
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(3, 6))
         models = [LpModel.make(rng.normal(size=n), rng.normal(size=(m, n)),
                                [GE] * m, rng.normal(size=m))
                   for n in rng.integers(1, 14, size=6)]
@@ -448,10 +477,11 @@ def test_stacked_prices_are_each_lps_own():
         stack.cb = rng.normal(size=stack.cb.shape)
         stack.binv = rng.normal(size=stack.binv.shape)
         d = stack._reduced_costs()
-        for k, (lp, cols) in enumerate(zip(lps, stack.cols)):
+        for k, lp in enumerate(lps):
+            w = lp.Afull.shape[1]
             y = stack.cb[k] @ stack.binv[k]
-            own = stack.cost[k, cols] - y @ lp.Afull
-            assert d[k, cols].tobytes() == own.tobytes()
+            own = stack.cost[k, :w] - y @ lp.Afull
+            assert d[k, :w].tobytes() == own.tobytes()
 
 
 def _signed_zeros(rng, a):
@@ -729,8 +759,9 @@ assert sum(retries) == 2, retries
 del retries[:]
 starts = {}
 assert [key(L.solve_lp(m, starts)) for m in models] == want
-# one phase 1 and the two retries
-print(len(retries), sum(retries), len(starts))
+# one phase 1 and the two retries; one matrix, one region
+print(len(retries), sum(retries), len(starts),
+      sum(len(regions) for _, regions in starts.values()))
 """
 
 
@@ -748,4 +779,4 @@ def test_start_cache_retries_a_breakdown():
                           str(DRIFT_MASTER)], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.split() == ["3", "2", "2"]
+    assert out.stdout.split() == ["3", "2", "1", "1"]

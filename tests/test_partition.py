@@ -46,6 +46,17 @@ def test_aggregate_singleton_is_identity(refinement_example):
     assert agg.rhs == pytest.approx(sc.rhs)
 
 
+def test_cluster_records_compare_by_identity(thm1):
+    # a record's fields are arrays, which have no truth value: records are
+    # equal only to themselves, and hashable, so they can key a dict
+    from stochcuts.lagrangian import cluster_target
+    for make in (aggregate, cluster_target):
+        a, b = make(thm1, (0, 1)), make(thm1, (0, 1))
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+        assert hash(a) == hash(a)
+
+
 def test_aggregate_unequal_weights():
     # probabilities 0.2 / 0.6 give within-cluster weights 0.25 / 0.75
     from stochcuts.model import Instance, Scenario, BINARY
