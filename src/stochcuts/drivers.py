@@ -4,8 +4,9 @@ A scenario is a singleton cluster, so three of the four solvers are one
 cut loop over a scenario partition, configured by the start partition, the
 kind of Benders and Lagrangian cuts, and whether to refine.  The loop
 builds one SeparationTarget (a cluster's aggregate plus its cut kind) per
-cluster of the current partition; its Benders and Lagrangian rounds both
-work from that list:
+cluster of the current partition, and keeps it, with what its separations
+learned, for as long as the cluster survives refinement; its Benders and
+Lagrangian rounds both work from that list:
 
   run_benders   multi-cut Benders on the LP relaxation at the singleton
                 partition; no Lagrangian rounds, no refinement,
@@ -26,6 +27,7 @@ produced its bound.
 from __future__ import annotations
 
 import csv
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -72,14 +74,14 @@ class RunConfig:
             raise ValueError("kappa1 must lie in (0, 1)")
         if not 0.0 < self.delta_coefficient < np.inf:
             raise ValueError("delta_coefficient must be positive and finite")
-        if not self.stall_window >= 1:
-            raise ValueError("stall_window must be at least 1")
+        for name in ("stall_window", "separation_budget"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer, at least 1")
         if not 0.0 < self.stall_fraction < 1.0:
             raise ValueError("stall_fraction must lie in (0, 1)")
         if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if not self.separation_budget >= 1:
-            raise ValueError("separation_budget must be at least 1")
         if not 0.0 < self.multiplier_box < np.inf:
             raise ValueError("multiplier_box must be positive and finite")
         if not 0.0 <= self.epsilon < np.inf:
@@ -211,10 +213,10 @@ def _scenario_duals(instance, x):
     return duals, expected
 
 
-def _refined(partition, duals, n, coefficient):
-    """The n-th refinement at delta_n, retried at delta_n / 2; None when
-    neither splits a cluster."""
-    delta = delta_schedule(n, coefficient)
+def _refined(partition, duals, coefficient):
+    """The partition's next refinement n = generation + 1 at delta_n,
+    retried at delta_n / 2; None when neither splits a cluster."""
+    delta = delta_schedule(partition.generation + 1, coefficient)
     for d in (delta, delta / 2.0):
         newp = refine(partition, duals, d)
         if newp.size > partition.size:
@@ -232,22 +234,22 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
     trace = RunTrace(instance.name, algorithm, instance.n_scenarios)
     deadline = trace.t0 + config.time_limit
     state = MasterState(instance)
-    certified = {}   # this run's inner solves; the keys assume one instance
-    starts = {}      # this run's node-LP phase-1 states (lp.solve_lp)
     lb0_first = None
-    n_ref = 0
     reason = None
 
     def record(kind, z):
         trace.record(kind, z, cuts=state.cut_counts(),
-                     n_clusters=partition.size, refinements=n_ref)
+                     n_clusters=partition.size,
+                     refinements=partition.generation)
 
-    targets = [cluster_target(instance, c, lagrangian_kind)
-               for c in partition.clusters]
+    targets = []
     lb_k = []
     x, theta, z = solve_master(state)
     record("benders_round", z)
     while reason is None:
+        kept = {t.cluster: t for t in targets}   # a cluster left whole
+        targets = [kept.get(c) or cluster_target(instance, c, lagrangian_kind)
+                   for c in partition.clusters]
         while True:
             if time.monotonic() > deadline:
                 reason = REASON_TIME_LIMIT
@@ -267,8 +269,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             out = separate(instance, target, x,
                            float(target.theta_weights @ theta),
                            budget=config.separation_budget,
-                           box=config.multiplier_box, deadline=deadline,
-                           certified=certified, starts=starts)
+                           box=config.multiplier_box, deadline=deadline)
             if out.status == VIOLATED and state.add_cut(out.cut):
                 found += 1
             budget += out.status == BUDGET
@@ -296,15 +297,12 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
             reason = REASON_OUTER_STOP
             break
         duals, _ = _scenario_duals(instance, x)
-        newp = _refined(partition, duals, n_ref + 1, config.delta_coefficient)
+        newp = _refined(partition, duals, config.delta_coefficient)
         if newp is None:
             reason = REASON_EXHAUSTED
             break
         partition = newp
-        targets = [cluster_target(instance, c, lagrangian_kind)
-                   for c in partition.clusters]
         lb_k = []
-        n_ref += 1
         record("refinement", z)
     if config.final_mip_master and reason != REASON_TIME_LIMIT:
         final = solve_master(state, relax_integrality=False, deadline=deadline)
@@ -344,7 +342,6 @@ def run_alg1(instance, config=None):
     partition = single_cluster(instance.n_scenarios)
     n1 = instance.n1
     z_ub = np.inf
-    n_ref = 0
     reason = None
     while reason is None:
         res = solve_mip(build_partition_extensive(instance, partition),
@@ -361,7 +358,8 @@ def run_alg1(instance, config=None):
             z_ub = min(z_ub, float(instance.first_stage_cost @ x) + expected)
         trace.record("benders_round", z_n,
                      z_ub=None if not np.isfinite(z_ub) else z_ub,
-                     n_clusters=partition.size, refinements=n_ref)
+                     n_clusters=partition.size,
+                     refinements=partition.generation)
         gap = np.inf
         if np.isfinite(z_ub):
             gap = (z_ub - z_n) / max(abs(z_ub), 1e-12)
@@ -371,15 +369,15 @@ def run_alg1(instance, config=None):
         if time.monotonic() > deadline:
             reason = REASON_TIME_LIMIT
             break
-        newp = _refined(partition, duals, n_ref + 1, config.delta_coefficient)
+        newp = _refined(partition, duals, config.delta_coefficient)
         if newp is None:
             reason = REASON_EXHAUSTED
             break
         partition = newp
-        n_ref += 1
         trace.record("refinement", z_n,
                      z_ub=None if not np.isfinite(z_ub) else z_ub,
-                     n_clusters=partition.size, refinements=n_ref)
+                     n_clusters=partition.size,
+                     refinements=partition.generation)
     trace.final_partition = partition
     trace.finish(reason)
     return trace

@@ -18,7 +18,7 @@ cluster's record (partition.aggregate).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,9 +38,14 @@ BUDGET = "budget_exceeded"
 @dataclass(frozen=True, eq=False)
 class SeparationTarget(AggregatedScenario):
     """What the multiplier prices: a cluster's aggregate, and the label of
-    the cuts it yields (lagrangian | pblagc)."""
+    the cuts it yields (lagrangian | pblagc).  It owns what its separations
+    learn about its K: `solved`, every completed inner solve by (pi bytes,
+    pi0), and `starts`, its node LPs' phase-1 cache (see solve_mip).  Both
+    live and die with the target, so a refined cluster starts afresh."""
 
     cut_kind: str
+    solved: dict = field(default_factory=dict, repr=False)
+    starts: dict = field(default_factory=dict, repr=False)
 
 
 def scenario_target(instance, s):
@@ -67,11 +72,12 @@ def inner_model(instance, target, pi, pi0):
     return stacked_model(instance, pi, [(pi0, target.technology, target.rhs)])
 
 
-def evaluate_inner(instance, target, pi, pi0, deadline=None, starts=None):
+def evaluate_inner(instance, target, pi, pi0, deadline=None):
     """Exact Qbar(pi, pi0) with a minimizer (x, y); None value on deadline.
-    `starts`: the node LPs' phase-1 cache (see solve_mip)."""
+    The inner MIPs of a target differ only in their objective, so its K
+    keeps meeting the same node regions: they share `target.starts`."""
     res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline,
-                    starts=starts)
+                    starts=target.starts)
     if res.status == MIP_INFEASIBLE:
         raise ValueError(f"target {target.cluster}: K is empty")
     if res.status != MIP_OPTIMAL:
@@ -105,7 +111,7 @@ def make_lagrangian_cut(instance, target, pi, pi0, inner_value):
 
 
 def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
-             deadline=None, *, certified=None, starts=None):
+             deadline=None):
     """Search the multiplier box for a cut violated at (x_hat, theta_hat).
 
     theta_hat is the scalar value of the target's (possibly aggregated)
@@ -113,35 +119,28 @@ def separate(instance, target, xhat, theta_hat, budget=50, box=1.0,
     are spent; the pool is seeded at (pi, pi0) = (0, 1), whose certificate
     is exactly the Benders-closure gap of the target.
 
-    `certified`, a dict owned by the caller for one instance, holds every
-    completed inner solve by (target cluster, pi bytes, pi0) and is reused
-    and extended here.  A reuse still counts against the budget, so the
-    search takes the same steps with or without it.  `starts`, the
-    caller's phase-1 cache, goes to every inner MIP (see solve_mip); the
-    inner MIPs of a target differ only in their objective, so its K keeps
-    meeting the same node regions.
+    An inner solve the target already holds (`target.solved`) is reused,
+    not solved again.  A reuse still counts against the budget, so the
+    search takes the same steps with or without it.
     """
     n1 = instance.n1
     d = instance.second_stage_cost
     xhat = np.asarray(xhat, dtype=float)
     theta_hat = float(theta_hat)
 
-    if certified is None:
-        certified = {}
     calls = 0
     pool = []
     best = None   # (L, pi, pi0, Qbar)
 
     def certify(pi, pi0):
         nonlocal calls, best
-        key = (target.cluster, pi.tobytes(), pi0)
-        if key in certified:
-            val, x, y = certified[key]
+        key = (pi.tobytes(), pi0)
+        if key in target.solved:
+            val, x, y = target.solved[key]
         else:
-            val, x, y = evaluate_inner(instance, target, pi, pi0, deadline,
-                                       starts)
+            val, x, y = evaluate_inner(instance, target, pi, pi0, deadline)
             if val is not None:   # never one cut short by the deadline
-                certified[key] = (val, x, y)
+                target.solved[key] = (val, x, y)
         calls += 1
         if val is None:
             return False

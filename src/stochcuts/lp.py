@@ -33,10 +33,10 @@ stored INFEASIBLE result, or runs phase 2 from a copy of the stored
 basis, statuses, values and refactorized inverse, artificials pinned; a
 miss runs phase 1 and stores its end.  A breakdown anywhere falls back to
 the from-scratch retry, and a phase 1 that breaks down stores no region.
-Branch and bound passes one cache to all its node LPs, and a run passes
-one to all its inner MIPs, which differ only in their objective: in an
-apblagc run on sslp-6-8-8 at budget 6, 298 of 567 node LPs repeat a
-region.
+Branch and bound passes one cache to all its node LPs, and a Lagrangian
+separation target passes one to all its inner MIPs, which differ only in
+their objective: in an apblagc run on sslp-6-8-8 at budget 6, 298 of 567
+node LPs repeat a region.
 
 The contract extends to stacks.  solve_lps solves LPs that share a row
 count -- a round of recourse subproblems under fixed recourse -- in

@@ -117,10 +117,6 @@ class Instance:
         return len(self.scenarios)
 
     @property
-    def p1(self):
-        return int(self.integer_mask.sum())
-
-    @property
     def probabilities(self):
         return np.array([s.probability for s in self.scenarios])
 

@@ -179,32 +179,52 @@ def test_determinism(small_sslp, monkeypatch):
         assert ea.refinements == eb.refinements
 
 
-@pytest.fixture(scope="module")
-def apblagc_calls():
-    """Every evaluate_inner key and the pool size at every solve_master
-    call of one apblagc run on sslp-6-8-8 seed 0 at budget 6."""
+def _recorded_apblagc(sites, clients):
+    """One apblagc run on generate_sslp(sites, clients, 8) seed 0 at budget
+    6: its trace, every evaluate_inner key, the pool size at every
+    solve_master call, and per separate call its target and the number of
+    refinements before it."""
     from stochcuts import drivers, lagrangian
     from stochcuts.instance_io import GeneratorConfig, generate_sslp
-    keys, pool_sizes = [], []
+    keys, pool_sizes, separations, refinements = [], [], [], [0]
     evaluate_inner, solve_master = (lagrangian.evaluate_inner,
                                     drivers.solve_master)
+    separate, refined = drivers.separate, drivers._refined
 
-    def recording_evaluate(instance, target, pi, pi0, deadline=None,
-                           starts=None):
+    def recording_evaluate(instance, target, pi, pi0, deadline=None):
         keys.append((target.cluster, np.asarray(pi).tobytes(), pi0))
-        return evaluate_inner(instance, target, pi, pi0, deadline, starts)
+        return evaluate_inner(instance, target, pi, pi0, deadline)
 
     def recording_master(state, *args, **kwargs):
         pool_sizes.append(len(state.cuts))
         return solve_master(state, *args, **kwargs)
 
-    inst = generate_sslp(GeneratorConfig(sites=6, clients=8, scenarios=8,
-                                         seed=0))
+    def recording_separate(instance, target, *args, **kwargs):
+        separations.append((target, refinements[0]))
+        return separate(instance, target, *args, **kwargs)
+
+    def counting_refined(*args):
+        newp = refined(*args)
+        refinements[0] += newp is not None
+        return newp
+
+    inst = generate_sslp(GeneratorConfig(sites=sites, clients=clients,
+                                         scenarios=8, seed=0))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lagrangian, "evaluate_inner", recording_evaluate)
         mp.setattr(drivers, "solve_master", recording_master)
+        mp.setattr(drivers, "separate", recording_separate)
+        mp.setattr(drivers, "_refined", counting_refined)
         trace = run_apblagc(inst, RunConfig(algorithm="apblagc",
                                             separation_budget=6))
+    return trace, keys, pool_sizes, separations
+
+
+@pytest.fixture(scope="module")
+def apblagc_calls():
+    """Every evaluate_inner key and the pool size at every solve_master
+    call of one apblagc run on sslp-6-8-8 seed 0 at budget 6."""
+    trace, keys, pool_sizes, _ = _recorded_apblagc(6, 8)
     return trace, keys, pool_sizes
 
 
@@ -222,11 +242,43 @@ def test_master_not_resolved_on_unchanged_pool(apblagc_calls):
     assert trace.termination_reason == REASON_OUTER_STOP
 
 
+@pytest.fixture(scope="module")
+def refined_apblagc_calls():
+    """The same records on generate_sslp(4, 6, 8), whose second refinement
+    splits (0, 1) and leaves six clusters whole."""
+    trace, keys, _, separations = _recorded_apblagc(4, 6)
+    return trace, keys, separations
+
+
+def test_inner_solves_not_repeated_across_refinement(refined_apblagc_calls):
+    # a target kept across a refinement keeps its inner solves: its seed
+    # (0, 1) is not solved again in the next partition
+    trace, keys, _ = refined_apblagc_calls
+    assert trace.n_refinements == 2
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
+def test_refinement_keeps_unchanged_targets(refined_apblagc_calls):
+    # one target object per cluster for the whole run; the six clusters
+    # the second refinement left whole were separated on both sides of it
+    _, _, separations = refined_apblagc_calls
+    targets, spans = {}, {}
+    for target, refinements in separations:
+        assert targets.setdefault(target.cluster, target) is target
+        spans.setdefault(target.cluster, set()).add(refinements)
+    kept = sorted(c for c, span in spans.items() if span == {1, 2})
+    assert kept == [(2,), (3,), (4,), (5,), (6,), (7,)]
+    assert spans[(0, 1)] == {1}
+    assert spans[(0,)] == spans[(1,)] == {2}
+
+
 def test_node_lp_phase1_reuse_per_run(thm1, monkeypatch):
-    # The inner MIPs of a run share one phase-1 cache (lp.solve_lp), owned
-    # by the run: apblagc on sslp-6-8-8 seed 0 at budget 6 runs phase 1 in
-    # 269 of its 567 node LPs, again after a run on another instance.  A
-    # cache that outlived its run would leave the second run none to do.
+    # The inner MIPs of a separation target share one phase-1 cache
+    # (lp.solve_lp), owned by the target and so by the run: apblagc on
+    # sslp-6-8-8 seed 0 at budget 6 runs phase 1 in 269 of its 567 node
+    # LPs, again after a run on another instance.  A cache that outlived
+    # its run would leave the second run none to do.
     from stochcuts import lp, mip
     from stochcuts.instance_io import GeneratorConfig, generate_sslp
     counts = {"node_lps": 0, "phase1": 0}
@@ -312,9 +364,11 @@ def test_run_config_validation():
             ("delta_coefficient", 0.0), ("delta_coefficient", np.nan),
             ("delta_coefficient", np.inf),
             ("stall_window", 0), ("stall_window", np.nan),
+            ("stall_window", 2.0), ("stall_window", 1.5),
             ("stall_fraction", 0.0), ("stall_fraction", np.nan),
             ("time_limit", 0.0), ("time_limit", np.nan),
             ("separation_budget", 0), ("separation_budget", np.nan),
+            ("separation_budget", 6.0), ("separation_budget", 2.5),
             ("multiplier_box", 0.0), ("multiplier_box", np.nan),
             ("multiplier_box", np.inf),
             ("epsilon", -1.0), ("epsilon", np.nan), ("epsilon", np.inf)):

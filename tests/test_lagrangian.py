@@ -82,6 +82,33 @@ def test_separate_finds_thm1_gap(thm1):
     assert out.inner_calls >= 1
 
 
+def test_separate_reuses_the_targets_inner_solves(small_sslp, monkeypatch):
+    # a target keeps its inner solves: separating again at the same point
+    # solves no inner MIP and takes the same steps to the same outcome
+    from stochcuts import lagrangian
+    calls = []
+    inner = lagrangian.evaluate_inner
+
+    def counting_evaluate(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(lagrangian, "evaluate_inner", counting_evaluate)
+    inst = small_sslp(seed=0)
+    target = cluster_target(inst, tuple(range(inst.n_scenarios)))
+    xhat = np.full(inst.n1, 0.5)
+    first = separate(inst, target, xhat, 0.0, budget=30)
+    solved = len(calls)
+    assert solved == len(target.solved) > 1
+    again = separate(inst, target, xhat, 0.0, budget=30)
+    assert len(calls) == solved
+    assert again.status == first.status
+    assert again.inner_calls == first.inner_calls
+    assert again.pi.tobytes() == first.pi.tobytes()
+    assert (again.pi0, again.violation) == (first.pi0, first.violation)
+    assert again.cut.rhs == first.cut.rhs
+
+
 def test_separate_certificate_invariant(thm1, small_sslp):
     # the reported violation must equal Qbar(pi, pi0) - pi.x - pi0*theta,
     # recomputed from scratch with the returned multipliers
