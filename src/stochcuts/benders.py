@@ -15,7 +15,7 @@ from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
 from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
 from .model import (Cut, stacked_model, KIND_BENDERS, KIND_PBBENC,
                     KIND_FEASIBILITY)
-from .partition import AggregatedScenario, aggregate
+from .partition import aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
 DEDUP_TOL = 1e-9           # coefficientwise match after max-abs normalization
@@ -25,59 +25,34 @@ class MasterInfeasibleError(RuntimeError):
     """The cut pool (or the first-stage system itself) admits no x."""
 
 
-class SubproblemResult:
-    """Value/duals of one recourse LP, or a Farkas ray when infeasible."""
-
-    def __init__(self, target, value=None, duals=None, feasible=True,
-                 farkas=None):
-        self.target = target
-        self.value = value
-        self.duals = duals
-        self.feasible = feasible
-        self.farkas = farkas
-
-
-def _solve_recourse(instance, targets, technologies, rhss, xhat):
-    """One result per target, all solved by one solve_lps call: fixed
-    recourse makes every subproblem the same LP but for its rhs."""
+def _solve_recourse(instance, targets, systems, xhat):
+    """The LpResult of each target's recourse LP on its system's technology
+    and rhs, all solved by one solve_lps call: fixed recourse makes every
+    subproblem the same LP but for its rhs.  An infeasible one carries its
+    Farkas ray."""
     results = solve_lps([
         LpModel.make(instance.second_stage_cost, instance.recourse,
-                     (GE,) * instance.m2, rhs - technology @ xhat)
-        for technology, rhs in zip(technologies, rhss)])
-    out = []
+                     (GE,) * instance.m2,
+                     system.rhs - system.technology @ xhat)
+        for system in systems])
     for target, res in zip(targets, results):
-        if res.status == LP_INFEASIBLE:
-            out.append(SubproblemResult(target, feasible=False,
-                                        farkas=res.farkas))
-        elif res.status == LP_UNBOUNDED:
+        if res.status == LP_UNBOUNDED:
             raise ValueError(f"target {target}: recourse unbounded below")
-        else:
-            out.append(SubproblemResult(target, value=res.objective,
-                                        duals=res.duals))
-    return out
+    return results
 
 
-def solve_scenario_subproblem(instance, s, xhat):
-    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0, on the scenario's own
-    T_s and h_s; the result's target is the singleton cluster (s,).  Given
-    a sequence of scenario indices, a list with one result per index."""
-    many = np.ndim(s) > 0
-    ss = list(s) if many else [s]
-    out = _solve_recourse(instance, [(i,) for i in ss],
-                          [instance.scenarios[i].technology for i in ss],
-                          [instance.scenarios[i].rhs for i in ss], xhat)
-    return out if many else out[0]
+def solve_scenario_subproblem(instance, scenarios, xhat):
+    """min d.y  s.t.  W y >= h_s - T_s x_hat,  y >= 0, on each listed
+    scenario's own T_s and h_s; one LpResult per scenario."""
+    return _solve_recourse(instance, [(s,) for s in scenarios],
+                           [instance.scenarios[s] for s in scenarios], xhat)
 
 
-def solve_cluster_subproblem(instance, agg, xhat):
-    """Same LP on the cluster's probability-averaged technology and rhs.
-    Given a sequence of aggregates, a list with one result per aggregate."""
-    many = not isinstance(agg, AggregatedScenario)
-    aggs = list(agg) if many else [agg]
-    out = _solve_recourse(instance, [a.cluster for a in aggs],
-                          [a.technology for a in aggs],
-                          [a.rhs for a in aggs], xhat)
-    return out if many else out[0]
+def solve_cluster_subproblem(instance, records, xhat):
+    """Same LP on each cluster's probability-averaged technology and rhs;
+    one LpResult per record."""
+    return _solve_recourse(instance, [a.cluster for a in records], records,
+                           xhat)
 
 
 def make_benders_cut(instance, s, result):
@@ -95,12 +70,13 @@ def make_pbbenc(instance, agg, result, kind=KIND_PBBENC):
                float(lam @ agg.rhs), origin=agg.cluster, gen_dual=lam)
 
 
-def make_feasibility_cut(instance, technology, rhs, result):
-    """From a Farkas ray sigma >= 0 with sigma.W <= 0: sigma.(h - T x) <= 0."""
+def make_feasibility_cut(instance, agg, result):
+    """From a Farkas ray sigma >= 0 with sigma.W <= 0 of the cluster's
+    recourse LP: sigma.(h_P - T_P x) <= 0."""
     ray = result.farkas
-    return Cut(KIND_FEASIBILITY, technology.T @ ray,
-               np.zeros(instance.n_scenarios), float(ray @ rhs),
-               origin=result.target, gen_dual=ray)
+    return Cut(KIND_FEASIBILITY, agg.technology.T @ ray,
+               np.zeros(instance.n_scenarios), float(ray @ agg.rhs),
+               origin=agg.cluster, gen_dual=ray)
 
 
 def compute_theta_lower_bounds(instance):

@@ -8,13 +8,14 @@ errors, 3 when a solve hit its time limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import html
 import math
 import os
 import sys
 
-from .drivers import (RunConfig, run, write_trace_csv, read_trace_csv,
-                      REASON_TIME_LIMIT)
+from .drivers import (ALGORITHMS, RunConfig, run, write_trace_csv,
+                      read_trace_csv, REASON_TIME_LIMIT)
 from .instance_io import (GeneratorConfig, generate_sslp, builtin, load, emit,
                           FormatError)
 from .verify import run_suite, FAIL
@@ -45,6 +46,17 @@ def _load_instance(source):
     except ValueError:
         raise CliError(f"no such file or builtin instance: {source}",
                        EXIT_USAGE)
+
+
+@contextlib.contextmanager
+def _output(path, what):
+    """`path` opened for writing; failing to open, write or close it is a
+    usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(f"cannot write {what}: {exc}", EXIT_USAGE)
 
 
 def _parse_seeds(text):
@@ -105,7 +117,7 @@ def cmd_generate(args):
         raise CliError(str(exc), EXIT_USAGE)
     text = emit(generate_sslp(config))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _output(args.out, "instance") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -121,9 +133,10 @@ def _format_counts(counts):
 def cmd_solve(args):
     instance = _load_instance(args.instance)
     config = _run_config(args, args.algorithm)
-    trace = run(instance, config)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+    with (_output(args.trace, "trace") if args.trace
+          else contextlib.nullcontext()) as fh:
+        trace = run(instance, config)
+        if fh is not None:
             write_trace_csv(trace, fh)
     ub = trace.final_upper_bound
     lines = [
@@ -146,9 +159,10 @@ def cmd_compare(args):
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise CliError("no algorithms given", EXIT_USAGE)
+    configs = [_run_config(args, algorithm) for algorithm in algorithms]
     instances = [_load_instance(s) for s in args.instances]
-    traces = [run(instance, _run_config(args, algorithm))
-              for instance in instances for algorithm in algorithms]
+    traces = [run(instance, config)
+              for instance in instances for config in configs]
     best = {}
     for trace in traces:
         lb = trace.final_lower_bound
@@ -290,7 +304,7 @@ def cmd_plot(args):
         svg = render_trace_svg(rows, title=args.title)
     except ValueError as exc:
         raise CliError(str(exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output(args.out, "svg") as fh:
         fh.write(svg)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -335,7 +349,7 @@ def build_parser():
     p = sub.add_parser("solve", help="run one algorithm on one instance")
     p.add_argument("instance", help="instance file or builtin name")
     p.add_argument("--algorithm", default="apblagc",
-                   choices=("benders", "bdd", "alg1", "apblagc"))
+                   choices=ALGORITHMS)
     p.add_argument("--trace", default=None, help="write a trace CSV here")
     _add_run_options(p)
     p.set_defaults(func=cmd_solve)

@@ -37,12 +37,14 @@ from .benders import (MasterState, solve_master, solve_scenario_subproblem,
                       solve_cluster_subproblem, make_pbbenc,
                       make_feasibility_cut, CUT_VIOLATION_TOL)
 from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
+from .lp import INFEASIBLE as LP_INFEASIBLE
 from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
 from .model import KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC
 from .partition import (single_cluster, singletons, refine, delta_schedule,
                         build_partition_extensive)
 
 EVENT_KINDS = ("benders_round", "lagrangian_round", "refinement", "termination")
+ALGORITHMS = ("benders", "bdd", "alg1", "apblagc")
 
 REASON_CONVERGED = "converged"
 REASON_SATURATED = "saturated"
@@ -68,6 +70,9 @@ class RunConfig:
     final_mip_master: bool = False   # solve the integer master once at the end
 
     def __post_init__(self):
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}; "
+                             f"choose from {sorted(ALGORITHMS)}")
         # each check is written so that NaN fails it; time_limit alone may
         # be infinite, for no limit
         if not 0.0 < self.kappa1 < 1.0:
@@ -179,12 +184,11 @@ def _benders_round(instance, state, targets, kind, x, theta):
     added = 0
     results = solve_cluster_subproblem(instance, targets, x)
     for target, res in zip(targets, results):
-        if not res.feasible:
-            cut = make_feasibility_cut(instance, target.technology,
-                                       target.rhs, res)
+        if res.status == LP_INFEASIBLE:
+            cut = make_feasibility_cut(instance, target, res)
         else:
             t_p = float(target.theta_weights @ theta)
-            if res.value <= t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
+            if res.objective <= t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
                 continue
             cut = make_pbbenc(instance, target, res, kind)
         added += state.add_cut(cut)
@@ -201,10 +205,10 @@ def _scenario_duals(instance, x):
     results = solve_scenario_subproblem(
         instance, range(instance.n_scenarios), x)
     for s, res in enumerate(results):
-        if res.feasible:
+        if res.status != LP_INFEASIBLE:
             duals[s] = res.duals
             if expected is not None:
-                expected += p[s] * res.value
+                expected += p[s] * res.objective
         else:
             expected = None
             ray = res.farkas
@@ -397,12 +401,9 @@ def run_apblagc(instance, config=None):
 
 
 def run(instance, config):
-    """Dispatch on config.algorithm."""
+    """Dispatch on config.algorithm, which RunConfig checks."""
     table = {"benders": run_benders, "bdd": run_bdd, "alg1": run_alg1,
              "apblagc": run_apblagc}
-    if config.algorithm not in table:
-        raise ValueError(f"unknown algorithm {config.algorithm!r}; "
-                         f"choose from {sorted(table)}")
     return table[config.algorithm](instance, config)
 
 

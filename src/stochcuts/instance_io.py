@@ -118,6 +118,8 @@ def parse_verbose(source):
             name = " ".join(toks[1:])
             continue
         if head == "dims":
+            if shapes is not None:
+                raise FormatError(f"{where}: dims declared twice")
             if len(toks) != 6:
                 raise FormatError(f"{where}: dims needs " + " ".join(DIMS))
             try:

@@ -73,8 +73,8 @@ def feasible_first_stage_points(instance, cap=512):
                 continue
         subs = solve_scenario_subproblem(instance, range(instance.n_scenarios),
                                          x)
-        if all(sub.feasible for sub in subs):
-            points.append((x, np.array([sub.value for sub in subs])))
+        if all(sub.status == OPTIMAL for sub in subs):
+            points.append((x, np.array([sub.objective for sub in subs])))
     return points
 
 
@@ -108,8 +108,8 @@ def check_pbbenc_combination(instance, cluster, xhat):
     of the member scenario cuts generated from the same dual vector."""
     xhat = np.asarray(xhat, dtype=float)
     agg = aggregate(instance, cluster)
-    res = solve_cluster_subproblem(instance, agg, xhat)
-    if not res.feasible:
+    res, = solve_cluster_subproblem(instance, [agg], xhat)
+    if res.status != OPTIMAL:
         return VerificationReport("pbbenc-combination", instance.name,
                                   INCONCLUSIVE,
                                   detail="cluster subproblem infeasible")

@@ -11,45 +11,46 @@ from stochcuts.benders import (solve_scenario_subproblem,
                                make_pbbenc, make_feasibility_cut,
                                compute_theta_lower_bounds, MasterState,
                                solve_master, MasterInfeasibleError,
-                               SubproblemResult, DEDUP_TOL)
+                               DEDUP_TOL)
+from stochcuts.lp import OPTIMAL, INFEASIBLE
 
 
 def test_scenario_subproblem_values(thm1):
     # scenario 0 rows: y >= x1 - x2 and y >= x2 - x1
-    at_origin = solve_scenario_subproblem(thm1, 0, np.zeros(2))
-    assert at_origin.feasible and at_origin.value == pytest.approx(0.0)
-    split = solve_scenario_subproblem(thm1, 0, np.array([1.0, 0.0]))
-    assert split.value == pytest.approx(1.0)
+    at_origin, = solve_scenario_subproblem(thm1, [0], np.zeros(2))
+    assert at_origin.status == OPTIMAL
+    assert at_origin.objective == pytest.approx(0.0)
+    split, = solve_scenario_subproblem(thm1, [0], np.array([1.0, 0.0]))
+    assert split.objective == pytest.approx(1.0)
     assert split.duals == pytest.approx([1.0, 0.0])
     # scenario 1 rows: y >= 1 - x1 - x2 and y >= x1 + x2 - 1
-    s1 = solve_scenario_subproblem(thm1, 1, np.zeros(2))
-    assert s1.value == pytest.approx(1.0)
+    s1, = solve_scenario_subproblem(thm1, [1], np.zeros(2))
+    assert s1.objective == pytest.approx(1.0)
     assert s1.duals == pytest.approx([1.0, 0.0])
 
 
 def test_cluster_subproblem_matches_aggregate(thm1):
     agg = aggregate(thm1, (0, 1))
-    res = solve_cluster_subproblem(thm1, agg, np.zeros(2))
+    res, = solve_cluster_subproblem(thm1, [agg], np.zeros(2))
     # averaged rows: y >= x2 - 0 + 0.5 and y >= -x2 - 0.5 at x = 0
-    assert res.feasible and res.value == pytest.approx(0.5)
+    assert res.status == OPTIMAL and res.objective == pytest.approx(0.5)
     assert res.duals == pytest.approx([1.0, 0.0])
-    assert res.target == (0, 1)
 
 
 def test_make_benders_cut(thm1):
-    res = solve_scenario_subproblem(thm1, 1, np.zeros(2))
+    res, = solve_scenario_subproblem(thm1, [1], np.zeros(2))
     cut = make_benders_cut(thm1, 1, res)
     assert cut.kind == KIND_BENDERS
     assert cut.x_coeffs == pytest.approx([1.0, 1.0])
     assert cut.theta_coeffs == pytest.approx([0.0, 1.0])
     assert cut.rhs == pytest.approx(1.0)
     # tight at the generating point with theta = subproblem value
-    assert cut.slack(np.zeros(2), [0.0, res.value]) == pytest.approx(0.0)
+    assert cut.slack(np.zeros(2), [0.0, res.objective]) == pytest.approx(0.0)
 
 
 def test_make_pbbenc(thm1):
     agg = aggregate(thm1, (0, 1))
-    res = solve_cluster_subproblem(thm1, agg, np.zeros(2))
+    res, = solve_cluster_subproblem(thm1, [agg], np.zeros(2))
     cut = make_pbbenc(thm1, agg, res)
     assert cut.kind == KIND_PBBENC
     assert cut.x_coeffs == pytest.approx([0.0, 1.0])
@@ -71,8 +72,8 @@ def test_pbbenc_is_weighted_scenario_combination(small_sslp, rng):
             if xhat.sum() == 0:
                 xhat[0] = 1.0
             agg = aggregate(inst, cluster)
-            res = solve_cluster_subproblem(inst, agg, xhat)
-            if not res.feasible:
+            res, = solve_cluster_subproblem(inst, [agg], xhat)
+            if res.status == INFEASIBLE:
                 continue
             combined = make_pbbenc(inst, agg, res)
             p = inst.probabilities
@@ -81,8 +82,7 @@ def test_pbbenc_is_weighted_scenario_combination(small_sslp, rng):
             t_sum = np.zeros(inst.n_scenarios)
             r_sum = 0.0
             for s in cluster:
-                one = make_benders_cut(inst, s,
-                                       SubproblemResult(s, duals=res.duals))
+                one = make_benders_cut(inst, s, res)
                 w = p[s] / total
                 x_sum += w * one.x_coeffs
                 t_sum += w * one.theta_coeffs
@@ -101,21 +101,21 @@ def infeasible_recourse_instance():
 
 def test_feasibility_cut_from_farkas_ray():
     inst = infeasible_recourse_instance()
-    res = solve_scenario_subproblem(inst, 0, np.zeros(1))
-    assert not res.feasible
+    res, = solve_scenario_subproblem(inst, [0], np.zeros(1))
+    assert res.status == INFEASIBLE
     ray = res.farkas
     assert np.all(ray >= -1e-12)
     assert np.all(np.asarray(inst.recourse).T @ ray <= 1e-9)
-    cut = make_feasibility_cut(inst, inst.scenarios[0].technology,
-                               inst.scenarios[0].rhs, res)
+    cut = make_feasibility_cut(inst, aggregate(inst, (0,)), res)
     assert cut.kind == KIND_FEASIBILITY
+    assert cut.origin == (0,)
     assert cut.theta_coeffs == pytest.approx([0.0])
     # the generating point is cut off, the feasible first stage survives
     assert cut.slack([0.0], [0.0]) < -1e-9
     assert cut.slack([1.0], [0.0]) >= -1e-9
     # and the subproblem really is feasible at x = 1
-    at_one = solve_scenario_subproblem(inst, 0, np.ones(1))
-    assert at_one.feasible
+    at_one, = solve_scenario_subproblem(inst, [0], np.ones(1))
+    assert at_one.status == OPTIMAL
 
 
 def _bitwise(a, b):
@@ -141,19 +141,16 @@ def test_scenario_is_singleton_cluster(thm1, refinement_example, small_sslp):
                 assert _bitwise(getattr(st, name), getattr(ct, name)), name
             for x in (np.zeros(inst.n1), np.ones(inst.n1),
                       np.full(inst.n1, 0.5)):
-                res = solve_scenario_subproblem(inst, s, x)
-                ref = solve_cluster_subproblem(inst, agg, x)
-                assert res.target == ref.target == (s,)
-                assert res.feasible == ref.feasible
-                if not res.feasible:
+                res, = solve_scenario_subproblem(inst, [s], x)
+                ref, = solve_cluster_subproblem(inst, [agg], x)
+                assert res.status == ref.status
+                if res.status == INFEASIBLE:
                     infeasible += 1
                     assert _bitwise(res.farkas, ref.farkas)
-                    cut = make_feasibility_cut(
-                        inst, inst.scenarios[s].technology,
-                        inst.scenarios[s].rhs, res)
+                    cut = make_feasibility_cut(inst, agg, res)
                     assert cut.origin == (s,)
                     continue
-                assert _bitwise(res.value, ref.value)
+                assert _bitwise(res.objective, ref.objective)
                 assert _bitwise(res.duals, ref.duals)
                 one = make_benders_cut(inst, s, res)
                 two = make_pbbenc(inst, agg, res, KIND_BENDERS)
@@ -175,7 +172,7 @@ def test_master_state_round(thm1):
     x, theta, obj = solve_master(state)
     assert obj == pytest.approx(0.0)
     assert state.z_lb == pytest.approx(0.0)
-    res = solve_scenario_subproblem(thm1, 1, x)
+    res, = solve_scenario_subproblem(thm1, [1], x)
     grew = state.add_cut(make_benders_cut(thm1, 1, res))
     assert grew
     x2, theta2, obj2 = solve_master(state)
@@ -190,7 +187,7 @@ def test_master_integer_mode(thm1):
     # force theta to carry the recourse via both scenario cuts at a point
     for xhat in (np.zeros(2), np.ones(2), np.array([1.0, 0.0])):
         for s in range(2):
-            r = solve_scenario_subproblem(thm1, s, xhat)
+            r, = solve_scenario_subproblem(thm1, [s], xhat)
             state.add_cut(make_benders_cut(thm1, s, r))
     x, theta, obj = solve_master(state, relax_integrality=False)
     frac = np.abs(x[:2] - np.round(x[:2])).max()
@@ -264,12 +261,11 @@ def test_z_lb_monotone_over_rounds(small_sslp):
         prev = state.z_lb
         added = 0
         for s in range(inst.n_scenarios):
-            res = solve_scenario_subproblem(inst, s, x)
-            if not res.feasible:
-                cut = make_feasibility_cut(inst, inst.scenarios[s].technology,
-                                           inst.scenarios[s].rhs, res)
+            res, = solve_scenario_subproblem(inst, [s], x)
+            if res.status == INFEASIBLE:
+                cut = make_feasibility_cut(inst, aggregate(inst, (s,)), res)
                 added += state.add_cut(cut)
-            elif res.value > theta[s] + 1e-6:
+            elif res.objective > theta[s] + 1e-6:
                 added += state.add_cut(make_benders_cut(inst, s, res))
         if not added:
             break

@@ -152,6 +152,47 @@ def test_compare_table(capsys):
     assert any("apblagc" in line for line in starred)
 
 
+def test_compare_rejects_unknown_algorithm_before_solving(monkeypatch,
+                                                         capsys):
+    # every config is built first: a bad name used to surface as a
+    # ValueError traceback after the algorithms before it had solved
+    from stochcuts import cli
+    solved = []
+    monkeypatch.setattr(cli, "run", lambda *args: solved.append(args))
+    code = main(["compare", "thm1", "--algorithms", "benders,foo"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert solved == [] and out == ""
+    assert err.startswith("error: unknown algorithm 'foo'")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_paths(tmp_path, monkeypatch, capsys):
+    # one error line and the usage exit code, not a traceback; solve finds
+    # out before it solves
+    from stochcuts import cli
+    trace_path = tmp_path / "trace.csv"
+    main(["solve", "thm1", "--trace", str(trace_path)])
+    capsys.readouterr()
+
+    def no_solve(*args):
+        raise AssertionError("solved before opening the trace file")
+
+    monkeypatch.setattr(cli, "run", no_solve)
+    missing = tmp_path / "missing"
+    for argv, what in (
+            (["generate", "--out", str(missing / "i.txt")], "instance"),
+            (["solve", "thm1", "--trace", str(missing / "t.csv")], "trace"),
+            (["plot", str(trace_path), "--out", str(missing / "t.svg")],
+             "svg"),
+            (["plot", str(trace_path), "--out", str(tmp_path)], "svg")):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {what}: ")
+        assert err.count("\n") == 1
+    assert not missing.exists()
+
+
 def test_plot_writes_svg(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     svg_path = tmp_path / "trace.svg"

@@ -5,11 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochcuts import builtin
-from stochcuts.model import (build_extensive, INTEGER, KIND_BENDERS,
-                             KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC)
+from stochcuts import builtin, generate_sslp, GeneratorConfig
+from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
+                             INTEGER, KIND_BENDERS, KIND_PBBENC,
+                             KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY)
 from stochcuts.mip import solve_mip
-from stochcuts.drivers import (RunConfig, RunTrace, run, run_benders, run_bdd,
+from stochcuts.partition import single_cluster, build_partition_extensive
+from stochcuts.verify import check_cut_validity, PASS
+from stochcuts.drivers import (ALGORITHMS, RunConfig, RunTrace, run,
+                               run_benders, run_bdd, _cut_loop,
                                run_alg1, run_apblagc, cut_split,
                                write_trace_csv, read_trace_csv,
                                TRACE_FORMAT_TAG, TRACE_COLUMNS,
@@ -105,6 +109,57 @@ def test_single_scenario_instance():
         assert trace.final_lower_bound <= ext + 1e-6
         if algorithm == "alg1":
             assert trace.final_lower_bound == pytest.approx(ext, abs=1e-6)
+
+
+def test_feasibility_cuts_through_the_cut_loop():
+    # y >= 2 - 2x (scenario 0) or y >= 1.5 - x (scenario 1), and y <= 1:
+    # neither scenario has a recourse at x = 0, so the first masters draw
+    # feasibility cuts from Farkas rays; x = 1 costs 1 + 0.5 * 0.5
+    scenarios = (Scenario(0.5, [[2.0], [0.0]], [2.0, -1.0]),
+                 Scenario(0.5, [[1.0], [0.0]], [1.5, -1.0]))
+    inst = Instance("empty-recourse", [1.0], np.zeros((0, 1)), [],
+                    (BINARY,), [1.0], [[1.0], [-1.0]], scenarios)
+    assert solve_mip(build_extensive(inst)).objective == pytest.approx(1.25)
+    for algorithm, origin in (("benders", (0,)), ("bdd", (0,)),
+                              ("apblagc", (0, 1)), ("alg1", None)):
+        trace = run(inst, RunConfig(algorithm=algorithm))
+        assert trace.final_lower_bound == pytest.approx(1.25, abs=1e-6)
+        if origin is None:   # alg1 keeps no cut pool
+            continue
+        assert origin in [cut.origin for cut in trace.cuts
+                          if cut.kind == KIND_FEASIBILITY]
+        assert check_cut_validity(inst, trace.cuts).status == PASS
+
+
+def test_single_cluster_separation_is_complete():
+    # saturated aggregated Lagrangian cuts at the single cluster reach its
+    # MIP optimum where that optimum is the bound; the per-scenario theta
+    # bounds of the master can lift z_lb above it (refinement-example,
+    # dim1-random-0 and -2), never above the MIP optimum
+    config = RunConfig(algorithm="apblagc", saturate=True,
+                       separation_budget=200)
+    exact = ("thm1", "dim1-random-1", "sslp-3-4-4-s0", "sslp-3-4-4-s1",
+             "sslp-3-4-4-s2")
+    instances = [builtin(name) for name in
+                 ("thm1", "refinement-example", "dim1-random-0",
+                  "dim1-random-1", "dim1-random-2")]
+    instances += [generate_sslp(GeneratorConfig(sites=3, clients=4,
+                                                scenarios=4, seed=seed))
+                  for seed in range(3)]
+    equal = 0
+    for inst in instances:
+        partition = single_cluster(inst.n_scenarios)
+        one = solve_mip(build_partition_extensive(inst, partition)).objective
+        optimum = solve_mip(build_extensive(inst)).objective
+        trace = _cut_loop(inst, config, "apblagc", partition, KIND_PBBENC,
+                          KIND_PBLAGC, refines=False)
+        z_lb = trace.final_lower_bound
+        assert trace.termination_reason == REASON_SATURATED, inst.name
+        assert one - 1e-6 <= z_lb <= optimum + 1e-6, inst.name
+        if inst.name in exact:
+            assert z_lb == pytest.approx(one, abs=1e-6), inst.name
+            equal += 1
+    assert equal == len(exact)
 
 
 def test_bdd_budget_exhausted_reason(small_sslp):
@@ -355,6 +410,16 @@ def test_run_dispatch(thm1):
     assert trace.algorithm == "benders"
     with pytest.raises(ValueError, match="unknown algorithm"):
         run(thm1, RunConfig(algorithm="simplex"))
+
+
+def test_run_config_rejects_unknown_algorithm():
+    # checked where the config is built, not when run() dispatches on it
+    for name in ALGORITHMS:
+        assert RunConfig(algorithm=name).algorithm == name
+    with pytest.raises(ValueError, match="unknown algorithm 'foo'; choose "
+                                         "from .'alg1', 'apblagc', 'bdd', "
+                                         "'benders'.$"):
+        RunConfig(algorithm="foo")
 
 
 def test_run_config_validation():

@@ -124,6 +124,17 @@ def test_dimension_errors():
         parse(f"{FORMAT_TAG}\ndims 1 1 0 1 2\nscenario 0 1.0\n")
 
 
+def test_second_dims_line_rejected(thm1):
+    # a repeated dims line after thm1's W entries used to reset the marks
+    # and every entry read so far, leaving continuous x and W = 0
+    lines = emit(thm1).splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith("W ")) + 1
+    lines.insert(at, lines[2])
+    with pytest.raises(FormatError,
+                       match=f"^line {at + 1}: dims declared twice$"):
+        parse("\n".join(lines))
+
+
 def test_generator_dimensions():
     cfg = GeneratorConfig(sites=20, clients=100, scenarios=5, seed=0)
     inst = generate_sslp(cfg)

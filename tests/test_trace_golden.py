@@ -14,7 +14,10 @@ covers the trace CSV without its wall-clock column and the final cut pool
 the run in call order (status, objective repr, x, duals, reduced costs and
 Farkas ray bytes), whether it came from solve_lp or solve_lps:
 
-    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py
+    OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py
+
+The script imports the package from this checkout's src unless PYTHONPATH
+names another one, so PYTHONPATH=<other checkout>/src digests that one.
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
@@ -33,6 +36,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":   # after PYTHONPATH, which may name another src
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import stochcuts
 from stochcuts import (builtin, emit, generate_sslp, GeneratorConfig, parse,
