@@ -2,10 +2,10 @@
 continuous recourse: Benders and Lagrangian cuts, scenario-partition
 aggregation with dual-guided refinement, and brute-force verification."""
 
-from .model import (Instance, Scenario, Cut, validate, build_extensive,
-                    theta_weights, CONTINUOUS, BINARY, INTEGER,
-                    KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC,
-                    KIND_FEASIBILITY)
+from .model import (Instance, Scenario, Cut, InfeasibleError, validate,
+                    build_extensive, theta_weights, CONTINUOUS, BINARY,
+                    INTEGER, KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN,
+                    KIND_PBLAGC, KIND_FEASIBILITY)
 from .lp import LpModel, LpResult, solve_lp, SimplexBreakdown, \
     OPTIMAL, INFEASIBLE, UNBOUNDED, LE, GE, EQ
 from .mip import MipModel, MipResult, solve_mip, enumerate_binary, \

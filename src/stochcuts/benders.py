@@ -13,15 +13,15 @@ import numpy as np
 from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import (Cut, stacked_model, KIND_BENDERS, KIND_PBBENC,
-                    KIND_FEASIBILITY)
+from .model import (Cut, InfeasibleError, stacked_model, KIND_BENDERS,
+                    KIND_PBBENC, KIND_FEASIBILITY)
 from .partition import aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
 DEDUP_TOL = 1e-9           # coefficientwise match after max-abs normalization
 
 
-class MasterInfeasibleError(RuntimeError):
+class MasterInfeasibleError(InfeasibleError, RuntimeError):
     """The cut pool (or the first-stage system itself) admits no x."""
 
 
@@ -89,7 +89,8 @@ def compute_theta_lower_bounds(instance):
     out = np.zeros(instance.n_scenarios)
     for s, res in enumerate(results):
         if res.status == LP_INFEASIBLE:
-            raise ValueError(f"scenario {s}: infeasible for every first stage")
+            raise InfeasibleError(
+                f"scenario {s}: infeasible for every first stage")
         if res.status == LP_UNBOUNDED:
             raise ValueError(f"scenario {s}: recourse value unbounded below")
         out[s] = res.objective

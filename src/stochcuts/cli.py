@@ -18,6 +18,7 @@ from .drivers import (ALGORITHMS, RunConfig, run, write_trace_csv,
                       read_trace_csv, REASON_TIME_LIMIT)
 from .instance_io import (GeneratorConfig, generate_sslp, builtin, load, emit,
                           FormatError)
+from .model import InfeasibleError
 from .verify import run_suite, FAIL
 
 EXIT_OK = 0
@@ -48,13 +49,28 @@ def _load_instance(source):
                        EXIT_USAGE)
 
 
+def _run(source, instance, config):
+    """run(instance, config); an instance that the solve proves infeasible
+    is a data failure of `source`."""
+    try:
+        return run(instance, config)
+    except InfeasibleError as exc:
+        raise CliError(f"{source}: {exc}")
+
+
 @contextlib.contextmanager
 def _output(path, what):
     """`path` opened for writing; failing to open, write or close it is a
-    usage error."""
+    usage error, and a body that raises leaves no file behind."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+            try:
+                yield fh
+            except BaseException:
+                fh.close()
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+                raise
     except OSError as exc:
         raise CliError(f"cannot write {what}: {exc}", EXIT_USAGE)
 
@@ -135,7 +151,7 @@ def cmd_solve(args):
     config = _run_config(args, args.algorithm)
     with (_output(args.trace, "trace") if args.trace
           else contextlib.nullcontext()) as fh:
-        trace = run(instance, config)
+        trace = _run(args.instance, instance, config)
         if fh is not None:
             write_trace_csv(trace, fh)
     ub = trace.final_upper_bound
@@ -161,8 +177,9 @@ def cmd_compare(args):
         raise CliError("no algorithms given", EXIT_USAGE)
     configs = [_run_config(args, algorithm) for algorithm in algorithms]
     instances = [_load_instance(s) for s in args.instances]
-    traces = [run(instance, config)
-              for instance in instances for config in configs]
+    traces = [_run(source, instance, config)
+              for source, instance in zip(args.instances, instances)
+              for config in configs]
     best = {}
     for trace in traces:
         lb = trace.final_lower_bound

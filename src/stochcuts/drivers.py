@@ -39,7 +39,8 @@ from .benders import (MasterState, solve_master, solve_scenario_subproblem,
 from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
 from .lp import INFEASIBLE as LP_INFEASIBLE
 from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC
+from .model import (InfeasibleError, KIND_BENDERS, KIND_PBBENC,
+                    KIND_LAGRANGIAN, KIND_PBLAGC)
 from .partition import (single_cluster, singletons, refine, delta_schedule,
                         build_partition_extensive)
 
@@ -354,7 +355,7 @@ def run_alg1(instance, config=None):
             reason = REASON_TIME_LIMIT
             break
         if res.status != MIP_OPTIMAL:
-            raise ValueError("partition problem infeasible")
+            raise InfeasibleError("partition problem infeasible")
         z_n = res.objective
         x = res.x[:n1].copy()   # solve_mip rounds the integer columns
         duals, expected = _scenario_duals(instance, x)

@@ -78,12 +78,43 @@ first k rows, one BLAS thread, median of 9 alternating solves:
 
     rows   40    60    80    96    104   112   120   144   160   182
     ratio  1.23  1.12  1.08  1.03  0.97  0.94  0.92  0.87  0.83  0.70
+
+Dual path.  The basis has one slot per row, so a tall LP -- a Benders
+master, with one row per cut and only n1 + S columns -- pivots on an m x m
+inverse although at most n of its basic columns are structural.  solve_lp
+solves an LP through its dual when it has DUAL_MIN rows or more, more rows
+than columns, and a finite lower bound on every column.  With x = lb + x'
+and u = ub - lb, the dual
+    min -(b - A lb).y + u_F.z   s.t.  A'y - z <= c,
+with y >= 0 on >= rows, y <= 0 on <= rows, y free on = rows and z >= 0
+only on the columns F with a finite ub, has one <= row per column and
+goes through the same simplex, on an n x n basis.  Its row duals are -x',
+so x = lb - (its row duals), clipped into the box against rounding; the
+duals are y, the reduced costs c - A'y and the objective c.x.  Unless the
+dual ends OPTIMAL -- infeasible, unbounded, or broken down after its own
+retry -- the LP goes the primal way, which gives the Farkas ray of an
+infeasible LP and reports an unbounded one.  The dual path is not bitwise
+the primal one: degenerate optima can come out at another vertex.
+DUAL_MIN is its own constant, apart from UNIT_MIN, so that forcing the
+unit path on (UNIT_MIN 0, as tests do) dualizes no small LP.  It is a
+containment line, not a measured crossover: below 112 rows every LP keeps
+the primal path's bits, which covers every golden trace but
+sslp-10-10-20-s0:benders and every LP of the apblagc sslp-6-8-8 workload
+at instance seed 0.  Dualizing every master instead moved that
+workload's z_lb from 94.421 to 76.438 through a degenerate tie at
+apblagc's outer stop; the threshold can come down once the outer stop and
+the bound sweep (ROADMAP items 2 and 1) can tell a worse bound from a
+moved tie.  Measured with one BLAS thread, re-solving the masters of a
+benders run: on sslp-10-10-20, 17 masters of up to 182 rows, 11 of them
+over DUAL_MIN, took 0.77-0.91 s of CPU on the primal path and 0.11-0.14 s
+with the dual path; on sslp-10-10-50, 13 masters of up to 386 rows, 4.37
+against 0.19 s.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,6 +135,9 @@ RETRY_REFACTOR_EVERY = 8   # one more attempt when the final checks fail
 STACK_MIN = 8              # smaller solve_lps batches go one LP at a time
 UNIT_MIN = 112             # rows from which _iterate prices unit columns
                            # apart; 3 or more (see the module docstring)
+DUAL_MIN = 112             # rows from which a tall LP is solved through
+                           # its dual: a containment line, not a measured
+                           # crossover (see the module docstring)
 
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
 _SENSES = frozenset((LE, GE, EQ))
@@ -115,12 +149,16 @@ class SimplexBreakdown(RuntimeError):
 
 @dataclass
 class LpModel:
+    """An LP as solve_lp takes it.  make() and with_bounds() check what
+    they build and set `checked`; solve_lp checks a model built any other
+    way."""
     c: np.ndarray
     A: np.ndarray
     senses: tuple
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    checked: bool = field(default=False, repr=False, compare=False)
 
     @staticmethod
     def make(c, A=None, senses=None, b=None, lb=None, ub=None):
@@ -136,6 +174,7 @@ class LpModel:
         ub = np.full(n, np.inf) if ub is None else np.atleast_1d(np.asarray(ub, dtype=float))
         model = LpModel(c, A, senses, b, lb.copy(), ub.copy())
         model.check()
+        model.checked = True
         return model
 
     def check(self):
@@ -144,23 +183,33 @@ class LpModel:
             raise ValueError("objective length does not match column count")
         if self.b.size != m or len(self.senses) != m:
             raise ValueError("rhs/sense length does not match row count")
-        if self.lb.size != n or self.ub.size != n:
-            raise ValueError("bound length does not match column count")
         for name, values in (("objective", self.c), ("matrix", self.A),
                              ("rhs", self.b)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} has a non-finite entry")
-        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
-            raise ValueError("a bound is NaN")
-        if np.any(self.lb > self.ub):
-            raise ValueError("lower bound exceeds upper bound")
+        self._check_bounds()
         if not _SENSES.issuperset(self.senses):
             bad = next(s for s in self.senses if s not in _SENSES)
             raise ValueError(f"unknown row sense {bad!r}")
 
+    def _check_bounds(self):
+        if self.lb.size != self.c.size or self.ub.size != self.c.size:
+            raise ValueError("bound length does not match column count")
+        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
+            raise ValueError("a bound is NaN")
+        if np.any(self.lb > self.ub):
+            raise ValueError("lower bound exceeds upper bound")
+
     def with_bounds(self, lb, ub):
-        return LpModel(self.c, self.A, self.senses, self.b,
-                       np.asarray(lb, dtype=float), np.asarray(ub, dtype=float))
+        """This LP under new bounds, as a branch-and-bound node takes it:
+        only the bounds are new, so a checked model's child checks only
+        them, and an unchecked model's child is left to solve_lp."""
+        model = LpModel(self.c, self.A, self.senses, self.b,
+                        np.asarray(lb, dtype=float),
+                        np.asarray(ub, dtype=float), checked=self.checked)
+        if model.checked:
+            model._check_bounds()
+        return model
 
 
 @dataclass
@@ -779,17 +828,70 @@ def solve_lp(model, starts=None):
     refactorization every RETRY_REFACTOR_EVERY pivots before the failure is
     raised.  An LP that passes the first time never reaches the retry.
 
+    A tall LP (_dualizes) is first solved through its dual, and goes the
+    primal way only if that does not end OPTIMAL (see the module
+    docstring).
+
     `starts`, a dict owned by the caller, holds phase 1's end state by
     feasible region and is reused and extended here: an LP whose region it
     holds runs phase 2 only (see the module docstring).  The result is
     bitwise the one without it."""
-    model.check()
+    if not model.checked:
+        model.check()
+    if _dualizes(model):
+        result = _solve_dual(model)
+        if result is not None:
+            return result
     try:
         if starts is None:
             return _Simplex(model).solve()
         return _solve_from(model, starts)
     except SimplexBreakdown:
         return _Simplex(model, RETRY_REFACTOR_EVERY).solve()
+
+
+def _dualizes(model):
+    """True for an LP solve_lp takes through its dual: DUAL_MIN rows or
+    more, more rows than columns, and a finite lower bound on every
+    column."""
+    m, n = model.A.shape
+    return m >= DUAL_MIN and m > n and bool(np.isfinite(model.lb).all())
+
+
+def _solve_dual(model):
+    """The OPTIMAL result of a tall LP read off its dual, or None.  With
+    x = lb + x', 0 <= x' <= u, the dual is
+        min -(b - A lb).y + u_F.z   s.t.  A'y - z <= c,
+    y >= 0 on >= rows, <= 0 on <= rows, free on = rows, and z >= 0 only on
+    the columns F with a finite ub.  Its rows' duals are -x'."""
+    A, lb = model.A, model.lb
+    m, n = A.shape
+    u = model.ub - lb
+    boxed = np.flatnonzero(np.isfinite(model.ub))
+    senses = np.asarray(model.senses, dtype="U2")
+    minus_z = np.zeros((n, boxed.size))
+    minus_z[boxed, np.arange(boxed.size)] = -1.0
+    dual = LpModel(np.concatenate([A @ lb - model.b, u[boxed]]),
+                   np.hstack([A.T, minus_z]), (LE,) * n, model.c,
+                   np.concatenate([np.where(senses == GE, 0.0, -np.inf),
+                                   np.zeros(boxed.size)]),
+                   np.concatenate([np.where(senses == LE, 0.0, np.inf),
+                                   np.full(boxed.size, np.inf)]))
+    if not np.isfinite(dual.c).all():    # b - A lb or u overflowed
+        return None
+    try:
+        try:
+            res = _Simplex(dual).solve()
+        except SimplexBreakdown:
+            res = _Simplex(dual, RETRY_REFACTOR_EVERY).solve()
+    except SimplexBreakdown:
+        return None
+    if res.status != OPTIMAL:
+        return None
+    y = res.x[:m]
+    x = np.clip(lb - res.duals, lb, model.ub)
+    return LpResult(OPTIMAL, objective=float(model.c @ x), x=x, duals=y,
+                    reduced_costs=model.c - y @ A)
 
 
 def _matrix_entry(A, cache):
@@ -826,14 +928,19 @@ def solve_lps(models):
     retries that LP alone, as solve_lp does."""
     if len({model.A.shape[0] for model in models}) > 1:
         raise ValueError("solve_lps needs models with one row count")
-    if len(models) < STACK_MIN or models[0].A.shape[0] < 3:
+    tall = [_dualizes(model) for model in models]
+    primal = [model for model, t in zip(models, tall) if not t]
+    if len(primal) < STACK_MIN or models[0].A.shape[0] < 3:
         return [solve_lp(model) for model in models]
-    for model in models:
-        model.check()
+    for model in primal:
+        if not model.checked:
+            model.check()
     matrices = {}
-    afulls = [_matrix_entry(model.A, matrices)[0] for model in models]
+    afulls = [_matrix_entry(model.A, matrices)[0] for model in primal]
     results = _Stack([_Simplex(model, afull=afull)
-                      for model, afull in zip(models, afulls)]).run()
-    return [res if res is not None
-            else _Simplex(model, RETRY_REFACTOR_EVERY, afull).solve()
-            for res, model, afull in zip(results, models, afulls)]
+                      for model, afull in zip(primal, afulls)]).run()
+    stacked = iter([res if res is not None
+                    else _Simplex(model, RETRY_REFACTOR_EVERY, afull).solve()
+                    for res, model, afull in zip(results, primal, afulls)])
+    return [solve_lp(model) if t else next(stacked)
+            for model, t in zip(models, tall)]

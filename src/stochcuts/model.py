@@ -38,6 +38,11 @@ CUT_KINDS = (KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC,
              KIND_FEASIBILITY)
 
 
+class InfeasibleError(ValueError):
+    """A solve proved that the instance has no feasible first stage with a
+    feasible recourse."""
+
+
 def _frozen(a, dtype=float):
     a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)

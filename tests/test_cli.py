@@ -103,6 +103,29 @@ def test_solve_rejects_bad_file(tmp_path, capsys, body, message):
         assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("algorithm, message", [
+    ("benders", "scenario 0: infeasible for every first stage"),
+    ("apblagc", "scenario 0: infeasible for every first stage"),
+    ("alg1", "partition problem infeasible"),
+])
+def test_solve_reports_an_infeasible_instance(tmp_path, capsys, algorithm,
+                                              message):
+    # the file loads, but its one scenario needs 2 <= y <= 1 whatever x is:
+    # the solve proves it and says so in one line, with no traceback and
+    # no trace file left behind
+    path = tmp_path / "empty-recourse.txt"
+    path.write_text(f"{FORMAT_TAG}\ndims 1 1 0 2 1\nmark binary 0\nc 0 1.0\n"
+                    "d 0 1.0\nW 0 0 1.0\nW 1 0 -1.0\nscenario 0 1.0\n"
+                    "h 0 0 2.0\nh 0 1 -1.0\n")
+    trace_path = tmp_path / "trace.csv"
+    for argv in (["solve", str(path), "--algorithm", algorithm,
+                  "--trace", str(trace_path)],
+                 ["compare", "thm1", str(path), "--algorithms", algorithm]):
+        assert main(argv) == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not trace_path.exists()
+
+
 def test_solve_unreadable_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path)]) == EXIT_FAILURE
     err = capsys.readouterr().err

@@ -293,6 +293,27 @@ def test_nan_recourse_rhs_raises():
         solve_lp(unchecked)
 
 
+def test_with_bounds_checks_only_the_bounds(monkeypatch):
+    # a branch-and-bound node changes only the bounds: with_bounds checks
+    # them, and solve_lp checks nothing more of a checked model's child
+    model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        model.with_bounds([0.0, np.nan], [1.0, 1.0])
+    with pytest.raises(ValueError, match="exceeds"):
+        model.with_bounds([0.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="bound length"):
+        model.with_bounds([0.0], [1.0])
+    child = model.with_bounds([0.0, 0.5], [1.0, 1.0])
+    monkeypatch.setattr(LpModel, "check", None)   # any full check fails
+    assert solve_lp(child).objective == pytest.approx(1.5, abs=1e-12)
+    monkeypatch.undo()
+    # a model built directly is checked by solve_lp, and so is its child
+    raw = LpModel(np.array([1.0, np.nan]), model.A, model.senses, model.b,
+                  model.lb, model.ub)
+    with pytest.raises(ValueError, match="objective"):
+        solve_lp(raw.with_bounds([0.0, 0.0], [1.0, 1.0]))
+
+
 @pytest.mark.parametrize("poke, message", [
     ("xval", "primal residual"),
     ("lb", "bound violation"),
@@ -318,7 +339,9 @@ DRIFT_MASTER = Path(__file__).parent / "data" / "master_breakdown.npz"
 _SOLVE_DRIFT_MASTER = """
 import sys
 import numpy as np
+import stochcuts.lp as L
 from stochcuts.lp import LpModel, solve_lp
+L.DUAL_MIN = 10 ** 9   # the primal path, where the breakdown is
 d = np.load(sys.argv[1])
 model = LpModel.make(d["c"], d["A"], [str(s) for s in d["senses"]], d["b"],
                      d["lb"], d["ub"])
@@ -637,6 +660,7 @@ _STACK_WITH_DRIFTED_MASTER = """
 import sys
 import numpy as np
 import stochcuts.lp as L
+L.DUAL_MIN = 10 ** 9   # the primal path, where the breakdown is
 d = np.load(sys.argv[1])
 senses = [str(s) for s in d["senses"]]
 rng = np.random.default_rng(3)
@@ -736,6 +760,7 @@ _CACHE_WITH_DRIFTED_MASTER = """
 import sys
 import numpy as np
 import stochcuts.lp as L
+L.DUAL_MIN = 10 ** 9   # the primal path, where the breakdown is
 d = np.load(sys.argv[1])
 senses = [str(s) for s in d["senses"]]
 rng = np.random.default_rng(3)
@@ -780,3 +805,213 @@ def test_start_cache_retries_a_breakdown():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr + out.stdout
     assert out.stdout.split() == ["3", "2", "1", "1"]
+
+
+def _highs(linprog, model):
+    """HiGHS on `model`, its rows turned into A_ub x <= b_ub and A_eq x =
+    b_eq."""
+    senses = np.asarray(model.senses)
+    eq = senses == EQ
+    flip = np.where(senses[~eq] == LE, 1.0, -1.0)
+    return linprog(model.c, flip[:, None] * model.A[~eq], flip * model.b[~eq],
+                   model.A[eq] if eq.any() else None,
+                   model.b[eq] if eq.any() else None,
+                   bounds=[(lo, None if np.isinf(hi) else hi)
+                           for lo, hi in zip(model.lb, model.ub)],
+                   method="highs")
+
+
+def _count_dual_solves(monkeypatch):
+    """A list that records, per call of lp._solve_dual, whether the dual
+    path returned a result."""
+    taken = []
+    solve = lp_module._solve_dual
+
+    def counted(model):
+        res = solve(model)
+        taken.append(res is not None)
+        return res
+
+    monkeypatch.setattr(lp_module, "_solve_dual", counted)
+    return taken
+
+
+def _tall_model(rng, m, n, degenerate=False):
+    """A tall LP around a box point x0: >=, <= and a few = rows, finite
+    lower bounds, finite upper bounds on about half the columns.  A
+    degenerate one has most rows tight at x0, and x0 at its bounds on
+    about half the columns."""
+    a = rng.integers(-4, 5, size=(m, n)).astype(float)
+    senses = [(GE, LE, EQ)[i] for i in rng.choice(3, size=m, p=(0.6, 0.37,
+                                                                0.03))]
+    lb = np.round(rng.uniform(-2.0, 1.0, size=n))
+    ub = np.where(rng.uniform(size=n) < 0.5,
+                  lb + np.round(rng.uniform(1.0, 4.0, size=n)), np.inf)
+    x0 = lb + rng.uniform(0.0, 1.0, size=n)
+    if degenerate:
+        x0 = np.where(rng.uniform(size=n) < 0.5, lb, np.round(x0))
+    slack = rng.uniform(0.0, 1.0, size=m)
+    if degenerate:
+        slack[rng.uniform(size=m) < 0.7] = 0.0
+    sign = np.select([np.asarray(senses) == GE, np.asarray(senses) == LE],
+                     [-1.0, 1.0], 0.0)
+    c = rng.integers(-2, 6, size=n).astype(float)
+    return LpModel.make(c, a, senses, a @ x0 + sign * slack, lb, ub)
+
+
+def _check_complementary(model, res, tol=1e-6):
+    """Each row's dual is zero where the row is slack, and each column's
+    reduced cost is zero off the bound it prices."""
+    scale = 1.0 + float(np.abs(res.duals).max(initial=0.0))
+    resid = model.A @ res.x - model.b
+    assert np.all(np.abs(res.duals * resid)
+                  <= tol * scale * (1.0 + np.abs(model.b)))
+    rc = res.reduced_costs
+    priced = np.abs(rc) > tol * scale
+    away = np.where(rc > 0, res.x - model.lb, model.ub - res.x)[priced]
+    assert np.all(away <= tol * (1.0 + np.abs(res.x[priced])))
+
+
+def _sweep_dual_path(monkeypatch, seed, trials, degenerate):
+    """Seeded tall LPs through the dual path, each against the primal path,
+    HiGHS where scipy is installed, and the optimality and complementary
+    slackness checks; returns how many ended OPTIMAL."""
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        linprog = None
+    taken = _count_dual_solves(monkeypatch)
+    rng = np.random.default_rng(seed)
+    dual_min = lp_module.DUAL_MIN
+    optimal = 0
+    for _ in range(trials):
+        model = _tall_model(rng, int(rng.integers(dual_min, 160)),
+                            int(rng.integers(2, 30)), degenerate)
+        taken.clear()
+        res = solve_lp(model)
+        assert taken == [res.status == OPTIMAL]
+        monkeypatch.setattr(lp_module, "DUAL_MIN", 10 ** 9)
+        primal = solve_lp(model)
+        monkeypatch.setattr(lp_module, "DUAL_MIN", dual_min)
+        assert res.status == primal.status
+        if res.status != OPTIMAL:
+            continue
+        optimal += 1
+        assert res.objective == pytest.approx(primal.objective, abs=1e-6,
+                                              rel=1e-6)
+        check_optimal(model, res)
+        _check_complementary(model, res)
+        if linprog is not None:
+            ref = _highs(linprog, model)
+            assert ref.status == 0
+            assert res.objective == pytest.approx(ref.fun, abs=1e-6,
+                                                  rel=1e-6)
+    return optimal
+
+
+def test_dual_path_on_random_tall_lps(monkeypatch):
+    # Tall LPs (DUAL_MIN rows or more, fewer columns, finite lower bounds)
+    # are solved through their dual: the same status and objective as the
+    # primal path and HiGHS, and a feasible, complementary x.
+    assert _sweep_dual_path(monkeypatch, 41, 40, degenerate=False) >= 30
+
+
+def test_dual_path_on_degenerate_tall_lps(monkeypatch):
+    # most rows tight at one point, so both the LP and its dual are
+    # degenerate; under Bland's rule from the second stalled pivot too
+    assert _sweep_dual_path(monkeypatch, 42, 30, degenerate=True) >= 20
+    monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
+    assert _sweep_dual_path(monkeypatch, 43, 20, degenerate=True) >= 12
+
+
+def test_dual_path_only_for_tall_lps_with_finite_lower_bounds(monkeypatch):
+    taken = _count_dual_solves(monkeypatch)
+    rng = np.random.default_rng(44)
+    m = lp_module.DUAL_MIN
+    tall = _tall_model(rng, m, 20)
+    for model in (tall,
+                  _tall_model(rng, m - 1, 20),         # too few rows
+                  _tall_model(rng, m, m),              # not taller than wide
+                  LpModel.make(tall.c, tall.A, tall.senses, tall.b,
+                               np.where(np.arange(20) == 3, -np.inf,
+                                        tall.lb), tall.ub)):   # a free side
+        solve_lp(model)
+    assert taken == [True]
+
+
+def test_dual_path_falls_back_on_infeasible_and_unbounded(monkeypatch):
+    # The dual of an infeasible LP is unbounded or infeasible, and the dual
+    # of an unbounded one infeasible: either way the LP goes the primal
+    # way, which gives the Farkas ray or the UNBOUNDED status.
+    taken = _count_dual_solves(monkeypatch)
+    rng = np.random.default_rng(45)
+    m, n = lp_module.DUAL_MIN + 8, 12
+    model = _tall_model(rng, m, n)
+    i = model.senses.index(GE)
+    contradiction = LpModel.make(
+        model.c, np.vstack([model.A, model.A[i]]), model.senses + (LE,),
+        np.append(model.b, model.b[i] - 2.0), model.lb, model.ub)
+    res = solve_lp(contradiction)
+    assert res.status == INFEASIBLE
+    check_farkas(contradiction, res)
+    # a new column that costs -1, with no upper bound, enters the >= rows
+    # with nonnegative coefficients and no other row: it grows without
+    # bound from any feasible point
+    column = np.where(np.asarray(model.senses) == GE,
+                      rng.integers(0, 3, size=m), 0.0)
+    open_ray = LpModel.make(np.append(model.c, -1.0),
+                            np.column_stack([model.A, column]), model.senses,
+                            model.b, np.append(model.lb, 0.0),
+                            np.append(model.ub, np.inf))
+    assert solve_lp(model).status == OPTIMAL
+    assert solve_lp(open_ray).status == UNBOUNDED
+    assert taken == [False, True, False]
+
+
+def test_tall_stack_matches_solve_lp(monkeypatch):
+    # solve_lps sends tall LPs to solve_lp and stacks the rest: byte for
+    # byte solve_lp's results, a batch of tall LPs and a batch that mixes
+    # tall and wide LPs on one row count (DUAL_MIN lowered so that the wide
+    # ones stay small)
+    built = _count_stacks(monkeypatch)
+    taken = _count_dual_solves(monkeypatch)
+    rng = np.random.default_rng(46)
+    m = lp_module.DUAL_MIN
+    models = [_tall_model(rng, m, 10) for _ in range(STACK_MIN)]
+    want = [_result_bytes(solve_lp(model)) for model in models]
+    taken.clear()
+    assert [_result_bytes(res) for res in solve_lps(models)] == want
+    assert built == [] and taken == [True] * STACK_MIN
+    monkeypatch.setattr(lp_module, "DUAL_MIN", 6)
+    models = [_tall_model(rng, 8, 4 + 8 * (k % 2))
+              for k in range(2 * STACK_MIN)]
+    want = [_result_bytes(solve_lp(model)) for model in models]
+    taken.clear()
+    assert [_result_bytes(res) for res in solve_lps(models)] == want
+    assert built == [STACK_MIN] and len(taken) == STACK_MIN
+
+
+def test_drifted_master_solves_through_its_dual(monkeypatch):
+    # The drifted master of test_drifted_master_solves_on_retry has 135
+    # rows and 30 columns: its dual has 30 rows, and solves on the first
+    # attempt, to HiGHS's optimum.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    d = np.load(DRIFT_MASTER)
+    model = LpModel.make(d["c"], d["A"], [str(s) for s in d["senses"]],
+                         d["b"], d["lb"], d["ub"])
+    attempts = []
+
+    class Counted(_Simplex):
+        def __init__(self, model, refactor_every=lp_module.REFACTOR_EVERY,
+                     afull=None):
+            attempts.append((model.A.shape, refactor_every))
+            super().__init__(model, refactor_every, afull)
+
+    monkeypatch.setattr(lp_module, "_Simplex", Counted)
+    res = solve_lp(model)
+    boxed = int(np.isfinite(d["ub"] - d["lb"]).sum())
+    assert attempts == [((30, 135 + boxed), lp_module.REFACTOR_EVERY)]
+    check_optimal(model, res)
+    ref = _highs(linprog, model)
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-6)

@@ -7,8 +7,10 @@ the bounds to 1e-9 relative.  Keys read instance:algorithm[:flag], with
 every other RunConfig field at its default.  The recourse LPs of
 sslp-1-1-10-s0 have two rows, too few for lp.solve_lps to stack them.
 
-Run as a script, it prints one `key trace-sha256 lp-sha256` line per
-golden run, so two commits can be compared bit for bit.  The first digest
+Run as a script, it prints one `key trace-sha256 lp-sha256 events reason
+z_lb` line per golden run, so two commits can be compared bit for bit; the
+event count, stop reason and final z_lb after the digests show whether a
+moved digest moved the trace or only its rounding.  The first digest
 covers the trace CSV without its wall-clock column and the final cut pool
 (kind, coefficient bytes, rhs repr, origin); the second every LP result of
 the run in call order (status, objective repr, x, duals, reduced costs and
@@ -21,8 +23,11 @@ names another one, so PYTHONPATH=<other checkout>/src digests that one.
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
-(bench/run.py --seed 0).  Unlike the golden runs, their masters grow past
-lp.UNIT_MIN rows.  They take about a minute.
+(bench/run.py --seed 0).  Their masters grow past lp.UNIT_MIN rows, and
+the benders and bdd masters past lp.DUAL_MIN, from which they are solved
+through their duals; the apblagc and alg1 masters stay below it.  Of the
+golden runs only sslp-10-10-20-s0:benders has masters that tall.  The
+wide runs take about a minute.
 """
 
 import contextlib
@@ -191,4 +196,5 @@ if __name__ == "__main__":
     for key, instance, config in _runs("--wide" in sys.argv[1:]):
         with lp_sha256() as lps:
             trace = run(instance, config)
-        print(key, trace_sha256(trace), lps.hexdigest())
+        print(key, trace_sha256(trace), lps.hexdigest(), len(trace.events),
+              trace.termination_reason, repr(trace.final_lower_bound))
