@@ -389,7 +389,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run independent correctness checks")
     p.add_argument("--suite", default="all",
                    choices=("all", "thm1", "dim1", "validity", "dominance",
-                            "monotone"))
+                            "monotone", "single-cluster"))
     p.add_argument("--seeds", default="0,1,2",
                    help="comma-separated generator seeds")
     p.add_argument("--inject-invalid-cut", action="store_true",

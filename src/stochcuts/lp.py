@@ -22,7 +22,24 @@ returned number are a pure function of the model.  No state survives a
 call, except through a cache the caller owns and passes in, and only where
 its use is bitwise neutral.  A change to this kernel that keeps each
 floating-point expression feeding a decision or a result therefore
-reproduces every result bitwise, and can be checked that way.
+reproduces every result bitwise, and can be checked that way
+(tests/test_trace_golden.py --against <other>/src).
+
+Cost model.  On small LPs the time is numpy call overhead, about a
+microsecond a call, not flops.  A dense pivot that swaps in a column from
+its lower bound, with one tied slot, makes 49 numpy operations (calls,
+operators, indexing and item reads); it made 66.  _iterate reads scalars
+as Python floats, solves the entering column from a contiguous copy of
+Afull's transpose, clamps the ratio test's minimum at zero instead of the
+whole ratio vector, and masks no infinite bound (the bound on delta's
+side gives +inf).  Per solve, the final checks build one nonbasic mask
+from the statuses and reuse the prices of phase 2's last optimality
+test.  _Stack states the ratio test and its zero clamp the same way.  On
+the LP calls of an apblagc sslp-6-8-8 budget-6 run, replayed call by call
+against the previous kernel, one BLAS thread, time inside _iterate per
+pivot and the rest per solve went, for 567 node LPs of 14 rows, from 63.0
+to 49.1 us and from 483 to 366 us; for 67 masters of up to 70 rows by 14
+columns, from 70.9 to 58.3 us and from 901 to 789 us.
 
 Start cache.  Phase 1 reads A, the senses, b and the bounds, never the
 objective, so its end state is a function of the feasible region.
@@ -113,7 +130,7 @@ against 0.19 s.
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,13 +248,13 @@ class _Simplex:
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
         self.m, self.n = m, n
-        senses = np.asarray(model.senses, dtype="U2")
         self.Afull = np.hstack([A, np.eye(m)]) if afull is None else afull
         self.lb = np.concatenate(
-            [model.lb, np.where(senses == GE, -np.inf, 0.0)])
+            [model.lb, [-np.inf if s == GE else 0.0 for s in model.senses]])
         self.ub = np.concatenate(
-            [model.ub, np.where(senses == LE, np.inf, 0.0)])
+            [model.ub, [np.inf if s == LE else 0.0 for s in model.senses]])
         self.b = np.asarray(model.b, dtype=float).copy()
+        self.scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.ncols0 = n + m
         lb, ub = self.lb[:n], self.ub[:n]
         fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
@@ -253,6 +270,7 @@ class _Simplex:
         self.art_rows = np.zeros(0, dtype=np.intp)   # row of artificial k
         self.art_sign = np.zeros(0)                  # and its +-1 there
         self.astruct = None     # A padded to a multiple of four columns
+        self.AT = None          # Afull's transpose, contiguous (_iterate)
 
     def _refactor(self):
         B = self.Afull[:, self.basis]
@@ -264,31 +282,30 @@ class _Simplex:
 
     def _basic_values(self):
         """Solve the basic values from Binv and the nonbasic ones."""
-        nonbasic = np.ones(self.Afull.shape[1], dtype=bool)
-        nonbasic[self.basis] = False
+        nonbasic = self.status != _BASIC
         rhs = self.b - self.Afull[:, nonbasic] @ self.xval[nonbasic]
         self.xval[self.basis] = self.Binv @ rhs
 
     def _install_artificials(self):
         """Snap infeasible basic slacks to a bound and cover the residual
-        with a unit artificial column; returns True if any were needed."""
-        lo, hi = self.lb, self.ub
-        xb = self.xval[self.basis]
-        bad = np.flatnonzero((xb < lo[self.basis] - FEAS_TOL)
-                             | (xb > hi[self.basis] + FEAS_TOL))
+        with a unit artificial column; returns True if any were needed.
+        The basis is still the slack basis, slot i row i's slack."""
+        n, m = self.n, self.m
+        xs, lo, hi = self.xval[n:], self.lb[n:], self.ub[n:]
+        bad = ((xs < lo - FEAS_TOL) | (xs > hi + FEAS_TOL)).nonzero()[0]
         if not bad.size:
             return False
         k = bad.size
-        j = self.basis[bad]
-        snap = np.where(self.xval[j] < lo[j], lo[j], hi[j])
-        rho = self.xval[j] - snap
-        self.xval[j] = snap
-        self.status[j] = np.where(snap == lo[j], _AT_LB, _AT_UB)
+        xs_bad, lo_bad = xs[bad], lo[bad]
+        snap = np.where(xs_bad < lo_bad, lo_bad, hi[bad])
+        rho = xs_bad - snap
+        self.xval[n + bad] = snap
+        self.status[n + bad] = np.where(snap == lo_bad, _AT_LB, _AT_UB)
         self.art_rows, self.art_sign = bad, np.where(rho > 0, 1.0, -1.0)
-        ext = np.zeros((self.m, k))
+        ext = np.zeros((m, k))
         ext[bad, np.arange(k)] = self.art_sign
         self.basis[bad] = self.ncols0 + np.arange(k)
-        self.Afull = np.hstack([self.Afull, ext])
+        self.Afull = np.concatenate([self.Afull, ext], axis=1)
         self.lb = np.concatenate([self.lb, np.zeros(k)])
         self.ub = np.concatenate([self.ub, np.full(k, np.inf)])
         self.status = np.concatenate(
@@ -297,7 +314,7 @@ class _Simplex:
         self.n_art = k
         # basis slot i holds row i's slack or artificial: B is diagonal +-1
         # and is its own inverse
-        self.Binv = np.diag(self.Afull[np.arange(self.m), self.basis])
+        self.Binv = np.diag(self.Afull[np.arange(m), self.basis])
         self._basic_values()
         return True
 
@@ -310,7 +327,7 @@ class _Simplex:
         self.sign[st == _AT_LB] = -1.0
         self.sign[st == _AT_UB] = 1.0
         self.sign[self.lb == self.ub] = 0.0
-        self.free = np.flatnonzero(st == _FREE)
+        self.free = (st == _FREE).nonzero()[0]
 
     def _prices(self, cost):
         y = cost[self.basis] @ self.Binv
@@ -318,26 +335,14 @@ class _Simplex:
         d[self.basis] = 0.0
         return y, d
 
-    def _entering(self, d, bland=False):
-        """(column to enter or None at optimality, violation vector).
-        Dantzig picks the largest violation, lowest index on ties; Bland
-        the lowest index over OPT_TOL."""
+    def _violations(self, d):
+        """How far each column of d violates optimality: sign * d, and |d|
+        for a free column.  A column enters only where this exceeds
+        OPT_TOL."""
         viol = self.sign[:d.size] * d
         if self.free.size:
             viol[self.free] = np.abs(d[self.free])
-        if not viol.size:
-            return None, viol
-        j = int(viol.argmax())
-        if not viol[j] > OPT_TOL:
-            return None, viol
-        if bland:
-            j = int((viol > OPT_TOL).argmax())
-        return j, viol
-
-    def _set_nonbasic(self, j, status):
-        self.status[j] = status
-        if self.lb[j] != self.ub[j]:
-            self.sign[j] = -1.0 if status == _AT_LB else 1.0
+        return viol
 
     def _unit_prices(self, cost, cb, ncols):
         """cost - (cb @ Binv) @ Afull over the first ncols columns, with
@@ -373,135 +378,140 @@ class _Simplex:
         The basic variables' values, bounds and costs are kept per basis
         slot (xb, lbb, ubb, cb) and written back to xval on return.  From
         UNIT_MIN rows on, the slack and artificial columns are priced,
-        solved and updated as unit vectors."""
+        solved and updated as unit vectors.  The loop keeps numpy calls
+        few (see the cost model in the module docstring): bounds and costs,
+        which no pivot changes, are read from lists, and AT[j], a row of a
+        contiguous copy of Afull's transpose, gives Binv @ Afull[:, j]'s
+        bits (tests/test_lp.py checks this)."""
         self._price_by_status()
         bi, lb, ub, xval = self.basis, self.lb, self.ub, self.xval
+        status, sign = self.status, self.sign
         xb, lbb, ubb, cb = xval[bi], lb[bi], ub[bi], cost[bi]
-        unit = self.m >= UNIT_MIN
+        lo, hi, cost_at = lb.tolist(), ub.tolist(), cost.tolist()
+        m, n = self.m, self.n
+        unit = m >= UNIT_MIN
+        ncols = xval.size
+        if not ncols:
+            return OPTIMAL
         # the unit path skips pinned artificials (phase 2): sign 0, they
         # never enter
-        ncols = (self.ncols0 if (lb[self.ncols0:] == ub[self.ncols0:]).all()
-                 else xval.size)
-        ratios = np.empty(self.m)
-        last = xval.size        # past every column index
+        if unit and (lb[self.ncols0:] == ub[self.ncols0:]).all():
+            ncols = self.ncols0
+        Afull, Binv = self.Afull, self.Binv
+        if self.AT is None:     # its structural rows on the unit path
+            self.AT = np.ascontiguousarray((Afull[:, :n] if unit else Afull).T)
+        AT = self.AT
+        ratios = np.empty(m)
+        refactor_every = self.refactor_every
         bland = False
         stall = 0
         it = 0
-        max_iter = max(50000, 500 * self.Afull.shape[1])
+        max_iter = max(50000, 500 * Afull.shape[1])
         while True:
             it += 1
             if it > max_iter:
                 raise SimplexBreakdown("iteration limit exceeded")
-            if it % self.refactor_every == 0:
+            if it % refactor_every == 0:
                 self._refactor()
-                xb = xval[bi]
+                Binv, xb = self.Binv, xval[bi]
             # d is not zeroed at the basic columns: their sign is 0 and they
             # are never free, so no decision reads it there
             if unit:
                 d = self._unit_prices(cost, cb, ncols)
             else:
-                d = cost - (cb @ self.Binv) @ self.Afull
-            j, viol = self._entering(d, bland)
-            if j is None:
+                d = cost - (cb @ Binv) @ Afull
+            viol = self._violations(d)
+            # Dantzig: the largest violation, lowest index on ties; Bland:
+            # the lowest index over OPT_TOL
+            j = int(viol.argmax())
+            if not viol.item(j) > OPT_TOL:
                 xval[bi] = xb
                 return OPTIMAL
-            st_j = self.status[j]
-            dirn = 1.0 if (st_j == _AT_LB or (st_j == _FREE and d[j] < 0)) else -1.0
-            if unit and j >= self.n:
-                w = self._unit_column(j)
-            else:
-                w = self.Binv @ self.Afull[:, j]
-            delta = dirn * w          # basic values move as x_B - t * delta
+            if bland:
+                j = int((viol > OPT_TOL).argmax())
+            st_j = status.item(j)
+            dirn = (1.0 if st_j == _AT_LB or (st_j == _FREE and d.item(j) < 0)
+                    else -1.0)
+            w = self._unit_column(j) if unit and j >= n else Binv @ AT[j]
+            # basic values move as xb - t * delta; the bound on delta's side
+            # gives +inf where it is infinite, so no mask needs it
+            delta = w if dirn > 0 else -w
             bound = np.where(delta > 0.0, lbb, ubb)
             ratios.fill(np.inf)
             np.divide(xb - bound, delta, out=ratios,
-                      where=(np.abs(delta) > PIVOT_TOL) & np.isfinite(bound))
-            np.maximum(ratios, 0.0, out=ratios)   # degeneracy within tolerance
-            rmin = float(ratios.min()) if self.m else np.inf
-            tflip = ub[j] - lb[j]
-            if not np.isfinite(rmin) and not np.isfinite(tflip):
+                      where=np.abs(delta) > PIVOT_TOL)
+            rmin = ratios.item(ratios.argmin()) if m else np.inf
+            if rmin <= 0.0:     # degeneracy within tolerance; -0.0 too
+                rmin = 0.0
+            tflip = hi[j] - lo[j]
+            if not math.isfinite(rmin) and not math.isfinite(tflip):
                 if allow_unbounded:
                     xval[bi] = xb
                     return UNBOUNDED
                 raise SimplexBreakdown("phase-1 objective unbounded")
             if tflip <= rmin:
                 # entering variable runs bound to bound; basis unchanged
-                t = float(tflip)
-                xb -= t * delta
-                if st_j == _AT_LB:
-                    xval[j] = ub[j]
-                    self._set_nonbasic(j, _AT_UB)
-                else:
-                    xval[j] = lb[j]
-                    self._set_nonbasic(j, _AT_LB)
+                t, out, to_ub = tflip, j, st_j == _AT_LB
             else:
                 t = rmin
                 tie = ratios <= rmin + 1e-12 + 1e-9 * abs(rmin)
-                r = int(np.where(tie, bi, last).argmin())   # lowest column
-                leave = int(bi[r])
-                xb -= t * delta
-                if delta[r] > 0:
-                    xval[leave] = lb[leave]
-                    self._set_nonbasic(leave, _AT_LB)
-                else:
-                    xval[leave] = ub[leave]
-                    self._set_nonbasic(leave, _AT_UB)
-                xb[r] = xval[j] + dirn * t
-                self.status[j] = _BASIC
-                self.sign[j] = 0.0
+                slots = tie.nonzero()[0]
+                r = slots.item(bi[slots].argmin())   # the lowest column leaves
+                out, to_ub = bi.item(r), not delta.item(r) > 0
+            xb -= t * delta
+            xval[out] = hi[out] if to_ub else lo[out]
+            status[out] = _AT_UB if to_ub else _AT_LB
+            if lo[out] != hi[out]:
+                sign[out] = 1.0 if to_ub else -1.0
+            if out != j:
+                xb[r] = xval.item(j) + dirn * t
+                status[j] = _BASIC
+                sign[j] = 0.0
                 if st_j == _FREE:
                     self.free = self.free[self.free != j]
                 bi[r] = j
-                lbb[r], ubb[r], cb[r] = lb[j], ub[j], cost[j]
-                row = self.Binv[r, :] / w[r]
+                lbb[r], ubb[r], cb[r] = lo[j], hi[j], cost_at[j]
+                row = Binv[r] / w.item(r)
                 if unit:
                     # a column where row is 0 would only change the sign of
                     # its zeros, which no product reads; the columns are
                     # taken as rows of the transpose, which numpy gathers
                     # faster
                     nz = np.flatnonzero(row)
-                    self.Binv.T[nz] -= row[nz, None] * w
+                    Binv.T[nz] -= row[nz, None] * w
                 else:
-                    self.Binv -= w[:, None] * row
-                self.Binv[r, :] = row
-            gain = float(viol[j]) * t
-            if gain == 0.0 or gain <= 1e-12 * (1.0 + abs(float(cb @ xb))):
+                    Binv -= w[:, None] * row
+                Binv[r] = row
+            gain = viol.item(j) * t
+            if gain == 0.0 or gain <= 1e-12 * (1.0 + abs((cb @ xb).item())):
                 stall += 1
                 if stall >= STALL_LIMIT:
                     bland = True
             else:
                 stall = 0
 
-    def _dual_objective(self, y, d):
-        nonbasic = np.ones(self.Afull.shape[1], dtype=bool)
-        nonbasic[self.basis] = False
-        contrib = float(d[nonbasic] @ self.xval[nonbasic])
-        return float(y @ self.b) + contrib
-
     def _verify(self, cost, y, d):
         """Raise unless the final basis is primal and dual feasible with no
         duality gap.  Every check is written so that NaN fails it."""
-        scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
         resid = self.Afull @ self.xval - self.b
-        if resid.size and not float(np.abs(resid).max()) <= FEAS_TOL * scale_b:
+        if (resid.size
+                and not float(np.abs(resid).max()) <= FEAS_TOL * self.scale_b):
             raise SimplexBreakdown("primal residual out of tolerance")
-        gaps = np.concatenate([self.lb - self.xval, self.xval - self.ub])
-        worst = float(gaps[gaps != -np.inf].max(initial=0.0))  # -inf: no bound
+        # an infinite bound gives -inf, which the initial 0 outweighs
+        gaps = np.maximum(self.lb - self.xval, self.xval - self.ub)
+        worst = float(gaps.max(initial=0.0))
         scale_x = 1.0 + float(np.abs(self.xval).max(initial=0.0))
         if not worst <= FEAS_TOL * scale_x:
             raise SimplexBreakdown("bound violation out of tolerance")
         scale_c = 1.0 + float(np.abs(cost).max(initial=0.0))
-        fixed = self.lb == self.ub
-        st = self.status
-        bad = ((st == _AT_LB) & ~fixed & (d < -1e2 * OPT_TOL * scale_c)) | \
-              ((st == _AT_UB) & ~fixed & (d > 1e2 * OPT_TOL * scale_c)) | \
-              ((st == _FREE) & (np.abs(d) > 1e2 * OPT_TOL * scale_c)) | \
-              np.isnan(d)
-        if bad.any():
+        # a NaN price makes its violation NaN, which fails the max
+        if not (float(self._violations(d).max(initial=0.0))
+                <= 1e2 * OPT_TOL * scale_c):
             raise SimplexBreakdown("dual feasibility out of tolerance")
         pobj = float(cost @ self.xval)
-        gap = abs(pobj - self._dual_objective(y, d))
-        if not gap <= FEAS_TOL * (1.0 + abs(pobj)):
+        nonbasic = self.status != _BASIC
+        dobj = float(y @ self.b) + float(d[nonbasic] @ self.xval[nonbasic])
+        if not abs(pobj - dobj) <= FEAS_TOL * (1.0 + abs(pobj)):
             raise SimplexBreakdown("strong duality gap out of tolerance")
 
     def _phase1(self):
@@ -515,9 +525,9 @@ class _Simplex:
         yield cost1, False
         self._refactor()
         infeas = float(cost1 @ self.xval)
-        if infeas > FEAS_TOL * (1.0 + float(np.abs(self.b).max(initial=0.0))):
+        if infeas > FEAS_TOL * self.scale_b:
             y1, _ = self._prices(cost1)
-            return LpResult(INFEASIBLE, farkas=np.asarray(y1, dtype=float).copy())
+            return LpResult(INFEASIBLE, farkas=y1)
         # feasible: pin artificials at zero and forget their cost
         self.lb[self.ncols0:] = 0.0
         self.ub[self.ncols0:] = 0.0
@@ -532,19 +542,17 @@ class _Simplex:
             if (yield cost, True) == UNBOUNDED:
                 return LpResult(UNBOUNDED)
             self._refactor()
-            _, d = self._prices(cost)
-            if self._entering(d)[0] is None:
+            y, d = self._prices(cost)
+            if not self._violations(d).max(initial=0.0) > OPT_TOL:
                 break
         else:
             raise SimplexBreakdown("could not hold an optimal basis")
-        y, d = self._prices(cost)
         self._verify(cost, y, d)
         x = self.xval[:n].copy()
         return LpResult(OPTIMAL,
                         objective=float(self.model.c @ x),
                         x=x,
-                        duals=np.asarray(y, dtype=float).copy(),
-                        reduced_costs=np.asarray(d[:n], dtype=float).copy())
+                        duals=y, reduced_costs=d[:n].copy())
 
     def _phases(self):
         """The two-phase method as a coroutine: it yields (cost,
@@ -572,8 +580,8 @@ class _Simplex:
         """A copy of this LP, phase 1 done, to run phase 2 for `model`, an
         LP with the same feasible region: the arrays phase 2 writes to are
         copied, the working matrix, bounds and rhs shared."""
-        twin = copy.copy(self)
-        twin.model = model
+        twin = _Simplex.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__, model=model)
         for name in ("basis", "status", "xval", "Binv"):
             setattr(twin, name, getattr(self, name).copy())
         return twin
@@ -752,12 +760,13 @@ class _Stack:
         dirn = np.where(d[rows, j] < 0, 1.0, -1.0)
         w = (self.binv @ self.af[rows, :, j][:, :, None])[:, :, 0]
         delta = dirn[:, None] * w     # basic values move as xb - t * delta
+        # the ratio test of _iterate, row by row
         bound = np.where(delta > 0.0, self.lbb, self.ubb)
         ratios = np.full(delta.shape, np.inf)
         np.divide(self.xb - bound, delta, out=ratios,
-                  where=(np.abs(delta) > PIVOT_TOL) & np.isfinite(bound))
-        np.maximum(ratios, 0.0, out=ratios)
+                  where=np.abs(delta) > PIVOT_TOL)
         rmin = ratios.min(axis=1, initial=np.inf)
+        rmin[rmin <= 0.0] = 0.0     # degeneracy within tolerance; -0.0 too
         tflip = self.ub[rows, j] - self.lb[rows, j]
         flip = tflip <= rmin
         stuck = None        # rows with no leaving variable

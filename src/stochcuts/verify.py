@@ -15,11 +15,12 @@ import numpy as np
 from .benders import solve_scenario_subproblem, solve_cluster_subproblem, \
     make_pbbenc
 from .drivers import RunConfig, run_benders, run_bdd, run_apblagc, \
-    REASON_TIME_LIMIT
+    _cut_loop, REASON_SATURATED, REASON_TIME_LIMIT
 from .instance_io import builtin, GeneratorConfig, generate_sslp
 from .lp import LpModel, solve_lp, OPTIMAL, EQ
 from .mip import solve_mip, MIP_OPTIMAL
-from .model import BINARY, theta_weights, build_extensive
+from .model import BINARY, KIND_PBBENC, KIND_PBLAGC, theta_weights, \
+    build_extensive
 from .partition import Partition, aggregate, is_refinement, singletons, \
     single_cluster, build_partition_extensive
 
@@ -203,6 +204,42 @@ def check_refinement_monotone(instance, chain, cap=None):
                               detail=detail)
 
 
+def check_single_cluster_exactness(instance, exact):
+    """Saturated aggregated Lagrangian cuts at the single cluster, with no
+    refinement, reach its partition MIP: the bound must lie between that
+    MIP's optimum and the extensive-form optimum, and with `exact` equal
+    the former, each to VALUE_TOL.  The master's per-scenario theta lower
+    bounds can lift the bound above the 1-cluster MIP, which knows only the
+    cluster's averaged recourse, so not every instance is exact."""
+    partition = single_cluster(instance.n_scenarios)
+    one = solve_mip(build_partition_extensive(instance, partition))
+    opt = solve_mip(build_extensive(instance))
+    if one.status != MIP_OPTIMAL or opt.status != MIP_OPTIMAL:
+        return VerificationReport("single-cluster", instance.name,
+                                  INCONCLUSIVE,
+                                  detail="a reference MIP did not solve")
+    config = RunConfig(algorithm="apblagc", saturate=True,
+                       separation_budget=200)
+    trace = _cut_loop(instance, config, "apblagc", partition, KIND_PBBENC,
+                      KIND_PBLAGC, refines=False)
+    z_lb = trace.final_lower_bound
+    witness = (z_lb, one.objective, opt.objective)
+    detail = "exact" if exact else "between"
+    if trace.termination_reason != REASON_SATURATED:
+        return VerificationReport(
+            "single-cluster", instance.name,
+            INCONCLUSIVE if trace.termination_reason == REASON_TIME_LIMIT
+            else FAIL, witness=witness,
+            detail=f"{detail}; stopped {trace.termination_reason}")
+    worst = max(one.objective - z_lb, z_lb - opt.objective)
+    if exact:
+        worst = max(worst, abs(z_lb - one.objective))
+    status = PASS if worst <= VALUE_TOL else FAIL
+    return VerificationReport("single-cluster", instance.name, status,
+                              worst=float(worst), witness=witness,
+                              detail=detail)
+
+
 def hull_min_value(points, values, xhat, tol=1e-6):
     """Least convex-combination objective over the given (point, value)
     pairs whose combination reproduces xhat; None when xhat is outside the
@@ -274,7 +311,21 @@ def run_suite(name, seeds=(0, 1, 2), inject_invalid=False):
                      Partition.make([(0, 1), (2, 3)], generation=1),
                      singletons(4)]
             reports.append(check_refinement_monotone(instance, chain))
+    if name in ("single-cluster", "all"):
+        # exact on thm1, dim1-random-1 and the server-location instances;
+        # the theta lower bounds lift the other three above the 1-cluster
+        # MIP
+        for inst_name in ("thm1", "refinement-example", "dim1-random-0",
+                          "dim1-random-1", "dim1-random-2"):
+            reports.append(check_single_cluster_exactness(
+                builtin(inst_name), inst_name in ("thm1", "dim1-random-1")))
+        for seed in seeds:
+            config = GeneratorConfig(sites=3, clients=4, scenarios=4,
+                                     seed=seed)
+            reports.append(check_single_cluster_exactness(
+                generate_sslp(config), exact=True))
     if not reports:
-        raise ValueError(f"unknown suite {name!r}; choose from "
-                         "all, thm1, dim1, validity, dominance, monotone")
+        raise ValueError(f"unknown suite {name!r}; choose from all, thm1, "
+                         "dim1, validity, dominance, monotone, "
+                         "single-cluster")
     return reports

@@ -272,6 +272,15 @@ def test_verify_cli_thm1(capsys):
     assert ":: 1 checks, 0 failures" in out
 
 
+def test_verify_cli_single_cluster(capsys):
+    # five builtins and one sslp-3-4-4 instance per seed
+    code = main(["verify", "--suite", "single-cluster", "--seeds", "0"])
+    assert code == EXIT_OK
+    out = capsys.readouterr().out
+    assert "PASS  single-cluster  instance=sslp-3-4-4-s0" in out
+    assert ":: 6 checks, 0 failures" in out
+
+
 def test_verify_cli_injected_failure(capsys):
     code = main(["verify", "--suite", "validity", "--seeds", "0",
                  "--inject-invalid-cut"])

@@ -10,10 +10,9 @@ from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
                              INTEGER, KIND_BENDERS, KIND_PBBENC,
                              KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY)
 from stochcuts.mip import solve_mip
-from stochcuts.partition import single_cluster, build_partition_extensive
-from stochcuts.verify import check_cut_validity, PASS
+from stochcuts.verify import check_cut_validity, run_suite, PASS
 from stochcuts.drivers import (ALGORITHMS, RunConfig, RunTrace, run,
-                               run_benders, run_bdd, _cut_loop,
+                               run_benders, run_bdd,
                                run_alg1, run_apblagc, cut_split,
                                write_trace_csv, read_trace_csv,
                                TRACE_FORMAT_TAG, TRACE_COLUMNS,
@@ -136,30 +135,12 @@ def test_single_cluster_separation_is_complete():
     # MIP optimum where that optimum is the bound; the per-scenario theta
     # bounds of the master can lift z_lb above it (refinement-example,
     # dim1-random-0 and -2), never above the MIP optimum
-    config = RunConfig(algorithm="apblagc", saturate=True,
-                       separation_budget=200)
-    exact = ("thm1", "dim1-random-1", "sslp-3-4-4-s0", "sslp-3-4-4-s1",
-             "sslp-3-4-4-s2")
-    instances = [builtin(name) for name in
-                 ("thm1", "refinement-example", "dim1-random-0",
-                  "dim1-random-1", "dim1-random-2")]
-    instances += [generate_sslp(GeneratorConfig(sites=3, clients=4,
-                                                scenarios=4, seed=seed))
-                  for seed in range(3)]
-    equal = 0
-    for inst in instances:
-        partition = single_cluster(inst.n_scenarios)
-        one = solve_mip(build_partition_extensive(inst, partition)).objective
-        optimum = solve_mip(build_extensive(inst)).objective
-        trace = _cut_loop(inst, config, "apblagc", partition, KIND_PBBENC,
-                          KIND_PBLAGC, refines=False)
-        z_lb = trace.final_lower_bound
-        assert trace.termination_reason == REASON_SATURATED, inst.name
-        assert one - 1e-6 <= z_lb <= optimum + 1e-6, inst.name
-        if inst.name in exact:
-            assert z_lb == pytest.approx(one, abs=1e-6), inst.name
-            equal += 1
-    assert equal == len(exact)
+    reports = run_suite("single-cluster")
+    assert [r.status for r in reports] == [PASS] * 8, \
+        [r.format_line() for r in reports]
+    assert [r.instance for r in reports if r.detail == "exact"] == [
+        "thm1", "dim1-random-1", "sslp-3-4-4-s0", "sslp-3-4-4-s1",
+        "sslp-3-4-4-s2"]
 
 
 def test_bdd_budget_exhausted_reason(small_sslp):

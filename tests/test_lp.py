@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stochcuts
 import stochcuts.lp as lp_module
@@ -569,6 +570,25 @@ def test_unit_columns_match_dense_products():
             assert lp._unit_column(j).tobytes() == want.tobytes()
 
 
+def test_contiguous_transpose_solves_columns_exactly():
+    # _iterate solves an entering column as Binv @ AT[j], AT a contiguous
+    # copy of Afull's transpose made once per LP; this rests on a gemv
+    # over the strided column Afull[:, j] giving the bits it gives over the
+    # same numbers laid out contiguously.  Square sizes 3 to 400,
+    # bases as wide as one column and as wide as 2m + 3.
+    rng = np.random.default_rng(29)
+    sizes = {3, 4, 5, 7, 8, 13, 14, 30, 31, 64, 111, 112, 182, 399, 400}
+    sizes |= {int(m) for m in rng.integers(3, 401, size=15)}
+    for m in sorted(sizes):
+        binv = rng.normal(size=(m, m))
+        for width in (1, 3, m, m + 5, 2 * m + 3):
+            afull = rng.normal(size=(m, width))
+            at = np.ascontiguousarray(afull.T)
+            for j in {0, width // 2, width - 1}:
+                assert (binv @ at[j]).tobytes() == \
+                    (binv @ afull[:, j]).tobytes(), (m, width, j)
+
+
 def _unit_against_dense(monkeypatch, seed, trials, degenerate):
     """Every result with the unit-column path forced on (UNIT_MIN 0) is
     byte-equal to the dense path's (UNIT_MIN never reached), over seeded
@@ -816,9 +836,58 @@ def _highs(linprog, model):
     return linprog(model.c, flip[:, None] * model.A[~eq], flip * model.b[~eq],
                    model.A[eq] if eq.any() else None,
                    model.b[eq] if eq.any() else None,
-                   bounds=[(lo, None if np.isinf(hi) else hi)
+                   bounds=[(None if np.isinf(lo) else lo,
+                            None if np.isinf(hi) else hi)
                            for lo, hi in zip(model.lb, model.ub)],
                    method="highs")
+
+
+@st.composite
+def _small_lps(draw):
+    """LPs of at most 6 rows and 6 columns with small integer data: free,
+    lower-bounded, upper-bounded and boxed (or fixed) columns, and rows of
+    all three senses."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+
+    def ints(size, lo=-4, hi=4):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size,
+                                      max_size=size)), dtype=float)
+
+    a, b, c = ints(m * n).reshape(m, n), ints(m), ints(n)
+    senses = draw(st.lists(st.sampled_from((LE, GE, EQ)), min_size=m,
+                           max_size=m))
+    kinds = draw(st.lists(st.sampled_from(("free", "lower", "upper",
+                                           "boxed")), min_size=n, max_size=n))
+    low, width = ints(n, -3, 1), ints(n, 0, 4)
+    lb = np.array([-np.inf if k in ("free", "upper") else v
+                   for k, v in zip(kinds, low)])
+    ub = np.array([np.inf if k in ("free", "lower") else v + w
+                   for k, v, w in zip(kinds, low, width)])
+    return LpModel.make(c, a, senses, b, lb, ub)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_small_lps())
+def test_small_lps_agree_with_highs(model):
+    # HiGHS decides feasibility with a zero objective, then the status and
+    # optimum under c.  Basic columns with an infinite bound on the side
+    # they move toward block nothing in the ratio test; free and one-sided
+    # columns put them there.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = solve_lp(model)
+    feasible = _highs(linprog, LpModel(np.zeros(model.c.size), model.A,
+                                       model.senses, model.b, model.lb,
+                                       model.ub))
+    assert feasible.status in (0, 2), feasible.message
+    if feasible.status == 2:
+        assert res.status == INFEASIBLE
+        check_farkas(model, res)
+        return
+    ref = _highs(linprog, model)
+    assert ref.status in (0, 3), ref.message
+    assert res.status == (OPTIMAL if ref.status == 0 else UNBOUNDED)
+    if res.status == OPTIMAL:
+        assert res.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
 def _count_dual_solves(monkeypatch):

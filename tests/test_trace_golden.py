@@ -20,6 +20,12 @@ Farkas ray bytes), whether it came from solve_lp or solve_lps:
 
 The script imports the package from this checkout's src unless PYTHONPATH
 names another one, so PYTHONPATH=<other checkout>/src digests that one.
+With --against OTHER/src it does both at once: it runs the digest pass
+(with --wide, the wide one) for this checkout's src and for OTHER/src in
+two subprocesses, each with OPENBLAS_NUM_THREADS=1, prints every run whose
+trace or LP digest differs, and exits 1 on any difference:
+
+    python tests/test_trace_golden.py [--wide] --against <other>/src
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
@@ -30,12 +36,15 @@ golden runs only sslp-10-10-20-s0:benders has masters that tall.  The
 wide runs take about a minute.
 """
 
+import argparse
 import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -192,8 +201,48 @@ def _runs(wide):
                RunConfig(algorithm=algorithm, **extra))
 
 
+def _digest_pass(src, wide):
+    """This script's digest pass on the package in `src`, one BLAS thread,
+    started as a subprocess."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    return subprocess.Popen(
+        [sys.executable, __file__] + (["--wide"] if wide else []),
+        env=env, stdout=subprocess.PIPE, text=True)
+
+
+def against(other, wide):
+    """Digest this checkout's src and `other` side by side.  Prints each run
+    whose trace or LP digest differs, or that one side lacks, and returns
+    how many there are."""
+    srcs = (Path(__file__).resolve().parents[1] / "src", Path(other))
+    procs = [_digest_pass(src, wide) for src in srcs]
+    outs = [proc.communicate()[0] for proc in procs]
+    for src, proc in zip(srcs, procs):
+        if proc.returncode:
+            sys.exit(f"digest pass on {src} exited {proc.returncode}")
+    mine, theirs = ({line.split()[0]: line.split()[1:]
+                     for line in out.splitlines()} for out in outs)
+    keys = sorted(mine.keys() | theirs.keys())
+    differ = [key for key in keys
+              if mine.get(key, [])[:2] != theirs.get(key, [])[:2]]
+    for key in differ:
+        print(key)
+        for side, lines in (("this ", mine), ("other", theirs)):
+            print(f"  {side} {' '.join(lines.get(key, ['missing']))}")
+    print(f"{len(keys)} runs, {len(differ)} differ")
+    return len(differ)
+
+
 if __name__ == "__main__":
-    for key, instance, config in _runs("--wide" in sys.argv[1:]):
+    parser = argparse.ArgumentParser(description="Digest the golden runs.")
+    parser.add_argument("--wide", action="store_true",
+                        help="digest the runs in WIDE instead")
+    parser.add_argument("--against", metavar="OTHER/src",
+                        help="compare with the package in OTHER/src")
+    args = parser.parse_args()
+    if args.against:
+        sys.exit(1 if against(args.against, args.wide) else 0)
+    for key, instance, config in _runs(args.wide):
         with lp_sha256() as lps:
             trace = run(instance, config)
         print(key, trace_sha256(trace), lps.hexdigest(), len(trace.events),
