@@ -19,7 +19,7 @@ from .drivers import (ALGORITHMS, RunConfig, run, write_trace_csv,
 from .instance_io import (GeneratorConfig, generate_sslp, builtin, load, emit,
                           FormatError)
 from .model import InfeasibleError
-from .verify import run_suite, FAIL
+from .verify import run_suite, FAIL, SUITES
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -387,9 +387,7 @@ def build_parser():
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("verify", help="run independent correctness checks")
-    p.add_argument("--suite", default="all",
-                   choices=("all", "thm1", "dim1", "validity", "dominance",
-                            "monotone", "single-cluster"))
+    p.add_argument("--suite", default="all", choices=SUITES)
     p.add_argument("--seeds", default="0,1,2",
                    help="comma-separated generator seeds")
     p.add_argument("--inject-invalid-cut", action="store_true",

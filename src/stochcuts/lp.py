@@ -61,37 +61,57 @@ lockstep: each takes exactly the pivots solve_lp would take, and each
 result is bitwise solve_lp's, by the unit-column argument below (_Stack).
 Lockstep saves numpy call overhead, not flops, so it pays only for
 batches of STACK_MIN or more LPs of three rows or more; other batches go
-one LP at a time.  STACK_MIN is measured:
-on the 340 recourse LPs of a benders solve of sslp-10-10-20 (20 rows,
-one BLAS thread) the stack took 2.93, 1.89, 1.20, 0.86 and 0.60 times the
-one-at-a-time CPU time at batch sizes 1, 2, 4, 8 and 20.
+one LP at a time.  STACK_MIN is measured against the lean _iterate (see
+the cost model), one BLAS thread, as the stack's CPU time over the
+one-at-a-time time, median of alternating repeats, the LPs cut into
+batches of K:
+
+    K                                             4     6     8     12    20
+    360 recourse LPs of benders, sslp-10-10-20,
+      20 rows (11 repeats)                        1.43  1.23  0.90  0.80  0.68
+    108 recourse LPs of apblagc b6, sslp-6-8-8,
+      14 rows (21 repeats)                        1.44  1.16  1.00  0.79  0.66
 
 Unit columns.  Every slack and artificial column is a signed unit vector,
 and Binv's column for a row covered by its own basic slack or artificial
 stays a unit vector; with at most n structural columns basic, a row of
-Binv has at most n + 1 nonzeros.  From UNIT_MIN rows on, _iterate stops
-doing dense arithmetic on these columns: it prices the structural block
-with one gemv, padded to a multiple of four columns, and each unit column
-as cost - sign * y[row] (pinned artificials, sign 0, not at all); it
-solves an entering unit column as sign * Binv[:, row] + 0.0; and it
-applies the rank-1 update only to the columns where the pivot row is
-nonzero.  Every LP also starts from the exact inverse of its diagonal +-1
-starting basis.  Each number that reaches a decision or a result is still
-the dense path's, by two properties of the BLAS that tests/test_lp.py
-checks:
+Binv has at most n + 1 nonzeros.  From UNIT_MIN rows on, _iterate prices
+the structural block with one gemv, padded to a multiple of four columns,
+and each unit column as cost - sign * y[row], and it applies the rank-1
+update only to the columns where the pivot row is nonzero.  Every LP also
+starts from the exact inverse of its diagonal +-1 starting basis.  Each
+number that reaches a decision or a result is still the dense path's, by
+two properties of the BLAS that tests/test_lp.py checks:
   - a (1, m) @ (m, c) product computes its columns in blocks of four and
     a column's bits depend only on whether a block or the tail loop over
     the last c % 4 computed it.  With three rows or more, every structural
     column is in the body of any product n + 3 or more columns wide, as
     the full one and a stack's are, and of the padded structural one;
   - an output whose only nonzero term is t comes out as t exactly, and an
-    all-zero sum as +0.0.  So a unit column's product is sign * y[row] or
-    sign * Binv[i, row], and the + 0.0 gives the product's +0.0 for a
-    zero; and the zeros whose sign the restricted update leaves different
-    from the dense one never change a product.
-UNIT_MIN is measured: CPU time of the unit path over the dense one on
-benders masters of sslp-10-10-20 (30 structural columns) cut to their
-first k rows, one BLAS thread, median of 9 alternating solves:
+    all-zero sum as +0.0.  So a unit column's price is cost - sign *
+    y[row], and the zeros whose sign the restricted update leaves
+    different from the dense one never change a product.
+The path's traffic is alg1: its partition MIPs' LPs are wide (360 x 1810
+and 400 x 2010 on sslp-10-10-20), and no other driver sends an LP of
+UNIT_MIN rows or more down the primal path, since the Benders masters
+UNIT_MIN was measured on are now dualized (DUAL_MIN).  On sslp-10-10-20,
+alg1's 62 such node LPs take 124 runs of pivots and 46.4 of its 50.5 s of
+CPU.  Replaying every third of them (21), one BLAS thread, in alternating
+pairs with byte-equal results, each part pays, in median CPU seconds:
+with the unit path off they took 21.5 against 15.9 (3 pairs), with the
+dense rank-1 update 20.0 against 15.5 (3 pairs) and with dense pricing
+16.8 against 14.8 (6 pairs, slower in all 6).  Solving an entering unit
+column apart, pricing only the first n + m columns in phase 2 and keeping
+only the structural rows of the transposed matrix did not pay there
+(15.59 with them, 15.56 without, 8 pairs), and are gone: every entering
+column is Binv @ AT[j], and pinned artificials are priced but, with sign
+0, never enter.  On tall LPs forced to the primal path that costs about
+6 %: the 13 masters of a benders solve of sslp-10-10-50 (up to 386 rows,
+DUAL_MIN out of reach) took 4.22 against 3.99 s, slower in 6 of 6 pairs;
+no driver sends such an LP there.  UNIT_MIN was measured, on benders
+masters of sslp-10-10-20 (30 structural columns) cut to their first k
+rows, which DUAL_MIN now dualizes, as the CPU time of the unit path over
+the dense one, one BLAS thread, median of 9 alternating solves:
 
     rows   40    60    80    96    104   112   120   144   160   182
     ratio  1.23  1.12  1.08  1.03  0.97  0.94  0.92  0.87  0.83  0.70
@@ -339,46 +359,36 @@ class _Simplex:
         """How far each column of d violates optimality: sign * d, and |d|
         for a free column.  A column enters only where this exceeds
         OPT_TOL."""
-        viol = self.sign[:d.size] * d
+        viol = self.sign * d
         if self.free.size:
             viol[self.free] = np.abs(d[self.free])
         return viol
 
-    def _unit_prices(self, cost, cb, ncols):
-        """cost - (cb @ Binv) @ Afull over the first ncols columns, with
-        the slack and artificial columns priced as the unit vectors they
-        are: one gemv over the structural block, whose padding to a
-        multiple of four keeps every structural column in the body of the
-        product, as it is in the full one; then cost - sign * y[row].  Each
-        number is the full product's (see the module docstring)."""
+    def _unit_prices(self, cost, cb):
+        """cost - (cb @ Binv) @ Afull, with the slack and artificial columns
+        priced as the unit vectors they are: one gemv over the structural
+        block, whose padding to a multiple of four keeps every structural
+        column in the body of the product, as it is in the full one; then
+        cost - sign * y[row].  Each number is the full product's (see the
+        module docstring)."""
         n, m = self.n, self.m
         if self.astruct is None:
             self.astruct = np.zeros((m, -(-n // 4) * 4))
             self.astruct[:, :n] = self.Afull[:, :n]
         y = cb @ self.Binv
-        d = np.empty(ncols)
+        d = np.empty(cost.size)
         d[:n] = cost[:n] - (y @ self.astruct)[:n]
         d[n:n + m] = cost[n:n + m] - y
-        if ncols > self.ncols0:
-            d[self.ncols0:] = (cost[self.ncols0:]
-                               - self.art_sign * y[self.art_rows])
+        d[n + m:] = cost[n + m:] - self.art_sign * y[self.art_rows]
         return d
-
-    def _unit_column(self, j):
-        """Binv @ Afull[:, j] for a slack or artificial column j: the sign
-        times Binv's column for its row, plus 0.0, which turns a -0.0 into
-        the +0.0 that the product's all-zero sums return."""
-        if j < self.ncols0:
-            return self.Binv[:, j - self.n] + 0.0
-        k = j - self.ncols0
-        return self.art_sign[k] * self.Binv[:, self.art_rows[k]] + 0.0
 
     def _iterate(self, cost, allow_unbounded):
         """Pivot to optimality under `cost`; returns OPTIMAL or UNBOUNDED.
         The basic variables' values, bounds and costs are kept per basis
         slot (xb, lbb, ubb, cb) and written back to xval on return.  From
-        UNIT_MIN rows on, the slack and artificial columns are priced,
-        solved and updated as unit vectors.  The loop keeps numpy calls
+        UNIT_MIN rows on, the slack and artificial columns are priced as
+        unit vectors and the rank-1 update skips the columns where the
+        pivot row is zero.  The loop keeps numpy calls
         few (see the cost model in the module docstring): bounds and costs,
         which no pivot changes, are read from lists, and AT[j], a row of a
         contiguous copy of Afull's transpose, gives Binv @ Afull[:, j]'s
@@ -388,19 +398,13 @@ class _Simplex:
         status, sign = self.status, self.sign
         xb, lbb, ubb, cb = xval[bi], lb[bi], ub[bi], cost[bi]
         lo, hi, cost_at = lb.tolist(), ub.tolist(), cost.tolist()
-        m, n = self.m, self.n
+        m = self.m
         unit = m >= UNIT_MIN
-        ncols = xval.size
-        if not ncols:
+        if not xval.size:
             return OPTIMAL
-        # the unit path skips pinned artificials (phase 2): sign 0, they
-        # never enter
-        if unit and (lb[self.ncols0:] == ub[self.ncols0:]).all():
-            ncols = self.ncols0
-        Afull, Binv = self.Afull, self.Binv
-        if self.AT is None:     # its structural rows on the unit path
-            self.AT = np.ascontiguousarray((Afull[:, :n] if unit else Afull).T)
-        AT = self.AT
+        if self.AT is None:
+            self.AT = np.ascontiguousarray(self.Afull.T)
+        Afull, Binv, AT = self.Afull, self.Binv, self.AT
         ratios = np.empty(m)
         refactor_every = self.refactor_every
         bland = False
@@ -417,7 +421,7 @@ class _Simplex:
             # d is not zeroed at the basic columns: their sign is 0 and they
             # are never free, so no decision reads it there
             if unit:
-                d = self._unit_prices(cost, cb, ncols)
+                d = self._unit_prices(cost, cb)
             else:
                 d = cost - (cb @ Binv) @ Afull
             viol = self._violations(d)
@@ -432,7 +436,7 @@ class _Simplex:
             st_j = status.item(j)
             dirn = (1.0 if st_j == _AT_LB or (st_j == _FREE and d.item(j) < 0)
                     else -1.0)
-            w = self._unit_column(j) if unit and j >= n else Binv @ AT[j]
+            w = Binv @ AT[j]
             # basic values move as xb - t * delta; the bound on delta's side
             # gives +inf where it is infinite, so no mask needs it
             delta = w if dirn > 0 else -w
@@ -888,11 +892,8 @@ def _solve_dual(model):
                                    np.full(boxed.size, np.inf)]))
     if not np.isfinite(dual.c).all():    # b - A lb or u overflowed
         return None
-    try:
-        try:
-            res = _Simplex(dual).solve()
-        except SimplexBreakdown:
-            res = _Simplex(dual, RETRY_REFACTOR_EVERY).solve()
+    try:     # the dual has fewer rows than columns: solve_lp never dualizes it
+        res = solve_lp(dual)
     except SimplexBreakdown:
         return None
     if res.status != OPTIMAL:

@@ -278,8 +278,15 @@ def _validity_pool(seed, inject_invalid=False):
     return instance, cuts
 
 
+SUITES = ("all", "thm1", "dim1", "validity", "dominance", "monotone",
+          "single-cluster")
+
+
 def run_suite(name, seeds=(0, 1, 2), inject_invalid=False):
     """Assemble and run one named suite of checks; returns reports."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from "
+                         f"{', '.join(SUITES)}")
     reports = []
     if name in ("thm1", "all"):
         reports.append(check_thm1_strictness())
@@ -324,8 +331,4 @@ def run_suite(name, seeds=(0, 1, 2), inject_invalid=False):
                                      seed=seed)
             reports.append(check_single_cluster_exactness(
                 generate_sslp(config), exact=True))
-    if not reports:
-        raise ValueError(f"unknown suite {name!r}; choose from all, thm1, "
-                         "dim1, validity, dominance, monotone, "
-                         "single-cluster")
     return reports

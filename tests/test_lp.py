@@ -542,10 +542,10 @@ def test_unit_terms_sum_exactly():
 
 
 def test_unit_columns_match_dense_products():
-    # _unit_prices and _unit_column against the dense products they
-    # replace, on basis inverses full of zeros of either sign, as eta
-    # updates leave them.  Real-valued data make the body and tail of a
-    # product differ (see test_stacked_prices_are_each_lps_own).
+    # _unit_prices against the dense pricing product it replaces, at full
+    # width in both phases, on basis inverses full of zeros of either sign,
+    # as eta updates leave them.  Real-valued data make the body and tail
+    # of a product differ (see test_stacked_prices_are_each_lps_own).
     rng = np.random.default_rng(17)
     for _ in range(80):
         m, n = int(rng.integers(3, 40)), int(rng.integers(1, 14))
@@ -561,13 +561,9 @@ def test_unit_columns_match_dense_products():
         phase1[lp.ncols0:] = 1.0
         phase2 = np.zeros(width)
         phase2[:n] = model.c
-        for cost, ncols in ((phase1, width), (phase2, lp.ncols0)):
+        for cost in (phase1, phase2):
             dense = cost - (cb @ lp.Binv) @ lp.Afull
-            got = lp._unit_prices(cost, cb, ncols)
-            assert got.tobytes() == dense[:ncols].tobytes()
-        for j in range(n, width):
-            want = lp.Binv @ lp.Afull[:, j]
-            assert lp._unit_column(j).tobytes() == want.tobytes()
+            assert lp._unit_prices(cost, cb).tobytes() == dense.tobytes()
 
 
 def test_contiguous_transpose_solves_columns_exactly():
@@ -657,8 +653,9 @@ print(len(masters), max(model.A.shape[0] for model in masters))
 
 
 def test_unit_path_matches_dense_path_on_masters():
-    # the 17 masters of a benders solve of sslp-10-10-20 (up to 182 rows,
-    # most of them over UNIT_MIN), solved both ways with one BLAS thread
+    # the 17 masters of a benders solve of sslp-10-10-20 (up to 182 rows;
+    # the 11 over DUAL_MIN go through their 30-row duals), solved both ways
+    # with one BLAS thread
     path = [str(Path(stochcuts.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -667,6 +664,50 @@ def test_unit_path_matches_dense_path_on_masters():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["17", "182"]
+
+
+_UNIT_ON_WIDE_LPS = """
+import stochcuts.lp as L
+import stochcuts.mip as mip
+from stochcuts import build_extensive, generate_sslp, GeneratorConfig
+model = build_extensive(generate_sslp(
+    GeneratorConfig(sites=6, clients=8, scenarios=8, seed=0)))
+def key(r):
+    return (r.status, repr(r.objective),
+            *(None if a is None else a.tobytes()
+              for a in (r.x, r.duals, r.reduced_costs, r.farkas)))
+solve = mip.solve_lp
+def node_lps(unit_min):
+    L.UNIT_MIN = unit_min
+    keys = []
+    def recorded(lp, starts=None):
+        res = solve(lp, starts)
+        keys.append(key(res))
+        return res
+    mip.solve_lp = recorded
+    assert mip.solve_mip(model).nodes == len(keys)
+    return keys
+m, n = model.lp.A.shape
+unit_min = L.UNIT_MIN
+unit = node_lps(unit_min)
+assert unit == node_lps(10 ** 9)
+print(m >= unit_min, n > m, len(unit))
+"""
+
+
+def test_unit_path_matches_dense_path_on_wide_lps():
+    # The extensive MIP of sslp-6-8-8 seed 0, 112 x 390: wide LPs of at
+    # least UNIT_MIN rows, as alg1's partition MIPs solve them, every node
+    # LP byte-equal with the unit path at its real threshold and out of
+    # reach, one BLAS thread
+    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run([sys.executable, "-c", _UNIT_ON_WIDE_LPS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "True", "39"]
 
 
 def test_solve_lps_needs_one_row_count():

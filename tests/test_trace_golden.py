@@ -29,11 +29,12 @@ trace or LP digest differs, and exits 1 on any difference:
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
-(bench/run.py --seed 0).  Their masters grow past lp.UNIT_MIN rows, and
-the benders and bdd masters past lp.DUAL_MIN, from which they are solved
-through their duals; the apblagc and alg1 masters stay below it.  Of the
-golden runs only sslp-10-10-20-s0:benders has masters that tall.  The
-wide runs take about a minute.
+(bench/run.py --seed 0).  The benders and bdd masters there grow past
+lp.DUAL_MIN rows, from which they are solved through their duals; the
+apblagc masters stay below it.  The alg1 run is the one whose LPs take the
+unit-column path (lp.UNIT_MIN): its partition MIPs' LPs are up to 400 x
+2010.  Of the golden runs only sslp-10-10-20-s0:benders has masters past
+lp.DUAL_MIN.  The wide runs take about a minute.
 """
 
 import argparse
