@@ -28,12 +28,13 @@ class MasterInfeasibleError(InfeasibleError, RuntimeError):
 def _solve_recourse(instance, targets, systems, xhat):
     """The LpResult of each target's recourse LP on its system's technology
     and rhs, all solved by one solve_lps call: fixed recourse makes every
-    subproblem the same LP but for its rhs.  An infeasible one carries its
+    subproblem the same LP but for its rhs, so one checked model serves
+    them all and each checks only its rhs.  An infeasible one carries its
     Farkas ray."""
+    recourse = LpModel.make(instance.second_stage_cost, instance.recourse,
+                            (GE,) * instance.m2)
     results = solve_lps([
-        LpModel.make(instance.second_stage_cost, instance.recourse,
-                     (GE,) * instance.m2,
-                     system.rhs - system.technology @ xhat)
+        recourse.with_rhs(system.rhs - system.technology @ xhat)
         for system in systems])
     for target, res in zip(targets, results):
         if res.status == LP_UNBOUNDED:

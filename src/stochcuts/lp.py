@@ -61,16 +61,53 @@ lockstep: each takes exactly the pivots solve_lp would take, and each
 result is bitwise solve_lp's, by the unit-column argument below (_Stack).
 Lockstep saves numpy call overhead, not flops, so it pays only for
 batches of STACK_MIN or more LPs of three rows or more; other batches go
-one LP at a time.  STACK_MIN is measured against the lean _iterate (see
-the cost model), one BLAS thread, as the stack's CPU time over the
-one-at-a-time time, median of alternating repeats, the LPs cut into
-batches of K:
+one LP at a time.
 
-    K                                             4     6     8     12    20
-    360 recourse LPs of benders, sslp-10-10-20,
-      20 rows (11 repeats)                        1.43  1.23  0.90  0.80  0.68
-    108 recourse LPs of apblagc b6, sslp-6-8-8,
-      14 rows (21 repeats)                        1.44  1.16  1.00  0.79  0.66
+A stacked LP's fixed cost is kept to what differs between LPs.  A
+recourse round makes one checked model and one with_rhs child per
+subproblem, which checks only its rhs; children of one model share its
+[A | I] and its _start (the bounds of every working column, the start
+statuses and the structural columns' start values), copied into each
+LP's own arrays.  A step addresses every row's entries by flat position,
+keeps its ratio buffer and row offsets, reads a free column off its
+status and reads the stall counters only when one could have reached
+STALL_LIMIT.  Between runs of pivots the stack writes back the basis and
+the nonbasic state (the LP refactorizes next, so no Binv is copied) and
+loads only what _phases moved: the costs and the artificials' bounds,
+pinned at zero, when phase 2 begins, then the refactorized Binv and the
+basic values.  On the 360 recourse LPs of a benders sslp-10-10-20 solve,
+the previous stack and this one in one interpreter, alternating batch by
+batch over 14 solves, one BLAS thread (a shared 2-vCPU Xeon VM, OpenBLAS
+0.3.31), median wall time in us (it moves by a quarter with the load of
+the VM, the ratios less):
+
+    a step of 20 LPs                         189 -> 162
+    a step of 1 LP                           126 ->  99
+    a phase change, refactorization in       111 -> 100
+    the stack start, per LP                   90 ->  76
+    building an LP's _Simplex                 32 ->  15
+    building its model (make -> with_rhs)     31 ->   9
+
+The three batched products and the rank-1 update are about 43 us of a
+20-LP step (microbenchmark); the rest is call overhead.  A refactorization
+is about 55 us, np.linalg.inv's wrapper included.  STACK_MIN is measured
+as the stack's CPU time over the one-at-a-time time, one BLAS thread,
+median of 21 (benders) and 41 (apblagc) alternating repeats, the LPs cut
+into batches of K; the previous stack in brackets:
+
+    K                                4            6            8
+    360 recourse LPs of benders,
+      sslp-10-10-20, 20 rows         1.28 (1.46)  1.00 (1.12)  0.90 (1.00)
+    108 recourse LPs of apblagc b6,
+      sslp-6-8-8, 14 rows            1.17 (1.48)  0.95 (1.19)  0.80 (0.97)
+
+    K                                12           20
+    benders                          0.75 (0.81)  0.63 (0.67)
+    apblagc                          0.67 (0.78)  0.55 (0.63)
+
+The stack breaks even at 6 LPs and loses at 4, so STACK_MIN stays 8: no
+workload sends batches of 6 or 7, and apblagc's 4-cluster rounds would
+slow.
 
 Unit columns.  Every slack and artificial column is a signed unit vector,
 and Binv's column for a row covered by its own basic slack or artificial
@@ -186,9 +223,9 @@ class SimplexBreakdown(RuntimeError):
 
 @dataclass
 class LpModel:
-    """An LP as solve_lp takes it.  make() and with_bounds() check what
-    they build and set `checked`; solve_lp checks a model built any other
-    way."""
+    """An LP as solve_lp takes it.  make(), with_bounds() and with_rhs()
+    check what they build and set `checked`; solve_lp checks a model built
+    any other way."""
     c: np.ndarray
     A: np.ndarray
     senses: tuple
@@ -218,16 +255,22 @@ class LpModel:
         m, n = self.A.shape
         if self.c.size != n:
             raise ValueError("objective length does not match column count")
-        if self.b.size != m or len(self.senses) != m:
+        if len(self.senses) != m:
             raise ValueError("rhs/sense length does not match row count")
-        for name, values in (("objective", self.c), ("matrix", self.A),
-                             ("rhs", self.b)):
+        for name, values in (("objective", self.c), ("matrix", self.A)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} has a non-finite entry")
+        self._check_rhs()
         self._check_bounds()
         if not _SENSES.issuperset(self.senses):
             bad = next(s for s in self.senses if s not in _SENSES)
             raise ValueError(f"unknown row sense {bad!r}")
+
+    def _check_rhs(self):
+        if self.b.size != self.A.shape[0]:
+            raise ValueError("rhs/sense length does not match row count")
+        if not np.isfinite(self.b).all():
+            raise ValueError("rhs has a non-finite entry")
 
     def _check_bounds(self):
         if self.lb.size != self.c.size or self.ub.size != self.c.size:
@@ -248,6 +291,16 @@ class LpModel:
             model._check_bounds()
         return model
 
+    def with_rhs(self, b):
+        """This LP with a new rhs, as a recourse subproblem takes it under
+        fixed recourse: only b is new, so a checked model's child checks
+        only b, and an unchecked model's child is left to solve_lp."""
+        model = LpModel(self.c, self.A, self.senses, np.asarray(b, float),
+                        self.lb, self.ub, checked=self.checked)
+        if model.checked:
+            model._check_rhs()
+        return model
+
 
 @dataclass
 class LpResult:
@@ -259,31 +312,49 @@ class LpResult:
     farkas: np.ndarray = None          # row multipliers proving infeasibility
 
 
+def _start(model):
+    """What an LP's start takes from its senses and bounds alone: the
+    bounds of every working column, the start statuses, and the values of
+    the structural columns (at a finite bound, or 0 when free)."""
+    lb, ub, rows = model.lb, model.ub, model.senses
+    fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
+    status = np.where(fin_lb, _AT_LB, np.where(fin_ub, _AT_UB, _FREE))
+    return (np.concatenate([lb, [-np.inf if s == GE else 0.0 for s in rows]]),
+            np.concatenate([ub, [np.inf if s == LE else 0.0 for s in rows]]),
+            np.concatenate([status, [_BASIC] * len(rows)]).astype(np.int8),
+            np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0)))
+
+
+def _signs(status, lb, ub):
+    """The pricing sign of each column, from its status and bounds: -1 at a
+    lower bound, +1 at an upper bound, 0 when basic, free or fixed."""
+    sign = np.zeros(status.shape)
+    sign[status == _AT_LB] = -1.0
+    sign[status == _AT_UB] = 1.0
+    sign[lb == ub] = 0.0
+    return sign
+
+
 class _Simplex:
-    def __init__(self, model, refactor_every=REFACTOR_EVERY, afull=None):
+    def __init__(self, model, refactor_every=None, afull=None, start=None):
         """afull: the working matrix [A | I], when the caller already has
-        it for an LP on A; never written to.  The caller checks the model."""
+        it for an LP on A; start: _start of a model with these senses and
+        bounds.  Both are shared, never written to.  refactor_every, the
+        cadence of refactorizations, defaults to REFACTOR_EVERY as it is
+        when the LP is built, and a stack row keeps its LP's.  The caller
+        checks the model."""
         self.model = model
-        self.refactor_every = refactor_every
+        self.refactor_every = refactor_every or REFACTOR_EVERY
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
         self.m, self.n = m, n
         self.Afull = np.hstack([A, np.eye(m)]) if afull is None else afull
-        self.lb = np.concatenate(
-            [model.lb, [-np.inf if s == GE else 0.0 for s in model.senses]])
-        self.ub = np.concatenate(
-            [model.ub, [np.inf if s == LE else 0.0 for s in model.senses]])
+        self.lb, self.ub, self.status, x0 = (
+            _start(model) if start is None else [a.copy() for a in start])
         self.b = np.asarray(model.b, dtype=float).copy()
         self.scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.ncols0 = n + m
-        lb, ub = self.lb[:n], self.ub[:n]
-        fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
-        self.status = np.full(n + m, _BASIC, dtype=np.int8)
-        self.status[:n] = np.where(fin_lb, _AT_LB,
-                                   np.where(fin_ub, _AT_UB, _FREE))
-        self.xval = np.zeros(n + m)
-        self.xval[:n] = np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0))
-        self.xval[n:] = self.b - A @ self.xval[:n]
+        self.xval = np.concatenate([x0, self.b - A @ x0])
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
         self.n_art = 0
@@ -322,9 +393,9 @@ class _Simplex:
         self.xval[n + bad] = snap
         self.status[n + bad] = np.where(snap == lo_bad, _AT_LB, _AT_UB)
         self.art_rows, self.art_sign = bad, np.where(rho > 0, 1.0, -1.0)
-        ext = np.zeros((m, k))
-        ext[bad, np.arange(k)] = self.art_sign
-        self.basis[bad] = self.ncols0 + np.arange(k)
+        ext, arts = np.zeros((m, k)), np.arange(k)
+        ext[bad, arts] = self.art_sign
+        self.basis[bad] = self.ncols0 + arts
         self.Afull = np.concatenate([self.Afull, ext], axis=1)
         self.lb = np.concatenate([self.lb, np.zeros(k)])
         self.ub = np.concatenate([self.ub, np.full(k, np.inf)])
@@ -333,21 +404,16 @@ class _Simplex:
         self.xval = np.concatenate([self.xval, np.abs(rho)])
         self.n_art = k
         # basis slot i holds row i's slack or artificial: B is diagonal +-1
-        # and is its own inverse
-        self.Binv = np.diag(self.Afull[np.arange(m), self.basis])
+        # and is its own inverse, the identity but at the artificials' rows
+        self.Binv[bad, bad] = self.art_sign
         self._basic_values()
         return True
 
     def _price_by_status(self):
-        """Rebuild the pricing sign from the statuses and bounds: -1 at a
-        lower bound, +1 at an upper bound, 0 when basic, free or fixed.
+        """Rebuild the pricing signs (_signs) from the statuses and bounds.
         Free nonbasic columns are priced by |d| and listed apart."""
-        st = self.status
-        self.sign = np.zeros(st.size)
-        self.sign[st == _AT_LB] = -1.0
-        self.sign[st == _AT_UB] = 1.0
-        self.sign[self.lb == self.ub] = 0.0
-        self.free = (st == _FREE).nonzero()[0]
+        self.sign = _signs(self.status, self.lb, self.ub)
+        self.free = (self.status == _FREE).nonzero()[0]
 
     def _prices(self, cost):
         y = cost[self.basis] @ self.Binv
@@ -608,8 +674,8 @@ class _Stack:
     the LP's own bits (test_stacked_prices_are_each_lps_own checks this)."""
 
     # per-row arrays and lists, cut down together when LPs leave
-    _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "free",
-               "binv", "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
+    _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "binv",
+               "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
     _LISTS = ("lps", "phases", "ids", "it", "max_iter", "allow")
 
     def __init__(self, lps):
@@ -622,56 +688,57 @@ class _Stack:
         widths = [lp.Afull.shape[1] for lp in lps]
         shape = (k, max(widths))
         self.af = np.zeros((k, m, shape[1]))
-        for i, (lp, w) in enumerate(zip(lps, widths)):
-            self.af[i, :, :w] = lp.Afull
-        self.xval, self.lb, self.ub, self.cost, self.sign = (
-            np.zeros(shape) for _ in range(5))
+        self.xval, self.lb, self.ub, self.cost = (
+            np.zeros(shape) for _ in range(4))
         self.status = np.full(shape, _AT_LB, dtype=np.int8)
-        self.free = np.zeros(shape, dtype=bool)
-        self.binv = np.zeros((k, m, m))
-        self.basis = np.zeros((k, m), dtype=np.intp)
-        self.xb, self.lbb, self.ubb, self.cb = (np.zeros((k, m))
-                                                for _ in range(4))
-        self.stall = np.zeros(k, dtype=np.int64)
-        self.bland = np.zeros(k, dtype=bool)
-        self.it, self.allow = [0] * k, [False] * k
+        for i, (lp, w, (cost, _)) in enumerate(zip(lps, widths, runs)):
+            self.af[i, :, :w], self.cost[i, :w] = lp.Afull, cost
+            for name in ("xval", "lb", "ub", "status"):
+                getattr(self, name)[i, :w] = getattr(lp, name)
+        self.sign = _signs(self.status, self.lb, self.ub)
+        self.binv = np.array([lp.Binv for lp in lps])
+        self.basis = np.array([lp.basis for lp in lps])
+        self.xb, self.lbb, self.ubb, self.cb = (
+            np.take_along_axis(a, self.basis, 1)
+            for a in (self.xval, self.lb, self.ub, self.cost))
+        self.stall, self.bland = np.zeros(k, np.int64), np.zeros(k, bool)
+        self.any_bland, self.peak = False, 0    # peak >= every stall
+        self.any_free = bool((self.status == _FREE).any())
+        self.it, self.allow = [0] * k, [allow for _, allow in runs]
         self.max_iter = [max(50000, 500 * w) for w in widths]
-        for i, run in enumerate(runs):
-            self._load(i, *run)
+        # by position, cut to the running rows at each step: row k, the
+        # flat positions of its first column and basis slot, ratio buffer
+        self.rows = np.arange(k)
+        self.col0, self.slot0 = self.rows * shape[1], self.rows * m
+        self.ratios = np.empty((k, m))
 
     def _load(self, k, cost, allow_unbounded):
-        """Start LP k's next run of pivots from its _Simplex state."""
+        """Start LP k's next run of pivots.  Between two runs _phases moves
+        only the costs and the artificials' bounds, pinned at zero, when
+        phase 2 begins (allow_unbounded turns True), then refactorizes; the
+        rest of row k is the LP's state already."""
         lp = self.lps[k]
-        lp._price_by_status()
-        bi, w = lp.basis, lp.xval.size
-        self.xval[k, :w] = lp.xval
-        self.lb[k, :w] = lp.lb
-        self.ub[k, :w] = lp.ub
-        self.cost[k, :w] = cost
-        self.sign[k, :w] = lp.sign
-        self.status[k, :w] = lp.status
-        self.free[k] = False
-        self.free[k, lp.free] = True
-        self.binv[k] = lp.Binv
-        self.basis[k] = bi
-        self.xb[k], self.lbb[k], self.ubb[k], self.cb[k] = (
-            lp.xval[bi], lp.lb[bi], lp.ub[bi], cost[bi])
-        self.stall[k] = 0
-        self.bland[k] = False
-        self.it[k] = 0
-        self.allow[k] = allow_unbounded
+        bi = lp.basis
+        if allow_unbounded and not self.allow[k]:
+            w, n0 = lp.xval.size, lp.ncols0
+            self.cost[k, :w] = cost
+            self.ub[k, n0:w] = self.sign[k, n0:w] = 0.0
+            self.ubb[k], self.cb[k] = lp.ub[bi], cost[bi]
+            self.allow[k] = True
+        self.binv[k], self.xb[k] = lp.Binv, lp.xval[bi]
+        self.stall[k], self.bland[k], self.it[k] = 0, False, 0
 
     def _store(self, k):
-        """Write LP k's row back into its _Simplex."""
+        """Write LP k's basis and nonbasic state back into its _Simplex,
+        which refactorizes next, or ends unbounded and reads neither its
+        basis inverse nor its basic values."""
         lp = self.lps[k]
         w = lp.xval.size
         lp.basis[:] = self.basis[k]
         lp.xval[:] = self.xval[k, :w]
-        lp.xval[lp.basis] = self.xb[k]
         lp.status[:] = self.status[k, :w]
-        lp.sign[:] = self.sign[k, :w]
-        lp.free = np.flatnonzero(self.free[k, :w])
-        lp.Binv = self.binv[k].copy()
+        lp.sign = self.sign[k, :w].copy()
+        lp.free = (lp.status == _FREE).nonzero()[0]
 
     def _refactor(self, k):
         self._store(k)
@@ -719,14 +786,16 @@ class _Stack:
                                          0.0)
 
     def run(self):
-        """Results in input order; None where an LP broke down."""
+        """Results in input order; None where an LP broke down.  Each row
+        refactorizes at its own LP's cadence."""
         while self.lps:
             self.it = [i + 1 for i in self.it]
             gone = []
-            for k, (i, most) in enumerate(zip(self.it, self.max_iter)):
+            for k, (i, most, lp) in enumerate(zip(self.it, self.max_iter,
+                                                  self.lps)):
                 if i > most:
                     gone.append(k)
-                elif i % REFACTOR_EVERY == 0:
+                elif i % lp.refactor_every == 0:
                     try:
                         self._refactor(k)
                     except SimplexBreakdown:
@@ -747,90 +816,99 @@ class _Stack:
         (no entering column, or no leaving one) take part in the array work
         but are masked out of every update.  d is not zeroed at the basic
         columns: their sign is 0 and they are never free, so no decision
-        reads it there."""
-        rows = np.arange(len(self.lps))
+        reads it there.  Entries of a row are addressed by flat position,
+        which numpy indexes faster than (row, column)."""
+        size = len(self.lps)
+        rows, col0 = self.rows[:size], self.col0[:size]
+        ratios = self.ratios[:size]
         d = self._reduced_costs()
         viol = self.sign * d
-        if self.free.any():
-            np.copyto(viol, np.abs(d), where=self.free)
+        if self.any_free:     # a free column is one with status _FREE
+            np.copyto(viol, np.abs(d), where=self.status == _FREE)
         j = viol.argmax(axis=1)
-        vj = viol[rows, j]
-        done = ~(vj > OPT_TOL)
-        if self.bland.any():
+        fj = col0 + j
+        vj = viol.ravel()[fj]
+        going = vj > OPT_TOL        # rows with an entering column
+        if self.any_bland:
             j = np.where(self.bland, (viol > OPT_TOL).argmax(axis=1), j)
-            vj = viol[rows, j]
+            fj = col0 + j
+            vj = viol.ravel()[fj]
         # an entering column rises from a lower bound (or free) when d < 0
-        # and falls from an upper bound (or free) when d > 0
-        dirn = np.where(d[rows, j] < 0, 1.0, -1.0)
+        # and falls from an upper bound (or free) when d > 0; d is neither
+        # zero nor NaN there, and a row without one takes no step
+        dirn = np.copysign(1.0, -d.ravel()[fj])
         w = (self.binv @ self.af[rows, :, j][:, :, None])[:, :, 0]
         delta = dirn[:, None] * w     # basic values move as xb - t * delta
         # the ratio test of _iterate, row by row
         bound = np.where(delta > 0.0, self.lbb, self.ubb)
-        ratios = np.full(delta.shape, np.inf)
+        ratios.fill(np.inf)
         np.divide(self.xb - bound, delta, out=ratios,
                   where=np.abs(delta) > PIVOT_TOL)
-        rmin = ratios.min(axis=1, initial=np.inf)
+        rmin = np.minimum.reduce(ratios, axis=1)
         rmin[rmin <= 0.0] = 0.0     # degeneracy within tolerance; -0.0 too
-        tflip = self.ub[rows, j] - self.lb[rows, j]
+        tflip = self.ub.ravel()[fj] - self.lb.ravel()[fj]
         flip = tflip <= rmin
-        stuck = None        # rows with no leaving variable
-        if not (done.any() or flip.any()):    # the common step: all swap
+        ended = None        # rows that end their run
+        if (np.count_nonzero(going) == going.size
+                and not np.count_nonzero(flip)):   # the common step: all swap
             t = rmin
             self.xb -= t[:, None] * delta
-            self._swap(rows, j, t, w, delta, dirn, ratios)
+            self._swap(slice(size), fj, t, w, delta, dirn, ratios)
         else:
-            stuck = ~(done | np.isfinite(rmin) | np.isfinite(tflip))
-            moving = ~(done | stuck)
+            # rows with no leaving variable
+            stuck = going & ~(np.isfinite(rmin) | np.isfinite(tflip))
+            moving = going & ~stuck
             flip &= moving
             swap = moving & ~flip
             t = np.where(flip, tflip, np.where(swap, rmin, 0.0))
             np.subtract(self.xb, t[:, None] * delta, out=self.xb,
                         where=moving[:, None])
             if flip.any():
-                f = np.flatnonzero(flip)
-                at = f * self.lb.shape[1] + j[f]
+                at = fj[flip]
                 self._set_nonbasic(at, self.status.ravel()[at] == _AT_LB)
             if swap.any():
-                q = np.flatnonzero(swap)
-                self._swap(q, j[q], t[q], w[q], delta[q], dirn[q], ratios[q])
+                self._swap(swap.nonzero()[0], fj, t, w, delta, dirn, ratios)
+            ended = ~moving
         gain = vj * t
         obj = (self.cb[:, None, :] @ self.xb[:, :, None])[:, 0, 0]
         still = (gain == 0.0) | (gain <= 1e-12 * (1.0 + np.abs(obj)))
-        self.stall = np.where(still, self.stall + 1, 0)
-        self.bland |= self.stall >= STALL_LIMIT
-        if stuck is not None and (done | stuck).any():
+        self.stall += 1
+        self.stall *= still
+        self.peak += 1      # a stall grows by one a step at most
+        if self.peak >= STALL_LIMIT:
+            self.peak = int(self.stall.max())
+            self.bland |= self.stall >= STALL_LIMIT
+            self.any_bland |= self.peak >= STALL_LIMIT
+        if ended is not None and np.count_nonzero(ended):
             # phase 1 cannot be unbounded: a stuck row there broke down
-            self._drop([k for k in np.flatnonzero(done | stuck)
+            self._drop([k for k in ended.nonzero()[0]
                         if (stuck[k] and not self.allow[k]) or self._finish(
                             k, UNBOUNDED if stuck[k] else OPTIMAL)])
 
-    def _swap(self, q, j, t, w, delta, dirn, ratios):
-        """Column j enters and the ratio test's lowest-index row leaves, in
-        rows q.  Single entries are addressed by flat position, which numpy
-        indexes faster than (row, column)."""
+    def _swap(self, q, fj, t, w, delta, dirn, ratios):
+        """In rows q, every row (a slice) or some (their indices), the
+        columns at flat positions fj enter and the ratio test's
+        lowest-index slots leave; the arguments cover every row."""
         width, m = self.lb.shape[1], self.xb.shape[1]
-        at = np.arange(q.size)
-        cand = ratios <= (t + 1e-12 + 1e-9 * np.abs(t))[:, None]
+        fj, t, col0 = fj[q], t[q], self.col0[q]
+        # t is the ratio test's minimum, +0.0 or more, so |t| is t
+        cand = ratios[q] <= (t + 1e-12 + 1e-9 * t)[:, None]
         r = np.where(cand, self.basis[q], width).argmin(axis=1)
-        fj = q * width + j                 # the entering columns
-        fr = q * m + r                     # the basis slots they take
-        enter = self.xval.ravel()[fj] + dirn * t
-        self._set_nonbasic(q * width + self.basis.ravel()[fr],
-                           ~(delta[at, r] > 0))
+        fr = self.slot0[q] + r             # the basis slots they take
+        enter = self.xval.ravel()[fj] + dirn[q] * t
+        self._set_nonbasic(col0 + self.basis.ravel()[fr],
+                           ~(delta.ravel()[fr] > 0))
         self.status.ravel()[fj] = _BASIC
         self.sign.ravel()[fj] = 0.0
-        self.free.ravel()[fj] = False
-        self.basis.ravel()[fr] = j
+        self.basis.ravel()[fr] = fj - col0
         self.xb.ravel()[fr] = enter
         self.lbb.ravel()[fr] = self.lb.ravel()[fj]
         self.ubb.ravel()[fr] = self.ub.ravel()[fj]
         self.cb.ravel()[fr] = self.cost.ravel()[fj]
-        row = self.binv[q, r, :] / w[at, r][:, None]
-        if q.size == len(self.lps):
-            self.binv -= w[:, :, None] * row[:, None, :]
-        else:
-            self.binv[q] -= w[:, :, None] * row[:, None, :]
-        self.binv[q, r, :] = row
+        binv = self.binv.reshape(-1, m)    # row fr is the slot's Binv row
+        row = binv[fr] / w.ravel()[fr][:, None]
+        self.binv[q] -= w[q][:, :, None] * row[:, None, :]
+        binv[fr] = row
 
 
 def solve_lp(model, starts=None):
@@ -934,23 +1012,27 @@ def _solve_from(model, starts):
 def solve_lps(models):
     """Solve LPs that share a row count; result i is bitwise
     solve_lp(models[i]).  From STACK_MIN models of three rows or more on
-    they pivot in lockstep (_Stack), sharing one [A | I] per A; a breakdown
-    retries that LP alone, as solve_lp does."""
+    they pivot in lockstep (_Stack), sharing one [A | I] per A, and models
+    with one A, senses and bounds -- with_rhs's children of one model --
+    one _start; a breakdown retries that LP alone, as solve_lp does."""
     if len({model.A.shape[0] for model in models}) > 1:
         raise ValueError("solve_lps needs models with one row count")
     tall = [_dualizes(model) for model in models]
     primal = [model for model, t in zip(models, tall) if not t]
     if len(primal) < STACK_MIN or models[0].A.shape[0] < 3:
         return [solve_lp(model) for model in models]
+    matrices, shared, lps = {}, {}, []
     for model in primal:
         if not model.checked:
             model.check()
-    matrices = {}
-    afulls = [_matrix_entry(model.A, matrices)[0] for model in primal]
-    results = _Stack([_Simplex(model, afull=afull)
-                      for model, afull in zip(primal, afulls)]).run()
+        # with_rhs's children share one A, senses and bounds: one start
+        key = tuple(map(id, (model.A, model.senses, model.lb, model.ub)))
+        if key not in shared:
+            shared[key] = (_matrix_entry(model.A, matrices)[0], _start(model))
+        afull, start = shared[key]
+        lps.append(_Simplex(model, afull=afull, start=start))
     stacked = iter([res if res is not None
-                    else _Simplex(model, RETRY_REFACTOR_EVERY, afull).solve()
-                    for res, model, afull in zip(results, primal, afulls)])
+                    else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
+                    for res, model in zip(_Stack(lps).run(), primal)])
     return [solve_lp(model) if t else next(stacked)
             for model, t in zip(models, tall)]

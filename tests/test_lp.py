@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import stochcuts
 import stochcuts.lp as lp_module
-from stochcuts import builtin
+from stochcuts import builtin, generate_sslp, GeneratorConfig
 from stochcuts.lp import (LpModel, solve_lp, solve_lps, OPTIMAL, INFEASIBLE,
                           UNBOUNDED, LE, GE, EQ, STACK_MIN, SimplexBreakdown,
                           _Simplex, _Stack)
@@ -315,6 +315,27 @@ def test_with_bounds_checks_only_the_bounds(monkeypatch):
         solve_lp(raw.with_bounds([0.0, 0.0], [1.0, 1.0]))
 
 
+def test_with_rhs_checks_only_the_rhs(monkeypatch):
+    # a recourse subproblem under fixed recourse changes only the rhs:
+    # with_rhs checks it, with make()'s messages, and solve_lp checks
+    # nothing more of a checked model's child
+    model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0])
+    for bad in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="rhs has a non-finite entry"):
+            model.with_rhs(bad)
+    with pytest.raises(ValueError, match="rhs/sense length"):
+        model.with_rhs([1.0, 2.0])
+    child = model.with_rhs([2.0])
+    monkeypatch.setattr(LpModel, "check", None)   # any full check fails
+    assert solve_lp(child).objective == pytest.approx(2.0, abs=1e-12)
+    monkeypatch.undo()
+    # a model built directly is checked by solve_lp, and so is its child
+    raw = LpModel(np.array([1.0, np.nan]), model.A, model.senses, model.b,
+                  model.lb, model.ub)
+    with pytest.raises(ValueError, match="objective"):
+        solve_lp(raw.with_rhs([2.0]))
+
+
 @pytest.mark.parametrize("poke, message", [
     ("xval", "primal residual"),
     ("lb", "bound violation"),
@@ -469,6 +490,37 @@ def test_solve_lps_matches_solve_lp_under_bland(monkeypatch):
     monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
     assert _check_families(monkeypatch, 12, 60, degenerate=True) >= {
         OPTIMAL, INFEASIBLE, UNBOUNDED, "stack"}
+
+
+def test_solve_lps_matches_solve_lp_across_refactorizations(monkeypatch):
+    # Each LP refactorizes every REFACTOR_EVERY pivots, read when it is
+    # built, and a stack row at its own LP's cadence.  At a cadence of 3
+    # the stack refactorizes mid-run; had the stack and a one-at-a-time
+    # solve read the cadence at different times, 8 of the 20 recourse LPs
+    # of sslp-10-10-20 at x = 0.37 would differ.
+    monkeypatch.setattr(lp_module, "REFACTOR_EVERY", 3)
+    refactors = []
+    refactor = _Stack._refactor
+
+    def counted(self, k):
+        refactors.append(k)
+        refactor(self, k)
+
+    monkeypatch.setattr(_Stack, "_refactor", counted)
+    inst = generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20,
+                                         seed=0))
+    xhat = np.full(inst.n1, 0.37)
+    recourse = LpModel.make(inst.second_stage_cost, inst.recourse,
+                            (GE,) * inst.m2)
+    rng = np.random.default_rng(15)
+    batches = [[recourse.with_rhs(sc.rhs - sc.technology @ xhat)
+                for sc in inst.scenarios]]
+    batches += [_family(rng, 2 * STACK_MIN, m, 6, degenerate)
+                for m in (3, 6, 9) for degenerate in (False, True)]
+    for models in batches:
+        want = [_result_bytes(solve_lp(model)) for model in models]
+        assert [_result_bytes(res) for res in solve_lps(models)] == want
+    assert refactors
 
 
 def test_solve_lps_stacks_three_rows_or_more(monkeypatch):
