@@ -8,9 +8,12 @@ weights of their cluster, so they stay valid verbatim after refinements.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
+
 import numpy as np
 
-from .lp import (LpModel, solve_lp, solve_lps, EQ, GE,
+from .lp import (DualStart, LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
 from .model import (Cut, InfeasibleError, stacked_model, KIND_BENDERS,
@@ -99,29 +102,66 @@ def compute_theta_lower_bounds(instance):
 
 
 class MasterState:
-    """Instance + cut pool + the best lower bound produced so far."""
+    """Instance + cut pool + the best lower bound produced so far, and the
+    master kept as the pool grows: its rows and rhs and the cuts'
+    max-abs-normalized rows live in buffers that double when full, the
+    normalized rows are indexed by their sums, and dual_start holds the
+    last optimal basis of the master's dual (lp.DualStart)."""
 
     def __init__(self, instance):
         self.instance = instance
         self.cuts = []
-        # max-abs-normalized (x_coeffs, theta_coeffs, rhs), one row per cut
-        self._normalized = np.zeros(
-            (0, instance.n1 + instance.n_scenarios + 1))
+        m1, n1 = instance.m1, instance.n1
+        width = n1 + instance.n_scenarios
+        # rows [:m1 + len(cuts)] are the master's; a model built on them
+        # sees no later write, which lands past its rows or in a new buffer
+        self._rows = np.zeros((m1 + 64, width))
+        self._rhs = np.zeros(m1 + 64)
+        self._rows[:m1, :n1] = instance.first_stage_matrix
+        self._rhs[:m1] = instance.first_stage_rhs
+        # max-abs-normalized (x_coeffs, theta_coeffs, rhs), one row per cut;
+        # the pool positions sorted by the rows' sums, and those sums
+        self._normalized = np.zeros((64, width + 1))
+        self._order = []
+        self._keys = []
         self.theta_lb = compute_theta_lower_bounds(instance)
         self.z_lb = -np.inf
+        self.dual_start = DualStart()
 
     def add_cut(self, cut):
         """Append unless a pool cut matches coefficientwise after max-abs
-        normalization; returns True if the pool grew."""
+        normalization; returns True if the pool grew.  A match is within
+        DEDUP_TOL of the cut in each of the w normalized coordinates, which
+        lie in [-1, 1], so its sum is within w * DEDUP_TOL of the cut's,
+        up to rounding under w * w * 2**-52: only the pool rows whose sum is
+        within twice that are compared, which gives the same answer.  A row
+        with a NaN coordinate, whose sum is NaN, matches no row, so it is
+        neither compared nor indexed."""
         stacked = np.concatenate([cut.x_coeffs, cut.theta_coeffs, [cut.rhs]])
         scale = float(np.abs(stacked).max(initial=0.0))
         if scale <= 0.0:
             return False
         row = stacked / scale
-        if (np.abs(self._normalized - row).max(axis=1) <= DEDUP_TOL).any():
-            return False
+        key = float(row.sum())
+        k, r = len(self.cuts), self.instance.m1 + len(self.cuts)
+        if not math.isnan(key):
+            reach = 2.0 * row.size * DEDUP_TOL
+            lo = bisect_left(self._keys, key - reach)
+            hi = bisect_left(self._keys, key + reach, lo)
+            near = self._normalized[self._order[lo:hi]]
+            if (np.abs(near - row).max(axis=1) <= DEDUP_TOL).any():
+                return False
+            at = bisect_left(self._keys, key, lo, hi)
+            self._keys.insert(at, key)
+            self._order.insert(at, k)
+        self._normalized = _room(self._normalized, k)
+        self._normalized[k] = row
+        self._rows, self._rhs = _room(self._rows, r), _room(self._rhs, r)
+        n1 = self.instance.n1
+        self._rows[r, :n1] = cut.x_coeffs
+        self._rows[r, n1:] = cut.theta_coeffs
+        self._rhs[r] = cut.rhs
         self.cuts.append(cut)
-        self._normalized = np.vstack([self._normalized, row])
         return True
 
     def cut_counts(self):
@@ -131,27 +171,29 @@ class MasterState:
         return out
 
 
+def _room(buffer, used):
+    """`buffer`, or a copy twice as long when row `used` does not fit."""
+    if used < len(buffer):
+        return buffer
+    grown = np.zeros((2 * len(buffer),) + buffer.shape[1:])
+    grown[:used] = buffer[:used]
+    return grown
+
+
 def build_master_model(state, relax_integrality=True):
+    """The LP (or, unrelaxed, MIP) master on a leading slice of the
+    state's row buffers."""
     instance = state.instance
     n1, ns = instance.n1, instance.n_scenarios
     nvar = n1 + ns
+    m = instance.m1 + len(state.cuts)
     c = np.concatenate([instance.first_stage_cost, instance.probabilities])
-    nrows = instance.m1 + len(state.cuts)
-    rows = np.zeros((nrows, nvar))
-    rhs = np.zeros(nrows)
-    senses = [EQ] * instance.m1 + [GE] * len(state.cuts)
-    rows[:instance.m1, :n1] = instance.first_stage_matrix
-    rhs[:instance.m1] = instance.first_stage_rhs
-    for i, cut in enumerate(state.cuts):
-        r = instance.m1 + i
-        rows[r, :n1] = cut.x_coeffs
-        rows[r, n1:] = cut.theta_coeffs
-        rhs[r] = cut.rhs
+    senses = (EQ,) * instance.m1 + (GE,) * len(state.cuts)
     xlb, xub = instance.x_bounds()
     lb = np.concatenate([xlb, state.theta_lb])
     ub = np.full(nvar, np.inf)
     ub[:n1] = xub
-    lp = LpModel.make(c, rows, senses, rhs, lb, ub)
+    lp = LpModel.make(c, state._rows[:m], senses, state._rhs[:m], lb, ub)
     if relax_integrality:
         return lp
     integer = np.zeros(nvar, dtype=bool)
@@ -168,7 +210,7 @@ def solve_master(state, relax_integrality=True, deadline=None):
     """
     model = build_master_model(state, relax_integrality)
     if relax_integrality:
-        res = solve_lp(model)
+        res = solve_lp(model, dual_start=state.dual_start)
         if res.status == LP_INFEASIBLE:
             raise MasterInfeasibleError("master problem infeasible")
         if res.status == LP_UNBOUNDED:

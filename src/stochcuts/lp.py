@@ -19,8 +19,12 @@ pivot rule, not by any problem-level preference.
 
 Contract: for a given model and BLAS build, the pivot sequence and every
 returned number are a pure function of the model.  No state survives a
-call, except through a cache the caller owns and passes in, and only where
-its use is bitwise neutral.  A change to this kernel that keeps each
+call, except through a cache or a start the caller owns and passes in.  A
+cache is used only where its use is bitwise neutral.  The one carried
+state that is not is the dual path's warm start (DualStart, below): with
+one, the result is a pure function of the model and the start, and a
+degenerate LP can end at another optimal vertex than without it.  A
+change to this kernel that keeps each
 floating-point expression feeding a decision or a result therefore
 reproduces every result bitwise, and can be checked that way
 (tests/test_trace_golden.py --against <other>/src).
@@ -128,10 +132,12 @@ two properties of the BLAS that tests/test_lp.py checks:
     all-zero sum as +0.0.  So a unit column's price is cost - sign *
     y[row], and the zeros whose sign the restricted update leaves
     different from the dense one never change a product.
-The path's traffic is alg1: its partition MIPs' LPs are wide (360 x 1810
-and 400 x 2010 on sslp-10-10-20), and no other driver sends an LP of
-UNIT_MIN rows or more down the primal path, since the Benders masters
-UNIT_MIN was measured on are now dualized (DUAL_MIN).  On sslp-10-10-20,
+The path's traffic is alg1's partition MIPs' LPs, which are wide (360 x
+1810 and 400 x 2010 on sslp-10-10-20), and the duals of Benders masters: a
+master of DUAL_MIN rows or more is solved through its dual, which has one
+row per master column, so every such dual with n1 + S >= UNIT_MIN takes
+the unit path.  The masters UNIT_MIN was measured on no longer take the
+primal path themselves.  On sslp-10-10-20,
 alg1's 62 such node LPs take 124 runs of pivots and 46.4 of its 50.5 s of
 CPU.  Replaying every third of them (21), one BLAS thread, in alternating
 pairs with byte-equal results, each part pays, in median CPU seconds:
@@ -183,6 +189,19 @@ benders run: on sslp-10-10-20, 17 masters of up to 182 rows, 11 of them
 over DUAL_MIN, took 0.77-0.91 s of CPU on the primal path and 0.11-0.14 s
 with the dual path; on sslp-10-10-50, 13 masters of up to 386 rows, 4.37
 against 0.19 s.
+
+Warm start.  A row appended to a tall LP is a column appended to its dual,
+at its lower bound 0, so the dual's last optimal basis stays feasible for
+the new dual and only phase 2 need run: column generation on the dual,
+the L-shaped method's re-solve of its master.  solve_lp(model,
+dual_start=start) takes a DualStart the caller owns; _solve_dual maps its
+basis, held as the y of row i, the z of boxed column k or the slack of
+dual row j, onto the new dual, runs phase 2 from it and stores the basis
+it ends at.  It solves the dual from scratch instead when the start does
+not map, is singular, puts a basic value out of its bounds by more than
+FEAS_TOL, or does not end OPTIMAL.  Every finite bound of these duals is
+0 and none is boxed, so every nonbasic column sits at 0: the basis is the
+whole start.
 """
 
 from __future__ import annotations
@@ -310,6 +329,43 @@ class LpResult:
     duals: np.ndarray = None           # one multiplier per input row
     reduced_costs: np.ndarray = None   # structural columns only
     farkas: np.ndarray = None          # row multipliers proving infeasibility
+
+
+@dataclass
+class DualStart:
+    """A warm start for the dual path, owned by the caller and passed to
+    solve_lp with every solve of one tall LP as it gains rows: the basis
+    of its dual at the last OPTIMAL end, by what each slot holds.  Slot
+    entry i < rows is the y of the LP's row i, rows + k the z of its boxed
+    column k, rows + boxed + j the slack of the dual's row j, so that the
+    basis maps onto the dual of the LP with rows appended.  Empty (basis
+    None) until a dual ends OPTIMAL; _solve_dual reads and replaces it."""
+    rows: int = 0
+    boxed: int = 0
+    basis: np.ndarray = None
+
+    def _columns(self, m, boxed, n):
+        """The basis as columns of the dual of an LP of m rows, n columns
+        and `boxed` boxed columns; None unless it names n distinct columns
+        that are all there."""
+        basis = self.basis
+        if basis is None or basis.size != n or boxed != self.boxed:
+            return None
+        y = basis < self.rows
+        if (not n or basis.min() < 0 or basis.max() >= self.rows + boxed + n
+                or (basis[y] >= m).any()):
+            return None
+        cols = np.where(y, basis, basis - self.rows + m)
+        return cols if np.unique(cols).size == n else None
+
+    def _keep(self, m, boxed, lp):
+        """Hold the basis `lp`, the dual of an LP of m rows, ended at.  A
+        basic artificial, pinned at zero, is held as its row's slack: the
+        same point, and the same column up to sign."""
+        cols = lp.basis.copy()
+        art = cols >= lp.ncols0
+        cols[art] = lp.n + lp.art_rows[cols[art] - lp.ncols0]
+        self.rows, self.boxed, self.basis = m, boxed, cols
 
 
 def _start(model):
@@ -646,6 +702,23 @@ class _Simplex:
     def solve(self):
         return self._run(self._phases())
 
+    def _from_basis(self, basis):
+        """Set up phase 2 from `basis`, one working column per row, instead
+        of running phase 1: every other structural column at its start
+        value, every other slack at its finite bound.  False if a basic
+        value breaks its bounds by more than FEAS_TOL; a singular basis
+        raises SimplexBreakdown."""
+        n = self.n
+        fin = np.isfinite(self.lb[n:])
+        self.status[n:] = np.where(fin, _AT_LB, _AT_UB)
+        self.xval[n:] = np.where(fin, self.lb[n:], self.ub[n:])
+        self.status[basis] = _BASIC
+        self.basis = basis
+        self._refactor()
+        xb = self.xval[basis]
+        return bool(np.all(xb >= self.lb[basis] - FEAS_TOL)
+                    and np.all(xb <= self.ub[basis] + FEAS_TOL))
+
     def _restart(self, model):
         """A copy of this LP, phase 1 done, to run phase 2 for `model`, an
         LP with the same feasible region: the arrays phase 2 writes to are
@@ -911,7 +984,7 @@ class _Stack:
         binv[fr] = row
 
 
-def solve_lp(model, starts=None):
+def solve_lp(model, starts=None, dual_start=None):
     """Solve a minimization LP; deterministic for a fixed input.
 
     When the final checks fail, the eta updates have usually drifted on an
@@ -921,7 +994,9 @@ def solve_lp(model, starts=None):
 
     A tall LP (_dualizes) is first solved through its dual, and goes the
     primal way only if that does not end OPTIMAL (see the module
-    docstring).
+    docstring).  `dual_start`, a DualStart owned by the caller, starts that
+    dual from the basis it holds and keeps the one it ends at; other LPs
+    ignore it.
 
     `starts`, a dict owned by the caller, holds phase 1's end state by
     feasible region and is reused and extended here: an LP whose region it
@@ -930,15 +1005,27 @@ def solve_lp(model, starts=None):
     if not model.checked:
         model.check()
     if _dualizes(model):
-        result = _solve_dual(model)
+        result = _solve_dual(model, dual_start)
         if result is not None:
             return result
+    if starts is None:
+        return _solve_fresh(model)[0]
     try:
-        if starts is None:
-            return _Simplex(model).solve()
         return _solve_from(model, starts)
     except SimplexBreakdown:
         return _Simplex(model, RETRY_REFACTOR_EVERY).solve()
+
+
+def _solve_fresh(model):
+    """The result of a checked model on the primal way, without a cache,
+    and the _Simplex that reached it: the from-scratch retry's if the
+    first attempt broke down."""
+    lp = _Simplex(model)
+    try:
+        return lp.solve(), lp
+    except SimplexBreakdown:
+        lp = _Simplex(model, RETRY_REFACTOR_EVERY)
+        return lp.solve(), lp
 
 
 def _dualizes(model):
@@ -949,12 +1036,17 @@ def _dualizes(model):
     return m >= DUAL_MIN and m > n and bool(np.isfinite(model.lb).all())
 
 
-def _solve_dual(model):
+def _solve_dual(model, start=None):
     """The OPTIMAL result of a tall LP read off its dual, or None.  With
     x = lb + x', 0 <= x' <= u, the dual is
         min -(b - A lb).y + u_F.z   s.t.  A'y - z <= c,
     y >= 0 on >= rows, <= 0 on <= rows, free on = rows, and z >= 0 only on
-    the columns F with a finite ub.  Its rows' duals are -x'."""
+    the columns F with a finite ub.  Its rows' duals are -x'.
+
+    With a DualStart `start` whose basis maps onto this dual, phase 2 runs
+    from that basis; the dual is solved from scratch instead if the basis
+    is singular or infeasible, or phase 2 does not end OPTIMAL.  An OPTIMAL
+    end replaces the start's basis."""
     A, lb = model.A, model.lb
     m, n = A.shape
     u = model.ub - lb
@@ -970,12 +1062,26 @@ def _solve_dual(model):
                                    np.full(boxed.size, np.inf)]))
     if not np.isfinite(dual.c).all():    # b - A lb or u overflowed
         return None
-    try:     # the dual has fewer rows than columns: solve_lp never dualizes it
-        res = solve_lp(dual)
-    except SimplexBreakdown:
-        return None
-    if res.status != OPTIMAL:
-        return None
+    dual.check()
+    dual.checked = True
+    res = None
+    cols = None if start is None else start._columns(m, boxed.size, n)
+    if cols is not None:
+        lp = _Simplex(dual)
+        try:
+            if lp._from_basis(cols):
+                res = lp._run(lp._phase2())
+        except SimplexBreakdown:
+            pass
+    if res is None or res.status != OPTIMAL:
+        try:
+            res, lp = _solve_fresh(dual)
+        except SimplexBreakdown:
+            return None
+        if res.status != OPTIMAL:
+            return None
+    if start is not None:
+        start._keep(m, boxed.size, lp)
     y = res.x[:m]
     x = np.clip(lb - res.duals, lb, model.ub)
     return LpResult(OPTIMAL, objective=float(model.c @ x), x=x, duals=y,

@@ -242,6 +242,25 @@ def test_add_cut_dedup_matches_loop(thm1, rng):
         if want:
             pool.append(cut)
     assert len(state.cuts) == len(pool)
+    # the edge of add_cut's index window: cuts whose normalized rhs, or
+    # every normalized coordinate but the leading +-1, lies exactly
+    # DEDUP_TOL from a pool cut's, and just beyond it; and a NaN
+    # coordinate, which matches nothing
+    state, pool, answers = MasterState(thm1), [], set()
+    beyond = float(np.nextafter(DEDUP_TOL, 1.0))
+    rhs_only, all_but_lead = np.eye(5)[4], np.array([0.0, 1, 1, 1, 1])
+    for base in ([1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.25, 0.0, -0.75],
+                 [1.0, np.nan, 0.0, 0.0, 0.0], [-1.0, 0.3, 0.0, 0.6, 0.7]):
+        for shift in (0.0, DEDUP_TOL, -DEDUP_TOL, beyond, -beyond):
+            for direction in (rhs_only, all_but_lead):
+                v = np.array(base) + shift * direction
+                cut = Cut(KIND_BENDERS, v[:2], v[2:4], v[4])
+                want = _loop_dedup_accepts(pool, cut)
+                assert state.add_cut(cut) == want, (base, shift, direction)
+                answers.add(want)
+                if want:
+                    pool.append(cut)
+    assert answers == {True, False} and len(state.cuts) == len(pool)
 
 
 def test_master_infeasible(thm1):

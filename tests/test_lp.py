@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import stochcuts
 import stochcuts.lp as lp_module
 from stochcuts import builtin, generate_sslp, GeneratorConfig
-from stochcuts.lp import (LpModel, solve_lp, solve_lps, OPTIMAL, INFEASIBLE,
-                          UNBOUNDED, LE, GE, EQ, STACK_MIN, SimplexBreakdown,
-                          _Simplex, _Stack)
+from stochcuts.lp import (DualStart, LpModel, solve_lp, solve_lps, OPTIMAL,
+                          INFEASIBLE, UNBOUNDED, LE, GE, EQ, STACK_MIN,
+                          SimplexBreakdown, _Simplex, _Stack)
 
 
 def check_optimal(model, res, tol=1e-7):
@@ -688,7 +688,8 @@ import stochcuts.lp as L
 from stochcuts import generate_sslp, GeneratorConfig, RunConfig, run
 masters = []
 solve = benders.solve_lp
-benders.solve_lp = lambda model: (masters.append(model), solve(model))[1]
+benders.solve_lp = lambda model, **kw: (masters.append(model),
+                                         solve(model, **kw))[1]
 run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20, seed=0)),
     RunConfig(algorithm="benders"))
 benders.solve_lp = solve
@@ -989,8 +990,8 @@ def _count_dual_solves(monkeypatch):
     taken = []
     solve = lp_module._solve_dual
 
-    def counted(model):
-        res = solve(model)
+    def counted(model, start=None):
+        res = solve(model, start)
         taken.append(res is not None)
         return res
 
@@ -1177,3 +1178,116 @@ def test_drifted_master_solves_through_its_dual(monkeypatch):
     ref = _highs(linprog, model)
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, rel=1e-6)
+
+
+def _count_warm_starts(monkeypatch):
+    """A list that records, per warm start _solve_dual tries, True if the
+    start basis was feasible and False if not; a singular one raises."""
+    tried = []
+    from_basis = _Simplex._from_basis
+
+    def counted(self, basis):
+        ok = from_basis(self, basis)
+        tried.append(ok)
+        return ok
+
+    monkeypatch.setattr(_Simplex, "_from_basis", counted)
+    return tried
+
+
+def _held(start):
+    return DualStart(start.rows, start.boxed, start.basis.copy())
+
+
+def _warm_matches_cold(model, start):
+    """Solve `model` from a copy of `start` and from scratch: the same
+    status, the same optimum to 1e-9 and x within its bounds."""
+    warm, cold = solve_lp(model, dual_start=_held(start)), solve_lp(model)
+    assert warm.status == cold.status
+    if warm.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
+                                               abs=1e-9)
+        assert np.all(warm.x >= model.lb) and np.all(warm.x <= model.ub)
+        check_optimal(model, warm)
+
+
+def test_warm_dual_start_matches_cold(monkeypatch):
+    # The masters of a benders run on sslp-10-10-20, each from the start
+    # its solve_master passed, and seeded tall LPs re-solved after random
+    # >= rows are appended: a new row is a new dual column at its lower
+    # bound, so the last optimal dual basis is a feasible start.
+    import stochcuts.benders as benders
+    from stochcuts import RunConfig, run
+    masters = []
+    solve = benders.solve_lp
+
+    def recorded(model, dual_start=None):
+        if lp_module._dualizes(model) and dual_start.basis is not None:
+            masters.append((model, _held(dual_start)))
+        return solve(model, dual_start=dual_start)
+
+    monkeypatch.setattr(benders, "solve_lp", recorded)
+    run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20,
+                                      seed=0)), RunConfig(algorithm="benders"))
+    monkeypatch.setattr(benders, "solve_lp", solve)
+    tried = _count_warm_starts(monkeypatch)
+    for model, start in masters:
+        _warm_matches_cold(model, start)
+    assert len(masters) == 10 and tried == [True] * 10
+    rng = np.random.default_rng(47)
+    statuses = set()
+    for _ in range(12):
+        model = _tall_model(rng, lp_module.DUAL_MIN + int(rng.integers(0, 30)),
+                            int(rng.integers(4, 20)))
+        start = DualStart()
+        for _ in range(4):
+            res = solve_lp(model, dual_start=start)
+            statuses.add(res.status)
+            if res.status != OPTIMAL or start.basis is None:
+                break
+            k, n = int(rng.integers(1, 6)), model.A.shape[1]
+            rows = rng.integers(-4, 5, size=(k, n)).astype(float)
+            b = rows @ res.x + rng.uniform(-1.0, 2.0, size=k)
+            model = LpModel.make(model.c, np.vstack([model.A, rows]),
+                                 model.senses + (GE,) * k,
+                                 np.append(model.b, b), model.lb, model.ub)
+            _warm_matches_cold(model, start)
+    assert OPTIMAL in statuses and tried.count(True) >= 30
+
+
+def test_unusable_dual_start_gives_the_cold_result(monkeypatch):
+    # A start that names a row no longer there, a singular one and an
+    # infeasible one: each gives the cold dual's result byte for byte, and
+    # leaves the start holding the basis the cold dual ended at.
+    tried = _count_warm_starts(monkeypatch)
+    rng = np.random.default_rng(48)
+    m, n = lp_module.DUAL_MIN + 10, 8
+    model = _tall_model(rng, m, n)
+    model = LpModel.make(np.abs(model.c) + 1.0, model.A, model.senses,
+                         model.b, model.lb, model.ub)
+    cold = solve_lp(model, dual_start=(after := DualStart()))
+    assert cold.status == OPTIMAL and tried == []
+    boxed = after.boxed
+    gone = DualStart(m + 5, boxed, after.basis.copy())
+    gone.basis[0] = m + 2          # the y of a row past the LP's m
+    # a zero row, 0 >= -1: its y column is zero
+    zero_row = LpModel.make(model.c, np.vstack([model.A, np.zeros(n)]),
+                            model.senses + (GE,), np.append(model.b, -1.0),
+                            model.lb, model.ub)
+    singular = DualStart(m + 1, boxed,
+                         np.append(m, m + 1 + boxed + np.arange(1, n)))
+    # the slack basis of a dual with a negative cost: that slack is < 0
+    negative = LpModel.make(np.where(np.arange(n) == 2, -1.0, model.c),
+                            model.A, model.senses, model.b, model.lb,
+                            model.ub)
+    infeasible = DualStart(m, boxed, m + boxed + np.arange(n))
+    for lp, start, attempts in ((model, gone, []),
+                                (zero_row, singular, []),
+                                (negative, infeasible, [False])):
+        tried.clear()
+        want = solve_lp(lp, dual_start=(fresh := DualStart()))
+        got = solve_lp(lp, dual_start=start)
+        assert tried == attempts
+        assert _result_bytes(got) == _result_bytes(want)
+        assert np.array_equal(start.basis, fresh.basis)
+        assert (start.rows, start.boxed) == (fresh.rows, fresh.boxed)
