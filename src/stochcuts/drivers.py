@@ -1,22 +1,25 @@
 """End-to-end algorithm drivers with uniform tracing.
 
-A scenario is a singleton cluster, so three of the four solvers are one
-cut loop over a scenario partition, configured by the start partition, the
-kind of Benders and Lagrangian cuts, and whether to refine.  The loop
-builds one SeparationTarget (a cluster's aggregate plus its cut kind) per
-cluster of the current partition, and keeps it, with what its separations
-learned, for as long as the cluster survives refinement; its Benders and
-Lagrangian rounds both work from that list:
+A scenario is a singleton cluster, so the four solvers are one cut loop
+over a scenario partition, configured by the start partition, the kind of
+Benders and Lagrangian cuts, and whether to refine; a loop that refines
+with no Lagrangian rounds solves each partition problem exactly, on the
+integer master.  The loop builds one SeparationTarget (a cluster's
+aggregate plus its cut kind) per cluster of the current partition, and
+keeps it, with what its separations learned, for as long as the cluster
+survives refinement; its Benders and Lagrangian rounds both work from
+that list:
 
   run_benders   multi-cut Benders on the LP relaxation at the singleton
                 partition; no Lagrangian rounds, no refinement,
   run_bdd       the same plus scenario-level Lagrangian cut rounds,
   run_apblagc   adaptive partition-based Lagrangian cuts: aggregated
                 Benders and Lagrangian rounds from the single cluster on,
-                dual-guided refinement with a progress-based outer stop.
-
-run_alg1, the adaptive partition loop on exact partition MIPs (gap-driven),
-shares only the refinement step.
+                dual-guided refinement with a progress-based outer stop,
+  run_alg1      the adaptive partition loop on exact partition problems:
+                aggregated Benders rounds from the single cluster on, then
+                the integer L-shaped method on the integer master at each
+                partition, refined until the relative gap closes.
 
 All bounds are recorded in a RunTrace whose numeric content is
 deterministic for a fixed instance and config; only wall-clock fields vary
@@ -38,11 +41,8 @@ from .benders import (MasterState, solve_master, solve_scenario_subproblem,
                       make_feasibility_cut, CUT_VIOLATION_TOL)
 from .lagrangian import separate, cluster_target, VIOLATED, BUDGET
 from .lp import INFEASIBLE as LP_INFEASIBLE
-from .mip import solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import (InfeasibleError, KIND_BENDERS, KIND_PBBENC,
-                    KIND_LAGRANGIAN, KIND_PBLAGC)
-from .partition import (single_cluster, singletons, refine, delta_schedule,
-                        build_partition_extensive)
+from .model import KIND_BENDERS, KIND_PBBENC, KIND_LAGRANGIAN, KIND_PBLAGC
+from .partition import single_cluster, singletons, refine, delta_schedule
 
 EVENT_KINDS = ("benders_round", "lagrangian_round", "refinement", "termination")
 ALGORITHMS = ("benders", "bdd", "alg1", "apblagc")
@@ -229,28 +229,49 @@ def _refined(partition, duals, coefficient):
     return None
 
 
+def _integer_l_shaped(instance, state, targets, kind, deadline):
+    """The integer L-shaped method at the current partition: the integer
+    master, then a Benders round at its x, until the round adds no cut.
+    The last master's (x, theta, objective), or None at the deadline."""
+    while True:
+        out = solve_master(state, relax_integrality=False, deadline=deadline)
+        if out is None or not _benders_round(instance, state, targets, kind,
+                                             out[0], out[1]):
+            return out
+
+
 def _cut_loop(instance, config, algorithm, partition, benders_kind,
               lagrangian_kind, refines):
     """Benders saturation, then Lagrangian rounds (unless lagrangian_kind is
     None) at the current partition until they stall; then stop, or with
     `refines` either stop outright -- when this partition's progress fell
     under kappa1 times the total progress -- or refine along scenario duals
-    and repeat."""
+    and repeat.
+
+    With `refines` and no Lagrangian rounds the loop is exact: after
+    Benders saturation each partition's bound is the integer L-shaped
+    method's, its upper bound c.x plus the expected recourse at the
+    integer master's x, and the loop stops when their relative gap is
+    within config.epsilon.  It records only these bounds: a relaxed master
+    after a refinement can sit below the last integer bound."""
     trace = RunTrace(instance.name, algorithm, instance.n_scenarios)
     deadline = trace.t0 + config.time_limit
     state = MasterState(instance)
+    exact = refines and lagrangian_kind is None
     lb0_first = None
+    z_ub = None
     reason = None
 
     def record(kind, z):
-        trace.record(kind, z, cuts=state.cut_counts(),
+        trace.record(kind, z, z_ub, cuts=state.cut_counts(),
                      n_clusters=partition.size,
                      refinements=partition.generation)
 
     targets = []
     lb_k = []
     x, theta, z = solve_master(state)
-    record("benders_round", z)
+    if not exact:
+        record("benders_round", z)
     while reason is None:
         kept = {t.cluster: t for t in targets}   # a cluster left whole
         targets = [kept.get(c) or cluster_target(instance, c, lagrangian_kind)
@@ -263,45 +284,66 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
                               x, theta) == 0:
                 break
             x, theta, z = solve_master(state)
-            record("benders_round", z)
+            if not exact:
+                record("benders_round", z)
         if reason is not None:
             break
-        if lagrangian_kind is None:
+        if exact:
+            out = _integer_l_shaped(instance, state, targets, benders_kind,
+                                    deadline)
+            if out is None:
+                reason = REASON_TIME_LIMIT
+                break
+            x, theta, z = out
+            duals, expected = _scenario_duals(instance, x)
+            if expected is not None:
+                value = float(instance.first_stage_cost @ x) + expected
+                z_ub = value if z_ub is None else min(z_ub, value)
+            record("benders_round", z)
+            if (z_ub is not None and (z_ub - z) / max(abs(z_ub), 1e-12)
+                    <= config.epsilon):
+                reason = REASON_CONVERGED
+                break
+            if time.monotonic() > deadline:
+                reason = REASON_TIME_LIMIT
+                break
+        elif lagrangian_kind is None:
             reason = REASON_CONVERGED
             break
-        found = budget = 0
-        for target in targets:
-            out = separate(instance, target, x,
-                           float(target.theta_weights @ theta),
-                           budget=config.separation_budget,
-                           box=config.multiplier_box, deadline=deadline)
-            if out.status == VIOLATED and state.add_cut(out.cut):
-                found += 1
-            budget += out.status == BUDGET
-        if found:   # an unchanged pool would give back the same solution
-            x, theta, z = solve_master(state)
-        lb_k.append(z)
-        if lb0_first is None:
-            lb0_first = lb_k[0]
-        record("lagrangian_round", z)
-        if time.monotonic() > deadline:
-            reason = REASON_TIME_LIMIT
-            break
-        stalled = (found == 0) if config.saturate else \
-            (found == 0 or _stalled(lb_k, config.stall_window,
-                                    config.stall_fraction))
-        if not stalled:
-            continue
-        if not refines:
-            if found:
-                reason = REASON_STALLED
-            else:
-                reason = REASON_BUDGET if budget else REASON_SATURATED
-            break
-        if _outer_stop(lb_k, lb0_first, config.kappa1):
-            reason = REASON_OUTER_STOP
-            break
-        duals, _ = _scenario_duals(instance, x)
+        else:
+            found = budget = 0
+            for target in targets:
+                out = separate(instance, target, x,
+                               float(target.theta_weights @ theta),
+                               budget=config.separation_budget,
+                               box=config.multiplier_box, deadline=deadline)
+                if out.status == VIOLATED and state.add_cut(out.cut):
+                    found += 1
+                budget += out.status == BUDGET
+            if found:   # an unchanged pool would give back the same solution
+                x, theta, z = solve_master(state)
+            lb_k.append(z)
+            if lb0_first is None:
+                lb0_first = lb_k[0]
+            record("lagrangian_round", z)
+            if time.monotonic() > deadline:
+                reason = REASON_TIME_LIMIT
+                break
+            stalled = (found == 0) if config.saturate else \
+                (found == 0 or _stalled(lb_k, config.stall_window,
+                                        config.stall_fraction))
+            if not stalled:
+                continue
+            if not refines:
+                if found:
+                    reason = REASON_STALLED
+                else:
+                    reason = REASON_BUDGET if budget else REASON_SATURATED
+                break
+            if _outer_stop(lb_k, lb0_first, config.kappa1):
+                reason = REASON_OUTER_STOP
+                break
+            duals, _ = _scenario_duals(instance, x)
         newp = _refined(partition, duals, config.delta_coefficient)
         if newp is None:
             reason = REASON_EXHAUSTED
@@ -309,7 +351,8 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
         partition = newp
         lb_k = []
         record("refinement", z)
-    if config.final_mip_master and reason != REASON_TIME_LIMIT:
+    if (config.final_mip_master and not exact
+            and reason != REASON_TIME_LIMIT):
         final = solve_master(state, relax_integrality=False, deadline=deadline)
         if final is None:   # the deadline came first: the LP bound stands
             reason = REASON_TIME_LIMIT
@@ -338,54 +381,13 @@ def run_bdd(instance, config=None):
 
 
 def run_alg1(instance, config=None):
-    """Adaptive partition loop: solve the exact partition MIP, evaluate the
-    true expected recourse at its first stage, refine by scenario duals
-    until the relative gap closes."""
-    config = config or RunConfig(algorithm="alg1")
-    trace = RunTrace(instance.name, "alg1", instance.n_scenarios)
-    deadline = trace.t0 + config.time_limit
-    partition = single_cluster(instance.n_scenarios)
-    n1 = instance.n1
-    z_ub = np.inf
-    reason = None
-    while reason is None:
-        res = solve_mip(build_partition_extensive(instance, partition),
-                        deadline=deadline)
-        if res.status == MIP_BUDGET:
-            reason = REASON_TIME_LIMIT
-            break
-        if res.status != MIP_OPTIMAL:
-            raise InfeasibleError("partition problem infeasible")
-        z_n = res.objective
-        x = res.x[:n1].copy()   # solve_mip rounds the integer columns
-        duals, expected = _scenario_duals(instance, x)
-        if expected is not None:
-            z_ub = min(z_ub, float(instance.first_stage_cost @ x) + expected)
-        trace.record("benders_round", z_n,
-                     z_ub=None if not np.isfinite(z_ub) else z_ub,
-                     n_clusters=partition.size,
-                     refinements=partition.generation)
-        gap = np.inf
-        if np.isfinite(z_ub):
-            gap = (z_ub - z_n) / max(abs(z_ub), 1e-12)
-        if gap <= config.epsilon:
-            reason = REASON_CONVERGED
-            break
-        if time.monotonic() > deadline:
-            reason = REASON_TIME_LIMIT
-            break
-        newp = _refined(partition, duals, config.delta_coefficient)
-        if newp is None:
-            reason = REASON_EXHAUSTED
-            break
-        partition = newp
-        trace.record("refinement", z_n,
-                     z_ub=None if not np.isfinite(z_ub) else z_ub,
-                     n_clusters=partition.size,
-                     refinements=partition.generation)
-    trace.final_partition = partition
-    trace.finish(reason)
-    return trace
+    """Adaptive partition loop: solve each partition problem exactly on the
+    shared master (integer L-shaped method), evaluate the true expected
+    recourse at its first stage, refine by scenario duals until the
+    relative gap closes."""
+    return _cut_loop(instance, config or RunConfig(algorithm="alg1"), "alg1",
+                     single_cluster(instance.n_scenarios), KIND_PBBENC, None,
+                     refines=True)
 
 
 def run_apblagc(instance, config=None):

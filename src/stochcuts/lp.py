@@ -62,7 +62,7 @@ node LPs repeat a region.
 The contract extends to stacks.  solve_lps solves LPs that share a row
 count -- a round of recourse subproblems under fixed recourse -- in
 lockstep: each takes exactly the pivots solve_lp would take, and each
-result is bitwise solve_lp's, by the unit-column argument below (_Stack).
+result is bitwise solve_lp's, by a property of the BLAS (see _Stack).
 Lockstep saves numpy call overhead, not flops, so it pays only for
 batches of STACK_MIN or more LPs of three rows or more; other batches go
 one LP at a time.
@@ -113,52 +113,6 @@ The stack breaks even at 6 LPs and loses at 4, so STACK_MIN stays 8: no
 workload sends batches of 6 or 7, and apblagc's 4-cluster rounds would
 slow.
 
-Unit columns.  Every slack and artificial column is a signed unit vector,
-and Binv's column for a row covered by its own basic slack or artificial
-stays a unit vector; with at most n structural columns basic, a row of
-Binv has at most n + 1 nonzeros.  From UNIT_MIN rows on, _iterate prices
-the structural block with one gemv, padded to a multiple of four columns,
-and each unit column as cost - sign * y[row], and it applies the rank-1
-update only to the columns where the pivot row is nonzero.  Every LP also
-starts from the exact inverse of its diagonal +-1 starting basis.  Each
-number that reaches a decision or a result is still the dense path's, by
-two properties of the BLAS that tests/test_lp.py checks:
-  - a (1, m) @ (m, c) product computes its columns in blocks of four and
-    a column's bits depend only on whether a block or the tail loop over
-    the last c % 4 computed it.  With three rows or more, every structural
-    column is in the body of any product n + 3 or more columns wide, as
-    the full one and a stack's are, and of the padded structural one;
-  - an output whose only nonzero term is t comes out as t exactly, and an
-    all-zero sum as +0.0.  So a unit column's price is cost - sign *
-    y[row], and the zeros whose sign the restricted update leaves
-    different from the dense one never change a product.
-The path's traffic is alg1's partition MIPs' LPs, which are wide (360 x
-1810 and 400 x 2010 on sslp-10-10-20), and the duals of Benders masters: a
-master of DUAL_MIN rows or more is solved through its dual, which has one
-row per master column, so every such dual with n1 + S >= UNIT_MIN takes
-the unit path.  The masters UNIT_MIN was measured on no longer take the
-primal path themselves.  On sslp-10-10-20,
-alg1's 62 such node LPs take 124 runs of pivots and 46.4 of its 50.5 s of
-CPU.  Replaying every third of them (21), one BLAS thread, in alternating
-pairs with byte-equal results, each part pays, in median CPU seconds:
-with the unit path off they took 21.5 against 15.9 (3 pairs), with the
-dense rank-1 update 20.0 against 15.5 (3 pairs) and with dense pricing
-16.8 against 14.8 (6 pairs, slower in all 6).  Solving an entering unit
-column apart, pricing only the first n + m columns in phase 2 and keeping
-only the structural rows of the transposed matrix did not pay there
-(15.59 with them, 15.56 without, 8 pairs), and are gone: every entering
-column is Binv @ AT[j], and pinned artificials are priced but, with sign
-0, never enter.  On tall LPs forced to the primal path that costs about
-6 %: the 13 masters of a benders solve of sslp-10-10-50 (up to 386 rows,
-DUAL_MIN out of reach) took 4.22 against 3.99 s, slower in 6 of 6 pairs;
-no driver sends such an LP there.  UNIT_MIN was measured, on benders
-masters of sslp-10-10-20 (30 structural columns) cut to their first k
-rows, which DUAL_MIN now dualizes, as the CPU time of the unit path over
-the dense one, one BLAS thread, median of 9 alternating solves:
-
-    rows   40    60    80    96    104   112   120   144   160   182
-    ratio  1.23  1.12  1.08  1.03  0.97  0.94  0.92  0.87  0.83  0.70
-
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
 inverse although at most n of its basic columns are structural.  solve_lp
@@ -175,12 +129,10 @@ dual ends OPTIMAL -- infeasible, unbounded, or broken down after its own
 retry -- the LP goes the primal way, which gives the Farkas ray of an
 infeasible LP and reports an unbounded one.  The dual path is not bitwise
 the primal one: degenerate optima can come out at another vertex.
-DUAL_MIN is its own constant, apart from UNIT_MIN, so that forcing the
-unit path on (UNIT_MIN 0, as tests do) dualizes no small LP.  It is a
-containment line, not a measured crossover: below 112 rows every LP keeps
-the primal path's bits, which covers every golden trace but
-sslp-10-10-20-s0:benders and every LP of the apblagc sslp-6-8-8 workload
-at instance seed 0.  Dualizing every master instead moved that
+DUAL_MIN is a containment line, not a measured crossover: below 112 rows
+every LP keeps the primal path's bits, which covers every golden trace
+but sslp-10-10-20-s0:benders and every LP of the apblagc sslp-6-8-8
+workload at instance seed 0.  Dualizing every master instead moved that
 workload's z_lb from 94.421 to 76.438 through a degenerate tie at
 apblagc's outer stop; the threshold can come down once the outer stop and
 the bound sweep (ROADMAP items 2 and 1) can tell a worse bound from a
@@ -226,8 +178,6 @@ STALL_LIMIT = 1000    # non-improving pivots before Bland's rule kicks in
 REFACTOR_EVERY = 64
 RETRY_REFACTOR_EVERY = 8   # one more attempt when the final checks fail
 STACK_MIN = 8              # smaller solve_lps batches go one LP at a time
-UNIT_MIN = 112             # rows from which _iterate prices unit columns
-                           # apart; 3 or more (see the module docstring)
 DUAL_MIN = 112             # rows from which a tall LP is solved through
                            # its dual: a containment line, not a measured
                            # crossover (see the module docstring)
@@ -416,7 +366,6 @@ class _Simplex:
         self.n_art = 0
         self.art_rows = np.zeros(0, dtype=np.intp)   # row of artificial k
         self.art_sign = np.zeros(0)                  # and its +-1 there
-        self.astruct = None     # A padded to a multiple of four columns
         self.AT = None          # Afull's transpose, contiguous (_iterate)
 
     def _refactor(self):
@@ -486,32 +435,12 @@ class _Simplex:
             viol[self.free] = np.abs(d[self.free])
         return viol
 
-    def _unit_prices(self, cost, cb):
-        """cost - (cb @ Binv) @ Afull, with the slack and artificial columns
-        priced as the unit vectors they are: one gemv over the structural
-        block, whose padding to a multiple of four keeps every structural
-        column in the body of the product, as it is in the full one; then
-        cost - sign * y[row].  Each number is the full product's (see the
-        module docstring)."""
-        n, m = self.n, self.m
-        if self.astruct is None:
-            self.astruct = np.zeros((m, -(-n // 4) * 4))
-            self.astruct[:, :n] = self.Afull[:, :n]
-        y = cb @ self.Binv
-        d = np.empty(cost.size)
-        d[:n] = cost[:n] - (y @ self.astruct)[:n]
-        d[n:n + m] = cost[n:n + m] - y
-        d[n + m:] = cost[n + m:] - self.art_sign * y[self.art_rows]
-        return d
-
     def _iterate(self, cost, allow_unbounded):
         """Pivot to optimality under `cost`; returns OPTIMAL or UNBOUNDED.
         The basic variables' values, bounds and costs are kept per basis
-        slot (xb, lbb, ubb, cb) and written back to xval on return.  From
-        UNIT_MIN rows on, the slack and artificial columns are priced as
-        unit vectors and the rank-1 update skips the columns where the
-        pivot row is zero.  The loop keeps numpy calls
-        few (see the cost model in the module docstring): bounds and costs,
+        slot (xb, lbb, ubb, cb) and written back to xval on return.  The
+        loop keeps numpy calls few (see the cost model in the module
+        docstring): bounds and costs,
         which no pivot changes, are read from lists, and AT[j], a row of a
         contiguous copy of Afull's transpose, gives Binv @ Afull[:, j]'s
         bits (tests/test_lp.py checks this)."""
@@ -521,7 +450,6 @@ class _Simplex:
         xb, lbb, ubb, cb = xval[bi], lb[bi], ub[bi], cost[bi]
         lo, hi, cost_at = lb.tolist(), ub.tolist(), cost.tolist()
         m = self.m
-        unit = m >= UNIT_MIN
         if not xval.size:
             return OPTIMAL
         if self.AT is None:
@@ -542,10 +470,7 @@ class _Simplex:
                 Binv, xb = self.Binv, xval[bi]
             # d is not zeroed at the basic columns: their sign is 0 and they
             # are never free, so no decision reads it there
-            if unit:
-                d = self._unit_prices(cost, cb)
-            else:
-                d = cost - (cb @ Binv) @ Afull
+            d = cost - (cb @ Binv) @ Afull
             viol = self._violations(d)
             # Dantzig: the largest violation, lowest index on ties; Bland:
             # the lowest index over OPT_TOL
@@ -598,15 +523,7 @@ class _Simplex:
                 bi[r] = j
                 lbb[r], ubb[r], cb[r] = lo[j], hi[j], cost_at[j]
                 row = Binv[r] / w.item(r)
-                if unit:
-                    # a column where row is 0 would only change the sign of
-                    # its zeros, which no product reads; the columns are
-                    # taken as rows of the transpose, which numpy gathers
-                    # faster
-                    nz = np.flatnonzero(row)
-                    Binv.T[nz] -= row[nz, None] * w
-                else:
-                    Binv -= w[:, None] * row
+                Binv -= w[:, None] * row
                 Binv[r] = row
             gain = viol.item(j) * t
             if gain == 0.0 or gain <= 1e-12 * (1.0 + abs((cb @ xb).item())):
@@ -742,9 +659,14 @@ class _Stack:
 
     Stack column j is the LP's column j; zeros pad each LP to the widest,
     fixed at zero, priced zero and never entered.  The one product whose
-    shape differs is the pricing y @ Afull, and with three rows or more the
-    unit-column argument of the module docstring gives each of its columns
-    the LP's own bits (test_stacked_prices_are_each_lps_own checks this)."""
+    shape differs is the pricing y @ Afull.  A (1, m) @ (m, c) product
+    computes its columns in blocks of four, and a column's bits depend only
+    on whether a block or the tail loop over the last c % 4 computed it;
+    with three rows or more, every structural column is in the body of the
+    LP's product, n + 3 or more columns wide, and of the wider stack's.  A
+    slack or artificial column has one nonzero term, which comes out
+    exactly wherever it lies.  So each column gets the LP's own bits
+    (test_stacked_prices_are_each_lps_own checks this)."""
 
     # per-row arrays and lists, cut down together when LPs leave
     _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "binv",

@@ -106,7 +106,7 @@ def test_solve_rejects_bad_file(tmp_path, capsys, body, message):
 @pytest.mark.parametrize("algorithm, message", [
     ("benders", "scenario 0: infeasible for every first stage"),
     ("apblagc", "scenario 0: infeasible for every first stage"),
-    ("alg1", "partition problem infeasible"),
+    ("alg1", "scenario 0: infeasible for every first stage"),
 ])
 def test_solve_reports_an_infeasible_instance(tmp_path, capsys, algorithm,
                                               message):

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stochcuts import builtin, generate_sslp, GeneratorConfig
+from stochcuts import builtin, generate_sslp, GeneratorConfig, mip
 from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
                              INTEGER, KIND_BENDERS, KIND_PBBENC,
                              KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY)
 from stochcuts.mip import solve_mip
+from stochcuts.partition import build_partition_extensive
 from stochcuts.verify import check_cut_validity, run_suite, PASS
 from stochcuts.drivers import (ALGORITHMS, RunConfig, RunTrace, run,
                                run_benders, run_bdd,
@@ -76,6 +77,63 @@ def test_bounded_integer_column(refinement_example, algorithm):
         assert trace.final_lower_bound == pytest.approx(optimum, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["thm1", "refinement-example",
+                                  "dim1-random-0", "dim1-random-1",
+                                  "dim1-random-2", "sslp-3-4-10-s0"])
+def test_alg1_is_exact(name):
+    # each partition's bound is its partition problem's, solved on the
+    # shared master: at least the partition MIP's (the master's
+    # per-scenario theta bounds may lift it), at most the MIP optimum, and
+    # the optimum itself, within epsilon, when the gap closed
+    if name.startswith("sslp-"):
+        inst = generate_sslp(GeneratorConfig(sites=3, clients=4,
+                                             scenarios=10, seed=0))
+    else:
+        inst = builtin(name)
+    config = RunConfig(algorithm="alg1")
+    trace = run_alg1(inst, config)
+    optimum = solve_mip(build_extensive(inst)).objective
+    partition_mip = solve_mip(build_partition_extensive(
+        inst, trace.final_partition)).objective
+    z = trace.final_lower_bound
+    assert partition_mip - 1e-9 * (1.0 + abs(partition_mip)) <= z
+    assert z <= optimum + 1e-9 * (1.0 + abs(optimum))
+    if trace.cuts:
+        assert check_cut_validity(inst, trace.cuts).status == PASS
+    if trace.termination_reason == REASON_CONVERGED:
+        assert abs(z - optimum) <= config.epsilon * max(abs(optimum), 1e-12)
+
+
+def test_alg1_at_the_deadline(refinement_example, monkeypatch):
+    # branch and bound on an integer master stops at the deadline, read on
+    # mip's clock after k reads: the run ends time_limit at its last
+    # recorded bound, its events a prefix of the unlimited run's, at the
+    # first partition (none) or the second (its first two)
+    want = run_alg1(refinement_example)
+    reads = []
+
+    def clock(limit):
+        reads.append(None)
+        return np.inf if len(reads) > limit else 0.0
+
+    monkeypatch.setattr(mip, "time", SimpleNamespace(
+        monotonic=lambda: clock(np.inf)))
+    run_alg1(refinement_example)
+    total = len(reads)
+    recorded = set()
+    for limit in range(total):
+        reads.clear()
+        monkeypatch.setattr(mip, "time", SimpleNamespace(
+            monotonic=lambda limit=limit: clock(limit)))
+        trace = run_alg1(refinement_example)
+        assert trace.termination_reason == REASON_TIME_LIMIT
+        got = [(ev.kind, ev.z_lb, ev.z_ub) for ev in trace.events[:-1]]
+        assert got == [(ev.kind, ev.z_lb, ev.z_ub)
+                       for ev in want.events[:len(got)]]
+        recorded.add(len(got))
+    assert recorded == {0, 2}
+
+
 def test_refinement_example_values(refinement_example):
     inst = refinement_example
     benders = run_benders(inst)
@@ -120,11 +178,9 @@ def test_feasibility_cuts_through_the_cut_loop():
                     (BINARY,), [1.0], [[1.0], [-1.0]], scenarios)
     assert solve_mip(build_extensive(inst)).objective == pytest.approx(1.25)
     for algorithm, origin in (("benders", (0,)), ("bdd", (0,)),
-                              ("apblagc", (0, 1)), ("alg1", None)):
+                              ("apblagc", (0, 1)), ("alg1", (0, 1))):
         trace = run(inst, RunConfig(algorithm=algorithm))
         assert trace.final_lower_bound == pytest.approx(1.25, abs=1e-6)
-        if origin is None:   # alg1 keeps no cut pool
-            continue
         assert origin in [cut.origin for cut in trace.cuts
                           if cut.kind == KIND_FEASIBILITY]
         assert check_cut_validity(inst, trace.cuts).status == PASS

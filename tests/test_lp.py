@@ -560,64 +560,6 @@ def test_stacked_prices_are_each_lps_own():
             assert d[k, :w].tobytes() == own.tobytes()
 
 
-def _signed_zeros(rng, a):
-    """a with every zero given a random sign."""
-    return np.where(a == 0.0, np.copysign(0.0, rng.uniform(-1, 1, a.shape)),
-                    a)
-
-
-def test_unit_terms_sum_exactly():
-    # The unit-column path (UNIT_MIN) rests on this: in a BLAS product, an
-    # output whose only nonzero term is t comes out as t exactly, and one
-    # with no nonzero term as +0.0, so the signs of zeros never matter.
-    # Both gemv orientations the simplex uses, sparse enough that most
-    # outputs have zero or one nonzero term.
-    rng = np.random.default_rng(19)
-    outputs = {0: 0, 1: 0}
-    for _ in range(40):
-        m, c = (int(k) for k in rng.integers(1, 400, size=2))
-        dense = 1.5 / max(m, c)
-        a = _signed_zeros(rng, rng.normal(size=(m, c))
-                          * (rng.uniform(size=(m, c)) < dense))
-        v = _signed_zeros(rng, rng.normal(size=m) * (rng.uniform(size=m) < 0.7))
-        u = _signed_zeros(rng, rng.normal(size=c) * (rng.uniform(size=c) < 0.7))
-        # (outputs, their terms along axis 0)
-        for got, terms in ((v @ a, v[:, None] * a), (a @ u, (a * u).T)):
-            count = (terms != 0.0).sum(axis=0)
-            one = count == 1
-            assert got[one].tobytes() == terms.sum(axis=0)[one].tobytes()
-            assert got[count == 0].tobytes() == np.zeros(
-                (count == 0).sum()).tobytes()
-            outputs[0] += int((count == 0).sum())
-            outputs[1] += int(one.sum())
-    assert min(outputs.values()) > 1000
-
-
-def test_unit_columns_match_dense_products():
-    # _unit_prices against the dense pricing product it replaces, at full
-    # width in both phases, on basis inverses full of zeros of either sign,
-    # as eta updates leave them.  Real-valued data make the body and tail
-    # of a product differ (see test_stacked_prices_are_each_lps_own).
-    rng = np.random.default_rng(17)
-    for _ in range(80):
-        m, n = int(rng.integers(3, 40)), int(rng.integers(1, 14))
-        model = _family(rng, 1, m, n)[0]
-        lp = _Simplex(model)
-        lp._install_artificials()
-        width = lp.Afull.shape[1]
-        lp.Binv = _signed_zeros(rng, rng.normal(size=(m, m))
-                                * (rng.uniform(size=(m, m)) < 0.3))
-        cb = _signed_zeros(rng, rng.normal(size=m)
-                           * (rng.uniform(size=m) < 0.7))
-        phase1 = np.zeros(width)
-        phase1[lp.ncols0:] = 1.0
-        phase2 = np.zeros(width)
-        phase2[:n] = model.c
-        for cost in (phase1, phase2):
-            dense = cost - (cb @ lp.Binv) @ lp.Afull
-            assert lp._unit_prices(cost, cb).tobytes() == dense.tobytes()
-
-
 def test_contiguous_transpose_solves_columns_exactly():
     # _iterate solves an entering column as Binv @ AT[j], AT a contiguous
     # copy of Afull's transpose made once per LP; this rests on a gemv
@@ -635,132 +577,6 @@ def test_contiguous_transpose_solves_columns_exactly():
             for j in {0, width // 2, width - 1}:
                 assert (binv @ at[j]).tobytes() == \
                     (binv @ afull[:, j]).tobytes(), (m, width, j)
-
-
-def _unit_against_dense(monkeypatch, seed, trials, degenerate):
-    """Every result with the unit-column path forced on (UNIT_MIN 0) is
-    byte-equal to the dense path's (UNIT_MIN never reached), over seeded
-    random LPs with at least three rows; returns what they covered."""
-    rng = np.random.default_rng(seed)
-    seen = set()
-    for _ in range(trials):
-        m, n = int(rng.integers(3, 16)), int(rng.integers(1, 14))
-        for model in _family(rng, 4, m, n, degenerate):
-            monkeypatch.setattr(lp_module, "UNIT_MIN", 10 ** 9)
-            want = _result_bytes(solve_lp(model))
-            monkeypatch.setattr(lp_module, "UNIT_MIN", 0)
-            assert _result_bytes(solve_lp(model)) == want
-            seen.add(want[0])
-            lp = _Simplex(model)
-            lp._install_artificials()
-            seen |= {f"artificial {s:+.0f}" for s in lp.art_sign}
-            if lp.n_art and want[0] != INFEASIBLE:
-                seen.add("phase 2 with pinned artificials")
-            if (np.isinf(model.lb) & np.isinf(model.ub)).any():
-                seen.add("free column")
-            if np.isfinite(model.ub).any():
-                seen.add("boxed column")
-            if EQ in model.senses:
-                seen.add("equality row")
-    return seen
-
-
-def test_unit_path_matches_dense_path(monkeypatch):
-    # Three rows at least: with fewer, a structural column can sit in the
-    # tail of the full pricing product, which UNIT_MIN rules out.
-    assert _unit_against_dense(monkeypatch, 21, 60, degenerate=False) >= {
-        OPTIMAL, INFEASIBLE, UNBOUNDED, "artificial +1", "artificial -1",
-        "phase 2 with pinned artificials", "free column", "boxed column",
-        "equality row"}
-
-
-def test_unit_path_matches_dense_path_under_bland(monkeypatch):
-    monkeypatch.setattr(lp_module, "STALL_LIMIT", 2)
-    assert _unit_against_dense(monkeypatch, 22, 40, degenerate=True) >= {
-        OPTIMAL, "artificial +1", "artificial -1",
-        "phase 2 with pinned artificials"}
-
-
-_UNIT_ON_MASTERS = """
-import numpy as np
-import stochcuts.benders as benders
-import stochcuts.lp as L
-from stochcuts import generate_sslp, GeneratorConfig, RunConfig, run
-masters = []
-solve = benders.solve_lp
-benders.solve_lp = lambda model, **kw: (masters.append(model),
-                                         solve(model, **kw))[1]
-run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20, seed=0)),
-    RunConfig(algorithm="benders"))
-benders.solve_lp = solve
-def key(r):
-    return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
-            r.reduced_costs.tobytes())
-for model in masters:
-    L.UNIT_MIN = 10 ** 9
-    want = key(L.solve_lp(model))
-    L.UNIT_MIN = 0
-    assert key(L.solve_lp(model)) == want, model.A.shape
-print(len(masters), max(model.A.shape[0] for model in masters))
-"""
-
-
-def test_unit_path_matches_dense_path_on_masters():
-    # the 17 masters of a benders solve of sslp-10-10-20 (up to 182 rows;
-    # the 11 over DUAL_MIN go through their 30-row duals), solved both ways
-    # with one BLAS thread
-    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
-            os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
-    out = subprocess.run([sys.executable, "-c", _UNIT_ON_MASTERS], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["17", "182"]
-
-
-_UNIT_ON_WIDE_LPS = """
-import stochcuts.lp as L
-import stochcuts.mip as mip
-from stochcuts import build_extensive, generate_sslp, GeneratorConfig
-model = build_extensive(generate_sslp(
-    GeneratorConfig(sites=6, clients=8, scenarios=8, seed=0)))
-def key(r):
-    return (r.status, repr(r.objective),
-            *(None if a is None else a.tobytes()
-              for a in (r.x, r.duals, r.reduced_costs, r.farkas)))
-solve = mip.solve_lp
-def node_lps(unit_min):
-    L.UNIT_MIN = unit_min
-    keys = []
-    def recorded(lp, starts=None):
-        res = solve(lp, starts)
-        keys.append(key(res))
-        return res
-    mip.solve_lp = recorded
-    assert mip.solve_mip(model).nodes == len(keys)
-    return keys
-m, n = model.lp.A.shape
-unit_min = L.UNIT_MIN
-unit = node_lps(unit_min)
-assert unit == node_lps(10 ** 9)
-print(m >= unit_min, n > m, len(unit))
-"""
-
-
-def test_unit_path_matches_dense_path_on_wide_lps():
-    # The extensive MIP of sslp-6-8-8 seed 0, 112 x 390: wide LPs of at
-    # least UNIT_MIN rows, as alg1's partition MIPs solve them, every node
-    # LP byte-equal with the unit path at its real threshold and out of
-    # reach, one BLAS thread
-    path = [str(Path(stochcuts.__file__).resolve().parents[1]),
-            os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in path if p))
-    out = subprocess.run([sys.executable, "-c", _UNIT_ON_WIDE_LPS], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "True", "39"]
 
 
 def test_solve_lps_needs_one_row_count():

@@ -31,9 +31,9 @@ With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
 (bench/run.py --seed 0).  The benders and bdd masters there grow past
 lp.DUAL_MIN rows, from which they are solved through their duals; the
-apblagc masters stay below it.  The alg1 run is the one whose LPs take the
-unit-column path (lp.UNIT_MIN): its partition MIPs' LPs are up to 400 x
-2010.  Of the golden runs only sslp-10-10-20-s0:benders has masters past
+apblagc masters stay below it.  The alg1 run solves each partition on the
+shared master: its LPs are masters, relaxed or as branch-and-bound nodes,
+and recourse LPs.  Of the golden runs only sslp-10-10-20-s0:benders has masters past
 lp.DUAL_MIN.  The wide runs take about a minute.
 """
 
