@@ -181,14 +181,33 @@ def _outer_stop(lb_k, lb0_first, kappa1):
 
 
 def _benders_round(instance, state, targets, kind, x, theta):
-    """Add each cluster's violated optimality (or feasibility) cut at x."""
+    """Add each cluster's violated optimality (or feasibility) cut at x.
+
+    A target whose recourse LP last ended OPTIMAL keeps that basis, and
+    the round skips its LP when the basis certifies that no cut is due.
+    Under fixed recourse the basis stays dual feasible at every x, so
+    where it is still primal feasible at x, its objective q there is the
+    LP's optimum.  The LP is skipped when also
+    q <= t_P + CUT_VIOLATION_TOL / 2 * (1 + |t_P|): a solve would return
+    that optimum and add no cut, since its own test has the whole
+    CUT_VIOLATION_TOL, and the other half is a margin far above the LP
+    core's rounding.  Every other LP is solved; solve_lps gives each
+    result as solve_lp would, whatever the batch, so the cuts, masters and
+    traces are those of a round that solves every LP."""
     added = 0
-    results = solve_cluster_subproblem(instance, targets, x)
-    for target, res in zip(targets, results):
+    todo = []
+    for target in targets:
+        t_p = float(target.theta_weights @ theta)
+        q = None if target.basis is None else target.basis.objective_at(
+            target.rhs - target.technology @ x)
+        if q is None or q > t_p + CUT_VIOLATION_TOL / 2 * (1.0 + abs(t_p)):
+            todo.append((target, t_p))
+    results = solve_cluster_subproblem(instance, [t for t, _ in todo], x)
+    for (target, t_p), res in zip(todo, results):
+        target.keep_basis(res.basis)
         if res.status == LP_INFEASIBLE:
             cut = make_feasibility_cut(instance, target, res)
         else:
-            t_p = float(target.theta_weights @ theta)
             if res.objective <= t_p + CUT_VIOLATION_TOL * (1.0 + abs(t_p)):
                 continue
             cut = make_pbbenc(instance, target, res, kind)

@@ -40,12 +40,19 @@ class SeparationTarget(AggregatedScenario):
     """What the multiplier prices: a cluster's aggregate, and the label of
     the cuts it yields (lagrangian | pblagc).  It owns what its separations
     learn about its K: `solved`, every completed inner solve by (pi bytes,
-    pi0), and `starts`, its node LPs' phase-1 cache (see solve_mip).  Both
-    live and die with the target, so a refined cluster starts afresh."""
+    pi0), and `starts`, its node LPs' phase-1 cache (see solve_mip).  Its
+    Benders rounds keep `basis`, the lp.Basis its recourse LP last ended
+    OPTIMAL at, or None.  All three live and die with the target, so a
+    refined cluster starts afresh."""
 
     cut_kind: str
     solved: dict = field(default_factory=dict, repr=False)
     starts: dict = field(default_factory=dict, repr=False)
+    basis: object = field(default=None, repr=False)
+
+    def keep_basis(self, basis):
+        """Hold `basis` (lp.Basis or None) for the next Benders round."""
+        object.__setattr__(self, "basis", basis)
 
 
 def scenario_target(instance, s):

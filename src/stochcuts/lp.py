@@ -24,7 +24,8 @@ cache is used only where its use is bitwise neutral.  The one carried
 state that is not is the dual path's warm start (DualStart, below): with
 one, the result is a pure function of the model and the start, and a
 degenerate LP can end at another optimal vertex than without it.  A
-change to this kernel that keeps each
+result's basis (Basis reuse, below) may be read, and no caller's read
+changes an LP result.  A change to this kernel that keeps each
 floating-point expression feeding a decision or a result therefore
 reproduces every result bitwise, and can be checked that way
 (tests/test_trace_golden.py --against <other>/src).
@@ -154,6 +155,20 @@ not map, is singular, puts a basic value out of its bounds by more than
 FEAS_TOL, or does not end OPTIMAL.  Every finite bound of these duals is
 0 and none is boxed, so every nonbasic column sits at 0: the basis is the
 whole start.
+
+Basis reuse.  An OPTIMAL result of the primal path carries its final
+basis, `LpResult.basis`: a Basis holding the LP's _Simplex as phase 2 left
+it, with the refactorized Binv of its last optimality test.  B depends on
+the working matrix and the basis alone, and the reduced costs are not
+functions of b, so the basis stays optimal at a new rhs b for as long as
+it stays primal feasible there.  Basis.objective_at(b) solves the basic
+values at b with that Binv and returns the objective, or None when a
+basic value leaves its bounds by more than 1e-12 * (1 + max |b|) or an
+artificial is basic.  Making one costs a reference, and a result whose
+basis no caller reads is collected with its LP as before.  Dual-path,
+INFEASIBLE and UNBOUNDED results carry none.  A Benders round reads it to
+skip the recourse LPs whose answer it already knows
+(drivers._benders_round).
 """
 
 from __future__ import annotations
@@ -279,6 +294,37 @@ class LpResult:
     duals: np.ndarray = None           # one multiplier per input row
     reduced_costs: np.ndarray = None   # structural columns only
     farkas: np.ndarray = None          # row multipliers proving infeasibility
+    # the final basis of an OPTIMAL primal-path result, else None
+    basis: Basis = field(default=None, repr=False, compare=False)
+
+
+class Basis:
+    """The optimal basis an LP ended at, read-only (see Basis reuse in the
+    module docstring).  It holds the LP's _Simplex as phase 2 left it, so
+    making one costs a reference; only objective_at computes."""
+    __slots__ = ("_lp",)
+
+    def __init__(self, lp):
+        self._lp = lp
+
+    def objective_at(self, b):
+        """The optimum of this LP with rhs b, or None unless this basis is
+        primal feasible there: every basic value within
+        1e-12 * (1 + max |b|) of its bounds, and no artificial basic."""
+        lp = self._lp
+        bi = lp.basis
+        if bi.max(initial=-1) >= lp.ncols0:
+            return None
+        nonbasic = lp.status != _BASIC
+        b = np.asarray(b, dtype=float)
+        xb = lp.Binv @ (b - lp.Afull[:, nonbasic] @ lp.xval[nonbasic])
+        tol = 1e-12 * (1.0 + float(np.abs(b).max(initial=0.0)))
+        if not (np.all(xb >= lp.lb[bi] - tol)
+                and np.all(xb <= lp.ub[bi] + tol)):
+            return None
+        x = lp.xval.copy()
+        x[bi] = xb
+        return float(lp.model.c @ x[:lp.n])
 
 
 @dataclass
@@ -595,7 +641,8 @@ class _Simplex:
         return LpResult(OPTIMAL,
                         objective=float(self.model.c @ x),
                         x=x,
-                        duals=y, reduced_costs=d[:n].copy())
+                        duals=y, reduced_costs=d[:n].copy(),
+                        basis=Basis(self))
 
     def _phases(self):
         """The two-phase method as a coroutine: it yields (cost,

@@ -402,6 +402,57 @@ def test_node_lp_phase1_reuse_per_run(thm1, monkeypatch):
     assert seen[0] == seen[2] == {"node_lps": 567, "phase1": 269}
 
 
+SKIP_GATE = ("thm1", "refinement-example", "dim1-random-0", "dim1-random-1",
+             "dim1-random-2", "sslp-3-4-10-s0", "sslp-6-8-8-s0")
+SKIP_GATE_CONFIGS = {"benders": {}, "bdd": {"saturate": True},
+                     "apblagc": {"separation_budget": 6}, "alg1": {}}
+
+
+def _run_bytes(trace):
+    """The trace CSV without its wall-clock column, and the cut pool."""
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    rows = [row.split(",") for row in buf.getvalue().splitlines()[1:]]
+    col = rows[0].index("seconds")
+    pool = [(cut.kind, cut.x_coeffs.tobytes(), cut.theta_coeffs.tobytes(),
+             repr(cut.rhs), cut.origin) for cut in trace.cuts]
+    return [row[:col] + row[col + 1:] for row in rows], pool
+
+
+@pytest.mark.parametrize("algorithm", sorted(SKIP_GATE_CONFIGS))
+@pytest.mark.parametrize("name", SKIP_GATE)
+def test_recourse_skips_change_no_run(name, algorithm, monkeypatch):
+    # A Benders round skips a cluster's recourse LP when the basis it last
+    # ended at certifies that no cut is due.  The run must be, byte for
+    # byte, the one whose rounds solve every LP, and on the sslp instances
+    # it must solve fewer.
+    from stochcuts import drivers, lp
+    if name.startswith("sslp-"):
+        sites, clients, scenarios, seed = name[len("sslp-"):].split("-")
+        inst = generate_sslp(GeneratorConfig(
+            sites=int(sites), clients=int(clients), scenarios=int(scenarios),
+            seed=int(seed.lstrip("s"))))
+    else:
+        inst = builtin(name)
+    config = RunConfig(algorithm=algorithm, **SKIP_GATE_CONFIGS[algorithm])
+    solved = []
+    subproblems = drivers.solve_cluster_subproblem
+
+    def counted(instance, records, xhat):
+        solved.append(len(records))
+        return subproblems(instance, records, xhat)
+
+    monkeypatch.setattr(drivers, "solve_cluster_subproblem", counted)
+    skipping = run(inst, config)
+    fewer = sum(solved)
+    solved.clear()
+    monkeypatch.setattr(lp.Basis, "objective_at", lambda self, b: None)
+    every = run(inst, config)
+    assert _run_bytes(skipping) == _run_bytes(every)
+    if name.startswith("sslp-"):
+        assert fewer < sum(solved)
+
+
 def test_cut_split():
     assert cut_split({}) == (0, 0)
     counts = {KIND_BENDERS: 3, KIND_PBBENC: 2, KIND_LAGRANGIAN: 1,

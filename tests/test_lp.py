@@ -1107,3 +1107,94 @@ def test_unusable_dual_start_gives_the_cold_result(monkeypatch):
         assert _result_bytes(got) == _result_bytes(want)
         assert np.array_equal(start.basis, fresh.basis)
         assert (start.rows, start.boxed) == (fresh.rows, fresh.boxed)
+
+
+def _basic_slack(res, b):
+    """How far inside its bounds the basis of `res` keeps every basic value
+    at rhs b, negative when one leaves them, solved apart from the basis's
+    own inverse; None when an artificial is basic."""
+    lp = res.basis._lp
+    if (lp.basis >= lp.ncols0).any():
+        return None
+    nonbasic = lp.status != lp_module._BASIC
+    xb = np.linalg.solve(lp.Afull[:, lp.basis],
+                         b - lp.Afull[:, nonbasic] @ lp.xval[nonbasic])
+    return float(np.minimum(xb - lp.lb[lp.basis],
+                            lp.ub[lp.basis] - xb).min(initial=np.inf))
+
+
+def test_basis_answers_at_a_new_rhs():
+    # An OPTIMAL result's basis stays dual feasible at every rhs, so where
+    # its basic values stay within their bounds at a new b its objective
+    # there is the LP's optimum; where one leaves them, or an artificial
+    # is basic, it answers None.
+    rng = np.random.default_rng(20261019)
+    seen = set()
+    for trial in range(300):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 8))
+        model = _random_model(rng, n, m, contradict=trial % 5 == 4)
+        res = solve_lp(model)
+        if res.status != OPTIMAL:
+            assert res.basis is None
+            seen.add(res.status)
+            continue
+        for scale in (1e-3, 0.1, 1.0):
+            b = model.b + rng.normal(0.0, scale, size=m)
+            got = res.basis.objective_at(b)
+            inside = _basic_slack(res, b)
+            if inside is None:
+                assert got is None
+                seen.add("artificial")
+            elif inside > 1e-9:
+                want = solve_lp(model.with_rhs(b))
+                assert want.status == OPTIMAL
+                assert abs(got - want.objective) <= 1e-9 * (
+                    1.0 + abs(want.objective))
+                seen.add("answers")
+            elif inside < -1e-9:
+                assert got is None
+                seen.add("leaves its bounds")
+    assert seen >= {"answers", "leaves its bounds", INFEASIBLE, UNBOUNDED}
+
+
+def test_stacked_bases_answer_as_solve_lps():
+    # Recourse-like LPs, with_rhs children of one model, solved in a stack
+    # carry bases that answer at a new rhs bit for bit as solve_lp's do.
+    rng = np.random.default_rng(7)
+    built = 0
+    answers = set()
+    for _ in range(20):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(3, 12))
+        w = np.hstack([rng.integers(-3, 5, size=(m, n)), np.ones((m, 1))])
+        recourse = LpModel.make(rng.integers(1, 6, size=n + 1), w, (GE,) * m)
+        models = [recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
+                  for _ in range(STACK_MIN + int(rng.integers(0, 6)))]
+        stacked = solve_lps(models)
+        built += 1
+        for model, res in zip(models, stacked):
+            alone = solve_lp(model)
+            assert _result_bytes(res) == _result_bytes(alone)
+            for _ in range(3):
+                b = model.b + rng.normal(0.0, 0.5, size=m)
+                got = res.basis.objective_at(b)
+                assert got == alone.basis.objective_at(b)
+                answers.add(got is None)
+    assert answers == {True, False}
+
+
+def test_only_optimal_primal_results_carry_a_basis(monkeypatch):
+    # The dual path's results, and INFEASIBLE and UNBOUNDED ones, carry no
+    # basis; a result of the start cache's phase 2 does.
+    rng = np.random.default_rng(11)
+    tall = _tall_model(rng, lp_module.DUAL_MIN + 4, 6)
+    tall = LpModel.make(np.abs(tall.c) + 1.0, tall.A, tall.senses, tall.b,
+                        tall.lb, tall.ub)
+    dual = solve_lp(tall)
+    assert dual.status == OPTIMAL and dual.basis is None
+    infeasible = LpModel.make([1.0], [[1.0], [1.0]], (GE, LE), [2.0, 1.0])
+    unbounded = LpModel.make([-1.0], [[1.0]], (GE,), [1.0])
+    assert solve_lp(infeasible).basis is None
+    assert solve_lp(unbounded).basis is None
+    model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0])
+    assert solve_lp(model, starts={}).basis.objective_at([4.0]) == 4.0
+    assert solve_lp(model).basis.objective_at([-1.0]) is None   # y < 0

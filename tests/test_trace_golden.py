@@ -7,10 +7,11 @@ the bounds to 1e-9 relative.  Keys read instance:algorithm[:flag], with
 every other RunConfig field at its default.  The recourse LPs of
 sslp-1-1-10-s0 have two rows, too few for lp.solve_lps to stack them.
 
-Run as a script, it prints one `key trace-sha256 lp-sha256 events reason
-z_lb` line per golden run, so two commits can be compared bit for bit; the
-event count, stop reason and final z_lb after the digests show whether a
-moved digest moved the trace or only its rounding.  The first digest
+Run as a script, it prints one `key trace-sha256 lp-sha256 lps events
+reason z_lb` line per golden run, so two commits can be compared bit for
+bit; the count of LP results, event count, stop reason and final z_lb
+after the digests show whether a moved digest moved the trace, only its
+rounding, or only which LPs were solved.  The first digest
 covers the trace CSV without its wall-clock column and the final cut pool
 (kind, coefficient bytes, rhs repr, origin); the second every LP result of
 the run in call order (status, objective repr, x, duals, reduced costs and
@@ -26,6 +27,10 @@ two subprocesses, each with OPENBLAS_NUM_THREADS=1, prints every run whose
 trace or LP digest differs, and exits 1 on any difference:
 
     python tests/test_trace_golden.py [--wide] --against <other>/src
+
+With --trace-only as well it compares the trace digests alone, for a
+change that solves fewer LPs, or other ones, and must leave every trace
+and cut pool as it was.
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
@@ -130,9 +135,11 @@ def _lp_result_bytes(res):
 @contextlib.contextmanager
 def lp_sha256():
     """Yields a sha256 that takes in every LP result, in call order, while
-    the block runs: solve_lp and solve_lps are rebound in every stochcuts
-    module that holds them, and only the outermost call of a nest counts."""
+    the block runs, and a one-item list that counts them: solve_lp and
+    solve_lps are rebound in every stochcuts module that holds them, and
+    only the outermost call of a nest counts."""
     digest = hashlib.sha256()
+    count = [0]
     depth = [0]
     saved = []
 
@@ -146,6 +153,7 @@ def lp_sha256():
             if depth[0] == 0:
                 for res in (out if many else [out]):
                     digest.update(_lp_result_bytes(res))
+                    count[0] += 1
             return out
         return recorded
 
@@ -162,7 +170,7 @@ def lp_sha256():
                     setattr(mod, attr, wrapper)
                     saved.append((mod, attr, orig))
     try:
-        yield digest
+        yield digest, count
     finally:
         for mod, attr, orig in reversed(saved):
             setattr(mod, attr, orig)
@@ -211,10 +219,10 @@ def _digest_pass(src, wide):
         env=env, stdout=subprocess.PIPE, text=True)
 
 
-def against(other, wide):
+def against(other, wide, trace_only=False):
     """Digest this checkout's src and `other` side by side.  Prints each run
-    whose trace or LP digest differs, or that one side lacks, and returns
-    how many there are."""
+    whose trace or LP digest differs (with trace_only, whose trace digest
+    differs), or that one side lacks, and returns how many there are."""
     srcs = (Path(__file__).resolve().parents[1] / "src", Path(other))
     procs = [_digest_pass(src, wide) for src in srcs]
     outs = [proc.communicate()[0] for proc in procs]
@@ -224,8 +232,9 @@ def against(other, wide):
     mine, theirs = ({line.split()[0]: line.split()[1:]
                      for line in out.splitlines()} for out in outs)
     keys = sorted(mine.keys() | theirs.keys())
+    digests = 1 if trace_only else 2
     differ = [key for key in keys
-              if mine.get(key, [])[:2] != theirs.get(key, [])[:2]]
+              if mine.get(key, [])[:digests] != theirs.get(key, [])[:digests]]
     for key in differ:
         print(key)
         for side, lines in (("this ", mine), ("other", theirs)):
@@ -240,11 +249,15 @@ if __name__ == "__main__":
                         help="digest the runs in WIDE instead")
     parser.add_argument("--against", metavar="OTHER/src",
                         help="compare with the package in OTHER/src")
+    parser.add_argument("--trace-only", action="store_true",
+                        help="with --against, compare trace digests only")
     args = parser.parse_args()
     if args.against:
-        sys.exit(1 if against(args.against, args.wide) else 0)
+        sys.exit(1 if against(args.against, args.wide, args.trace_only)
+                 else 0)
     for key, instance, config in _runs(args.wide):
-        with lp_sha256() as lps:
+        with lp_sha256() as (lps, count):
             trace = run(instance, config)
-        print(key, trace_sha256(trace), lps.hexdigest(), len(trace.events),
-              trace.termination_reason, repr(trace.final_lower_bound))
+        print(key, trace_sha256(trace), lps.hexdigest(), count[0],
+              len(trace.events), trace.termination_reason,
+              repr(trace.final_lower_bound))

@@ -28,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"   # before numpy is imported
 
 import argparse
+import dataclasses
 import importlib.util
 import statistics
 import sys
@@ -58,10 +59,8 @@ def instance_text(package, sslp, instance_seed, order):
         sites=sites, clients=clients, scenarios=scenarios,
         seed=instance_seed))
     perm = np.random.default_rng(order).permutation(base.n_scenarios)
-    return package.emit(package.Instance(
-        base.name, base.first_stage_cost, base.first_stage_matrix,
-        base.first_stage_rhs, base.integrality, base.second_stage_cost,
-        base.recourse, tuple(base.scenarios[i] for i in perm)))
+    return package.emit(dataclasses.replace(
+        base, scenarios=tuple(base.scenarios[i] for i in perm)))
 
 
 def timed(package, instance, config):
