@@ -30,89 +30,52 @@ floating-point expression feeding a decision or a result therefore
 reproduces every result bitwise, and can be checked that way
 (tests/test_trace_golden.py --against <other>/src).
 
+Working matrix.  Rows become slack columns and each row has one
+artificial column, so every LP on an m x n matrix A pivots on
+[A | I | I]: column n + i is row i's slack and column n + m + i its
+artificial.  An artificial is fixed at [0, 0] unless phase 1 opens it, and
+phase 1 pins it back.  The matrix is built once per A and shared, never
+written to: by every LP of a start cache entry, by every LP of a solve_lps
+batch on one A, and by each result's Basis.  No LP copies it; a _Stack
+stacks its LPs' matrices for its batched products while it runs.
+
 Cost model.  On small LPs the time is numpy call overhead, about a
-microsecond a call, not flops.  A dense pivot that swaps in a column from
-its lower bound, with one tied slot, makes 49 numpy operations (calls,
-operators, indexing and item reads); it made 66.  _iterate reads scalars
-as Python floats, solves the entering column from a contiguous copy of
-Afull's transpose, clamps the ratio test's minimum at zero instead of the
-whole ratio vector, and masks no infinite bound (the bound on delta's
-side gives +inf).  Per solve, the final checks build one nonbasic mask
-from the statuses and reuse the prices of phase 2's last optimality
-test.  _Stack states the ratio test and its zero clamp the same way.  On
-the LP calls of an apblagc sslp-6-8-8 budget-6 run, replayed call by call
-against the previous kernel, one BLAS thread, time inside _iterate per
-pivot and the rest per solve went, for 567 node LPs of 14 rows, from 63.0
-to 49.1 us and from 483 to 366 us; for 67 masters of up to 70 rows by 14
-columns, from 70.9 to 58.3 us and from 901 to 789 us.
+microsecond a call, not flops.  _iterate reads scalars as Python floats,
+clamps the ratio test's minimum at zero instead of the whole ratio vector,
+and masks no infinite bound (the bound on delta's side gives +inf).  Per
+solve, the final checks build one nonbasic mask from the statuses and
+reuse the prices of phase 2's last optimality test.  _Stack states the
+ratio test and its zero clamp the same way.  README.md keeps the
+measurements.
 
 Start cache.  Phase 1 reads A, the senses, b and the bounds, never the
 objective, so its end state is a function of the feasible region.
 solve_lp(model, starts) keeps in `starts`, a dict the caller owns, one
-entry per A, by its shape and bytes: the [A | I] its LPs share, and its
-regions, by the senses and the bytes of b, lb and ub.  A hit returns the
-stored INFEASIBLE result, or runs phase 2 from a copy of the stored
-basis, statuses, values and refactorized inverse, artificials pinned; a
-miss runs phase 1 and stores its end.  A breakdown anywhere falls back to
-the from-scratch retry, and a phase 1 that breaks down stores no region.
-Branch and bound passes one cache to all its node LPs, and a Lagrangian
-separation target passes one to all its inner MIPs, which differ only in
-their objective: in an apblagc run on sslp-6-8-8 at budget 6, 298 of 567
-node LPs repeat a region.
+entry per A, by its shape and bytes: the [A | I | I] its LPs share, and
+its regions, by the senses and the bytes of b, lb and ub.  A region holds
+the stored INFEASIBLE result, or the LP as phase 1 left it, on the shared
+matrix; a hit runs phase 2 from a copy of its basis, statuses, values and
+refactorized inverse, artificials pinned, and a miss runs phase 1 and
+stores its end.  A breakdown anywhere falls back to the from-scratch
+retry, and a phase 1 that breaks down stores no region.  Branch and bound
+passes one cache to all its node LPs, and a Lagrangian separation target
+passes one to all its inner MIPs, which differ only in their objective.
 
-The contract extends to stacks.  solve_lps solves LPs that share a row
-count -- a round of recourse subproblems under fixed recourse -- in
-lockstep: each takes exactly the pivots solve_lp would take, and each
-result is bitwise solve_lp's, by a property of the BLAS (see _Stack).
-Lockstep saves numpy call overhead, not flops, so it pays only for
-batches of STACK_MIN or more LPs of three rows or more; other batches go
-one LP at a time.
-
-A stacked LP's fixed cost is kept to what differs between LPs.  A
-recourse round makes one checked model and one with_rhs child per
-subproblem, which checks only its rhs; children of one model share its
-[A | I] and its _start (the bounds of every working column, the start
-statuses and the structural columns' start values), copied into each
-LP's own arrays.  A step addresses every row's entries by flat position,
-keeps its ratio buffer and row offsets, reads a free column off its
-status and reads the stall counters only when one could have reached
-STALL_LIMIT.  Between runs of pivots the stack writes back the basis and
-the nonbasic state (the LP refactorizes next, so no Binv is copied) and
-loads only what _phases moved: the costs and the artificials' bounds,
-pinned at zero, when phase 2 begins, then the refactorized Binv and the
-basic values.  On the 360 recourse LPs of a benders sslp-10-10-20 solve,
-the previous stack and this one in one interpreter, alternating batch by
-batch over 14 solves, one BLAS thread (a shared 2-vCPU Xeon VM, OpenBLAS
-0.3.31), median wall time in us (it moves by a quarter with the load of
-the VM, the ratios less):
-
-    a step of 20 LPs                         189 -> 162
-    a step of 1 LP                           126 ->  99
-    a phase change, refactorization in       111 -> 100
-    the stack start, per LP                   90 ->  76
-    building an LP's _Simplex                 32 ->  15
-    building its model (make -> with_rhs)     31 ->   9
-
-The three batched products and the rank-1 update are about 43 us of a
-20-LP step (microbenchmark); the rest is call overhead.  A refactorization
-is about 55 us, np.linalg.inv's wrapper included.  STACK_MIN is measured
-as the stack's CPU time over the one-at-a-time time, one BLAS thread,
-median of 21 (benders) and 41 (apblagc) alternating repeats, the LPs cut
-into batches of K; the previous stack in brackets:
-
-    K                                4            6            8
-    360 recourse LPs of benders,
-      sslp-10-10-20, 20 rows         1.28 (1.46)  1.00 (1.12)  0.90 (1.00)
-    108 recourse LPs of apblagc b6,
-      sslp-6-8-8, 14 rows            1.17 (1.48)  0.95 (1.19)  0.80 (0.97)
-
-    K                                12           20
-    benders                          0.75 (0.81)  0.63 (0.67)
-    apblagc                          0.67 (0.78)  0.55 (0.63)
-
-The stack breaks even at 6 LPs and loses at 4, so STACK_MIN stays 8: no
-workload sends batches of 6 or 7, and apblagc's 4-cluster rounds would
-slow.
+The contract extends to stacks.  solve_lps solves LPs of one shape -- a
+round of recourse subproblems under fixed recourse -- in lockstep: each
+takes exactly the pivots solve_lp would take, and each result is bitwise
+solve_lp's, since each stacked product has the LP's own shape (see
+_Stack).  Lockstep saves numpy call overhead, not flops, so it pays only
+for batches of STACK_MIN or more LPs; smaller batches, and batches of
+mixed shapes or with a tall LP, go one LP at a time.  A recourse round makes one
+checked model and one with_rhs child per subproblem, which checks only its
+rhs; children of one model share its [A | I | I] and its _start (the
+bounds of every working column, the start statuses and the structural
+columns' start values), copied into each LP's own arrays.  Between runs
+of pivots the stack writes back the basis and the nonbasic state (the LP
+refactorizes next, so no Binv is copied) and loads only what _phases
+moved: the costs and the artificials' bounds, pinned at zero, when phase 2
+begins, then the refactorized Binv and the basic values.
 
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
@@ -130,18 +93,8 @@ dual ends OPTIMAL -- infeasible, unbounded, or broken down after its own
 retry -- the LP goes the primal way, which gives the Farkas ray of an
 infeasible LP and reports an unbounded one.  The dual path is not bitwise
 the primal one: degenerate optima can come out at another vertex.
-DUAL_MIN is a containment line, not a measured crossover: below 112 rows
-every LP keeps the primal path's bits, which covers every golden trace
-but sslp-10-10-20-s0:benders and every LP of the apblagc sslp-6-8-8
-workload at instance seed 0.  Dualizing every master instead moved that
-workload's z_lb from 94.421 to 76.438 through a degenerate tie at
-apblagc's outer stop; the threshold can come down once the outer stop and
-the bound sweep (ROADMAP items 2 and 1) can tell a worse bound from a
-moved tie.  Measured with one BLAS thread, re-solving the masters of a
-benders run: on sslp-10-10-20, 17 masters of up to 182 rows, 11 of them
-over DUAL_MIN, took 0.77-0.91 s of CPU on the primal path and 0.11-0.14 s
-with the dual path; on sslp-10-10-50, 13 masters of up to 386 rows, 4.37
-against 0.19 s.
+DUAL_MIN is a containment line, not a measured crossover: below it every
+LP keeps the primal path's bits.
 
 Warm start.  A row appended to a tall LP is a column appended to its dual,
 at its lower bound 0, so the dual's last optimal basis stays feasible for
@@ -165,7 +118,7 @@ it stays primal feasible there.  Basis.objective_at(b) solves the basic
 values at b with that Binv and returns the objective, or None when a
 basic value leaves its bounds by more than 1e-12 * (1 + max |b|) or an
 artificial is basic.  Making one costs a reference, and a result whose
-basis no caller reads is collected with its LP as before.  Dual-path,
+basis no caller reads is collected with its LP.  Dual-path,
 INFEASIBLE and UNBOUNDED results carry none.  A Benders round reads it to
 skip the recourse LPs whose answer it already knows
 (drivers._benders_round).
@@ -359,21 +312,25 @@ class DualStart:
         basic artificial, pinned at zero, is held as its row's slack: the
         same point, and the same column up to sign."""
         cols = lp.basis.copy()
-        art = cols >= lp.ncols0
-        cols[art] = lp.n + lp.art_rows[cols[art] - lp.ncols0]
+        cols[cols >= lp.ncols0] -= lp.m
         self.rows, self.boxed, self.basis = m, boxed, cols
 
 
 def _start(model):
     """What an LP's start takes from its senses and bounds alone: the
-    bounds of every working column, the start statuses, and the values of
-    the structural columns (at a finite bound, or 0 when free)."""
+    bounds of every working column (the artificials fixed at [0, 0]), the
+    start statuses, and the values of the structural columns (at a finite
+    bound, or 0 when free)."""
     lb, ub, rows = model.lb, model.ub, model.senses
     fin_lb, fin_ub = np.isfinite(lb), np.isfinite(ub)
     status = np.where(fin_lb, _AT_LB, np.where(fin_ub, _AT_UB, _FREE))
-    return (np.concatenate([lb, [-np.inf if s == GE else 0.0 for s in rows]]),
-            np.concatenate([ub, [np.inf if s == LE else 0.0 for s in rows]]),
-            np.concatenate([status, [_BASIC] * len(rows)]).astype(np.int8),
+    m = len(rows)
+    return (np.concatenate([lb, [-np.inf if s == GE else 0.0 for s in rows],
+                            np.zeros(m)]),
+            np.concatenate([ub, [np.inf if s == LE else 0.0 for s in rows],
+                            np.zeros(m)]),
+            np.concatenate([status, [_BASIC] * m,
+                            [_AT_LB] * m]).astype(np.int8),
             np.where(fin_lb, lb, np.where(fin_ub, ub, 0.0)))
 
 
@@ -389,30 +346,28 @@ def _signs(status, lb, ub):
 
 class _Simplex:
     def __init__(self, model, refactor_every=None, afull=None, start=None):
-        """afull: the working matrix [A | I], when the caller already has
-        it for an LP on A; start: _start of a model with these senses and
-        bounds.  Both are shared, never written to.  refactor_every, the
-        cadence of refactorizations, defaults to REFACTOR_EVERY as it is
-        when the LP is built, and a stack row keeps its LP's.  The caller
-        checks the model."""
+        """afull: the working matrix [A | I | I] (see the module
+        docstring), when the caller already has it for an LP on A; start:
+        _start of a model with these senses and bounds.  Both are shared,
+        never written to.  refactor_every, the cadence of
+        refactorizations, defaults to REFACTOR_EVERY as it is when the LP
+        is built, and a stack row keeps its LP's.  The caller checks the
+        model."""
         self.model = model
         self.refactor_every = refactor_every or REFACTOR_EVERY
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
         self.m, self.n = m, n
-        self.Afull = np.hstack([A, np.eye(m)]) if afull is None else afull
+        self.Afull = _working_matrix(A) if afull is None else afull
         self.lb, self.ub, self.status, x0 = (
             _start(model) if start is None else [a.copy() for a in start])
         self.b = np.asarray(model.b, dtype=float).copy()
         self.scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.ncols0 = n + m
-        self.xval = np.concatenate([x0, self.b - A @ x0])
+        self.xval = np.concatenate([x0, self.b - A @ x0, np.zeros(m)])
         self.basis = np.arange(n, n + m)
         self.Binv = np.eye(m)
-        self.n_art = 0
-        self.art_rows = np.zeros(0, dtype=np.intp)   # row of artificial k
-        self.art_sign = np.zeros(0)                  # and its +-1 there
-        self.AT = None          # Afull's transpose, contiguous (_iterate)
+        self.art_sign = np.zeros(m)   # row i's phase-1 cost on its artificial
 
     def _refactor(self):
         B = self.Afull[:, self.basis]
@@ -429,34 +384,28 @@ class _Simplex:
         self.xval[self.basis] = self.Binv @ rhs
 
     def _install_artificials(self):
-        """Snap infeasible basic slacks to a bound and cover the residual
-        with a unit artificial column; returns True if any were needed.
-        The basis is still the slack basis, slot i row i's slack."""
+        """Snap infeasible basic slacks to a bound and let each such row's
+        artificial cover the residual: opened to [0, inf) under a positive
+        residual at phase-1 cost +1, to (-inf, 0] under a negative one at
+        cost -1, and basic in the row's slot.  The basis, slot i row i's
+        slack or artificial, stays the identity, and so does Binv.  True if
+        any were needed."""
         n, m = self.n, self.m
-        xs, lo, hi = self.xval[n:], self.lb[n:], self.ub[n:]
+        xs, lo, hi = self.xval[n:n + m], self.lb[n:n + m], self.ub[n:n + m]
         bad = ((xs < lo - FEAS_TOL) | (xs > hi + FEAS_TOL)).nonzero()[0]
         if not bad.size:
             return False
-        k = bad.size
         xs_bad, lo_bad = xs[bad], lo[bad]
         snap = np.where(xs_bad < lo_bad, lo_bad, hi[bad])
-        rho = xs_bad - snap
+        up = xs_bad - snap > 0
         self.xval[n + bad] = snap
         self.status[n + bad] = np.where(snap == lo_bad, _AT_LB, _AT_UB)
-        self.art_rows, self.art_sign = bad, np.where(rho > 0, 1.0, -1.0)
-        ext, arts = np.zeros((m, k)), np.arange(k)
-        ext[bad, arts] = self.art_sign
-        self.basis[bad] = self.ncols0 + arts
-        self.Afull = np.concatenate([self.Afull, ext], axis=1)
-        self.lb = np.concatenate([self.lb, np.zeros(k)])
-        self.ub = np.concatenate([self.ub, np.full(k, np.inf)])
-        self.status = np.concatenate(
-            [self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.xval = np.concatenate([self.xval, np.abs(rho)])
-        self.n_art = k
-        # basis slot i holds row i's slack or artificial: B is diagonal +-1
-        # and is its own inverse, the identity but at the artificials' rows
-        self.Binv[bad, bad] = self.art_sign
+        art = self.ncols0 + bad
+        self.art_sign[bad] = np.where(up, 1.0, -1.0)
+        self.lb[art] = np.where(up, 0.0, -np.inf)
+        self.ub[art] = np.where(up, np.inf, 0.0)
+        self.status[art] = _BASIC
+        self.basis[bad] = art
         self._basic_values()
         return True
 
@@ -486,10 +435,8 @@ class _Simplex:
         The basic variables' values, bounds and costs are kept per basis
         slot (xb, lbb, ubb, cb) and written back to xval on return.  The
         loop keeps numpy calls few (see the cost model in the module
-        docstring): bounds and costs,
-        which no pivot changes, are read from lists, and AT[j], a row of a
-        contiguous copy of Afull's transpose, gives Binv @ Afull[:, j]'s
-        bits (tests/test_lp.py checks this)."""
+        docstring): bounds and costs, which no pivot changes, are read from
+        lists."""
         self._price_by_status()
         bi, lb, ub, xval = self.basis, self.lb, self.ub, self.xval
         status, sign = self.status, self.sign
@@ -498,9 +445,7 @@ class _Simplex:
         m = self.m
         if not xval.size:
             return OPTIMAL
-        if self.AT is None:
-            self.AT = np.ascontiguousarray(self.Afull.T)
-        Afull, Binv, AT = self.Afull, self.Binv, self.AT
+        Afull, Binv = self.Afull, self.Binv
         ratios = np.empty(m)
         refactor_every = self.refactor_every
         bland = False
@@ -529,7 +474,7 @@ class _Simplex:
             st_j = status.item(j)
             dirn = (1.0 if st_j == _AT_LB or (st_j == _FREE and d.item(j) < 0)
                     else -1.0)
-            w = Binv @ AT[j]
+            w = Binv @ Afull[:, j]
             # basic values move as xb - t * delta; the bound on delta's side
             # gives +inf where it is infinite, so no mask needs it
             delta = w if dirn > 0 else -w
@@ -610,14 +555,14 @@ class _Simplex:
         if not self._install_artificials():
             return None
         cost1 = np.zeros(self.Afull.shape[1])
-        cost1[self.ncols0:] = 1.0
+        cost1[self.ncols0:] = self.art_sign
         yield cost1, False
         self._refactor()
         infeas = float(cost1 @ self.xval)
         if infeas > FEAS_TOL * self.scale_b:
             y1, _ = self._prices(cost1)
             return LpResult(INFEASIBLE, farkas=y1)
-        # feasible: pin artificials at zero and forget their cost
+        # feasible: pin the artificials at zero and forget their cost
         self.lb[self.ncols0:] = 0.0
         self.ub[self.ncols0:] = 0.0
         return None
@@ -695,48 +640,33 @@ class _Simplex:
 
 
 class _Stack:
-    """LPs with one row count pivoting in lockstep: at each step every LP
-    still running takes the pivot _iterate would take next.  Row k of each
-    array is the k-th running LP: basis inverse (K, m, m), per-column state
-    (K, C) and per-basis-slot values, bounds and costs (K, m).  Each stacked
-    product is one BLAS call per LP of the shape _iterate uses, and every
-    other operation is elementwise, so every number that reaches a decision
-    or a result is the one _iterate computes.  Refactorizations and the
-    work between runs of pivots (_phases) go through the LP's own _Simplex.
-
-    Stack column j is the LP's column j; zeros pad each LP to the widest,
-    fixed at zero, priced zero and never entered.  The one product whose
-    shape differs is the pricing y @ Afull.  A (1, m) @ (m, c) product
-    computes its columns in blocks of four, and a column's bits depend only
-    on whether a block or the tail loop over the last c % 4 computed it;
-    with three rows or more, every structural column is in the body of the
-    LP's product, n + 3 or more columns wide, and of the wider stack's.  A
-    slack or artificial column has one nonzero term, which comes out
-    exactly wherever it lies.  So each column gets the LP's own bits
-    (test_stacked_prices_are_each_lps_own checks this)."""
+    """LPs of one shape pivoting in lockstep: at each step every LP still
+    running takes the pivot _iterate would take next.  Row k of each array
+    is the k-th running LP: working matrix (K, m, C), basis inverse
+    (K, m, m), per-column state (K, C) and per-basis-slot values, bounds
+    and costs (K, m).  Each stacked product is one BLAS call per LP of the
+    shape _iterate uses, and every other operation is elementwise, so every
+    number that reaches a decision or a result is the one _iterate
+    computes.  Refactorizations and the work between runs of pivots
+    (_phases) go through the LP's own _Simplex."""
 
     # per-row arrays and lists, cut down together when LPs leave
     _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "binv",
                "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
-    _LISTS = ("lps", "phases", "ids", "it", "max_iter", "allow")
+    _LISTS = ("lps", "phases", "ids", "it", "allow")
 
     def __init__(self, lps):
-        k, m = len(lps), lps[0].m
+        k, (m, width) = len(lps), lps[0].Afull.shape
         self.lps, self.ids = lps, list(range(k))
         self.phases = [lp._phases() for lp in lps]
         # each LP's first run of pivots, its artificials installed
         runs = [next(phases) for phases in self.phases]
         self.results = [None] * k
-        widths = [lp.Afull.shape[1] for lp in lps]
-        shape = (k, max(widths))
-        self.af = np.zeros((k, m, shape[1]))
-        self.xval, self.lb, self.ub, self.cost = (
-            np.zeros(shape) for _ in range(4))
-        self.status = np.full(shape, _AT_LB, dtype=np.int8)
-        for i, (lp, w, (cost, _)) in enumerate(zip(lps, widths, runs)):
-            self.af[i, :, :w], self.cost[i, :w] = lp.Afull, cost
-            for name in ("xval", "lb", "ub", "status"):
-                getattr(self, name)[i, :w] = getattr(lp, name)
+        self.af = np.array([lp.Afull for lp in lps])
+        self.cost = np.array([cost for cost, _ in runs])
+        self.xval, self.lb, self.ub, self.status = (
+            np.array([getattr(lp, name) for lp in lps])
+            for name in ("xval", "lb", "ub", "status"))
         self.sign = _signs(self.status, self.lb, self.ub)
         self.binv = np.array([lp.Binv for lp in lps])
         self.basis = np.array([lp.basis for lp in lps])
@@ -747,25 +677,26 @@ class _Stack:
         self.any_bland, self.peak = False, 0    # peak >= every stall
         self.any_free = bool((self.status == _FREE).any())
         self.it, self.allow = [0] * k, [allow for _, allow in runs]
-        self.max_iter = [max(50000, 500 * w) for w in widths]
+        self.max_iter = max(50000, 500 * width)
         # by position, cut to the running rows at each step: row k, the
         # flat positions of its first column and basis slot, ratio buffer
         self.rows = np.arange(k)
-        self.col0, self.slot0 = self.rows * shape[1], self.rows * m
+        self.col0, self.slot0 = self.rows * width, self.rows * m
         self.ratios = np.empty((k, m))
 
     def _load(self, k, cost, allow_unbounded):
         """Start LP k's next run of pivots.  Between two runs _phases moves
-        only the costs and the artificials' bounds, pinned at zero, when
-        phase 2 begins (allow_unbounded turns True), then refactorizes; the
-        rest of row k is the LP's state already."""
+        only the costs and the artificials' bounds, both pinned at zero,
+        when phase 2 begins (allow_unbounded turns True), then
+        refactorizes; the rest of row k is the LP's state already."""
         lp = self.lps[k]
         bi = lp.basis
         if allow_unbounded and not self.allow[k]:
-            w, n0 = lp.xval.size, lp.ncols0
-            self.cost[k, :w] = cost
-            self.ub[k, n0:w] = self.sign[k, n0:w] = 0.0
-            self.ubb[k], self.cb[k] = lp.ub[bi], cost[bi]
+            n0 = lp.ncols0
+            self.cost[k] = cost
+            self.lb[k, n0:] = self.ub[k, n0:] = self.sign[k, n0:] = 0.0
+            self.lbb[k], self.ubb[k] = lp.lb[bi], lp.ub[bi]
+            self.cb[k] = cost[bi]
             self.allow[k] = True
         self.binv[k], self.xb[k] = lp.Binv, lp.xval[bi]
         self.stall[k], self.bland[k], self.it[k] = 0, False, 0
@@ -775,11 +706,10 @@ class _Stack:
         which refactorizes next, or ends unbounded and reads neither its
         basis inverse nor its basic values."""
         lp = self.lps[k]
-        w = lp.xval.size
         lp.basis[:] = self.basis[k]
-        lp.xval[:] = self.xval[k, :w]
-        lp.status[:] = self.status[k, :w]
-        lp.sign = self.sign[k, :w].copy()
+        lp.xval[:] = self.xval[k]
+        lp.status[:] = self.status[k]
+        lp.sign = self.sign[k].copy()
         lp.free = (lp.status == _FREE).nonzero()[0]
 
     def _refactor(self, k):
@@ -833,9 +763,8 @@ class _Stack:
         while self.lps:
             self.it = [i + 1 for i in self.it]
             gone = []
-            for k, (i, most, lp) in enumerate(zip(self.it, self.max_iter,
-                                                  self.lps)):
-                if i > most:
+            for k, (i, lp) in enumerate(zip(self.it, self.lps)):
+                if i > self.max_iter:
                     gone.append(k)
                 elif i % lp.refactor_every == 0:
                     try:
@@ -1057,19 +986,25 @@ def _solve_dual(model, start=None):
                     reduced_costs=model.c - y @ A)
 
 
+def _working_matrix(A):
+    """[A | I | I]: A's structural, slack and artificial columns."""
+    eye = np.eye(A.shape[0])
+    return np.hstack([A, eye, eye])
+
+
 def _matrix_entry(A, cache):
-    """A's entry in `cache`, made on first use: ([A | I], a dict of A's
-    regions), under the key (A's shape, A's bytes)."""
+    """A's entry in `cache`, made on first use: ([A | I | I], a dict of
+    A's regions), under the key (A's shape, A's bytes)."""
     key = (A.shape, A.tobytes())
     if key not in cache:
-        cache[key] = (np.hstack([A, np.eye(A.shape[0])]), {})
+        cache[key] = (_working_matrix(A), {})
     return cache[key]
 
 
 def _solve_from(model, starts):
     """solve_lp's first attempt through the cache `starts`.  A region maps
-    to the INFEASIBLE result or to the LP after phase 1, which phase 2
-    never runs on, only on copies."""
+    to the INFEASIBLE result or to the LP after phase 1, on its entry's
+    [A | I | I], which phase 2 never runs on, only on copies."""
     afull, regions = _matrix_entry(model.A, starts)
     region = (tuple(model.senses),
               *(np.asarray(v, dtype=float).tobytes()
@@ -1086,18 +1021,20 @@ def _solve_from(model, starts):
 
 def solve_lps(models):
     """Solve LPs that share a row count; result i is bitwise
-    solve_lp(models[i]).  From STACK_MIN models of three rows or more on
-    they pivot in lockstep (_Stack), sharing one [A | I] per A, and models
-    with one A, senses and bounds -- with_rhs's children of one model --
-    one _start; a breakdown retries that LP alone, as solve_lp does."""
-    if len({model.A.shape[0] for model in models}) > 1:
+    solve_lp(models[i]).  STACK_MIN or more models of one shape, none of
+    them tall (_dualizes), pivot in lockstep (_Stack), sharing one
+    [A | I | I] per A, and models with one A, senses and bounds --
+    with_rhs's children of one model -- one _start; a breakdown retries
+    that LP alone, as solve_lp does.  Any other batch goes one LP at a
+    time."""
+    shapes = {model.A.shape for model in models}
+    if len({rows for rows, _ in shapes}) > 1:
         raise ValueError("solve_lps needs models with one row count")
-    tall = [_dualizes(model) for model in models]
-    primal = [model for model, t in zip(models, tall) if not t]
-    if len(primal) < STACK_MIN or models[0].A.shape[0] < 3:
+    if (len(models) < STACK_MIN or len(shapes) > 1
+            or any(map(_dualizes, models))):
         return [solve_lp(model) for model in models]
     matrices, shared, lps = {}, {}, []
-    for model in primal:
+    for model in models:
         if not model.checked:
             model.check()
         # with_rhs's children share one A, senses and bounds: one start
@@ -1106,8 +1043,6 @@ def solve_lps(models):
             shared[key] = (_matrix_entry(model.A, matrices)[0], _start(model))
         afull, start = shared[key]
         lps.append(_Simplex(model, afull=afull, start=start))
-    stacked = iter([res if res is not None
-                    else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
-                    for res, model in zip(_Stack(lps).run(), primal)])
-    return [solve_lp(model) if t else next(stacked)
-            for model, t in zip(models, tall)]
+    return [res if res is not None
+            else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
+            for res, model in zip(_Stack(lps).run(), models)]

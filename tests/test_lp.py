@@ -427,7 +427,7 @@ def _family(rng, k, m, n, degenerate=False):
 def _artificials(model):
     lp = _Simplex(model)
     lp._install_artificials()
-    return lp.n_art
+    return int(np.count_nonzero(lp.art_sign))
 
 
 def _count_stacks(monkeypatch):
@@ -523,10 +523,10 @@ def test_solve_lps_matches_solve_lp_across_refactorizations(monkeypatch):
     assert refactors
 
 
-def test_solve_lps_stacks_three_rows_or_more(monkeypatch):
-    # With one or two rows a structural column can sit in the tail of an
-    # LP's own pricing product and in the body of the wider stack's, so
-    # such batches go one LP at a time; from three rows on they stack.
+def test_solve_lps_stacks_any_row_count(monkeypatch):
+    # A stack of one shape makes each product in the LP's own shape, so
+    # batches of one and two rows stack too and match solve_lp byte for
+    # byte.
     built = _count_stacks(monkeypatch)
     rng = np.random.default_rng(14)
     for m in (1, 2, 3):
@@ -534,49 +534,48 @@ def test_solve_lps_stacks_three_rows_or_more(monkeypatch):
         models = _family(rng, STACK_MIN, m, 5)
         want = [_result_bytes(solve_lp(model)) for model in models]
         assert [_result_bytes(res) for res in solve_lps(models)] == want
-        assert built == ([STACK_MIN] if m >= 3 else [])
+        assert built == [STACK_MIN]
 
 
-def test_stacked_prices_are_each_lps_own():
-    # The LPs of a stack differ in width, so its pricing product has a shape
-    # none of theirs has; with three rows or more the in-place layout must
-    # still give every column the bits of the LP's own product.  Real-valued
-    # data make the body and tail of a product differ.
+def test_mixed_shapes_build_no_stack(monkeypatch):
+    # LPs with one row count but different column counts go one LP at a
+    # time, with solve_lp's results.
+    built = _count_stacks(monkeypatch)
     rng = np.random.default_rng(13)
-    for _ in range(40):
-        m = int(rng.integers(3, 6))
+    for _ in range(10):
+        m = int(rng.integers(1, 6))
         models = [LpModel.make(rng.normal(size=n), rng.normal(size=(m, n)),
                                [GE] * m, rng.normal(size=m))
-                  for n in rng.integers(1, 14, size=6)]
-        lps = [_Simplex(model) for model in models]
-        stack = _Stack(lps)
-        stack.cb = rng.normal(size=stack.cb.shape)
-        stack.binv = rng.normal(size=stack.binv.shape)
-        d = stack._reduced_costs()
-        for k, lp in enumerate(lps):
-            w = lp.Afull.shape[1]
-            y = stack.cb[k] @ stack.binv[k]
-            own = stack.cost[k, :w] - y @ lp.Afull
-            assert d[k, :w].tobytes() == own.tobytes()
+                  for n in (1, 2) + tuple(rng.integers(1, 14, size=STACK_MIN))]
+        want = [_result_bytes(solve_lp(model)) for model in models]
+        assert [_result_bytes(res) for res in solve_lps(models)] == want
+    assert built == []
 
 
-def test_contiguous_transpose_solves_columns_exactly():
-    # _iterate solves an entering column as Binv @ AT[j], AT a contiguous
-    # copy of Afull's transpose made once per LP; this rests on a gemv
-    # over the strided column Afull[:, j] giving the bits it gives over the
-    # same numbers laid out contiguously.  Square sizes 3 to 400,
-    # bases as wide as one column and as wide as 2m + 3.
-    rng = np.random.default_rng(29)
-    sizes = {3, 4, 5, 7, 8, 13, 14, 30, 31, 64, 111, 112, 182, 399, 400}
-    sizes |= {int(m) for m in rng.integers(3, 401, size=15)}
-    for m in sorted(sizes):
-        binv = rng.normal(size=(m, m))
-        for width in (1, 3, m, m + 5, 2 * m + 3):
-            afull = rng.normal(size=(m, width))
-            at = np.ascontiguousarray(afull.T)
-            for j in {0, width // 2, width - 1}:
-                assert (binv @ at[j]).tobytes() == \
-                    (binv @ afull[:, j]).tobytes(), (m, width, j)
+def test_lps_share_one_working_matrix():
+    # After phase 1 every region of a start cache holds its entry's one
+    # [A | I | I], and every stacked result's basis its batch's: no LP
+    # copies the matrix, artificials or not.
+    rng = np.random.default_rng(30)
+    arts = kept = 0
+    for _ in range(20):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        starts = {}
+        for model in _shared_region_lps(rng, 12, m, n, degenerate=False):
+            solve_lp(model, starts)
+            arts += _artificials(model)
+        for afull, regions in starts.values():
+            assert afull.shape == (m, n + 2 * m)
+            for region in regions.values():
+                assert (not isinstance(region, _Simplex)
+                        or region.Afull is afull)
+        models = _family(rng, STACK_MIN, m, n)
+        models = [models[0].with_rhs(model.b) for model in models]
+        bases = [res.basis for res in solve_lps(models)
+                 if res.basis is not None]
+        assert all(basis._lp.Afull is bases[0]._lp.Afull for basis in bases)
+        kept += len(bases)
+    assert arts and kept
 
 
 def test_solve_lps_needs_one_row_count():
@@ -948,10 +947,10 @@ def test_dual_path_falls_back_on_infeasible_and_unbounded(monkeypatch):
 
 
 def test_tall_stack_matches_solve_lp(monkeypatch):
-    # solve_lps sends tall LPs to solve_lp and stacks the rest: byte for
-    # byte solve_lp's results, a batch of tall LPs and a batch that mixes
-    # tall and wide LPs on one row count (DUAL_MIN lowered so that the wide
-    # ones stay small)
+    # solve_lps sends a batch that holds a tall LP to solve_lp one LP at a
+    # time: byte for byte solve_lp's results, a batch of tall LPs and a
+    # batch of one shape that mixes tall LPs with ones that have a free
+    # column (DUAL_MIN lowered so that they stay small)
     built = _count_stacks(monkeypatch)
     taken = _count_dual_solves(monkeypatch)
     rng = np.random.default_rng(46)
@@ -962,12 +961,15 @@ def test_tall_stack_matches_solve_lp(monkeypatch):
     assert [_result_bytes(res) for res in solve_lps(models)] == want
     assert built == [] and taken == [True] * STACK_MIN
     monkeypatch.setattr(lp_module, "DUAL_MIN", 6)
-    models = [_tall_model(rng, 8, 4 + 8 * (k % 2))
-              for k in range(2 * STACK_MIN)]
+    models = [_tall_model(rng, 8, 4) for _ in range(2 * STACK_MIN)]
+    free = np.arange(4) == 0
+    models[1::2] = [LpModel.make(model.c, model.A, model.senses, model.b,
+                                 np.where(free, -np.inf, model.lb), model.ub)
+                    for model in models[1::2]]
     want = [_result_bytes(solve_lp(model)) for model in models]
     taken.clear()
     assert [_result_bytes(res) for res in solve_lps(models)] == want
-    assert built == [STACK_MIN] and len(taken) == STACK_MIN
+    assert built == [] and len(taken) == STACK_MIN
 
 
 def test_drifted_master_solves_through_its_dual(monkeypatch):

@@ -5,7 +5,8 @@ event: [kind, z_lb, z_ub, ccut, fcut, n_clusters, refinements].  Kinds,
 cut counts, cluster counts, refinements and the reason must match exactly;
 the bounds to 1e-9 relative.  Keys read instance:algorithm[:flag], with
 every other RunConfig field at its default.  The recourse LPs of
-sslp-1-1-10-s0 have two rows, too few for lp.solve_lps to stack them.
+sslp-1-1-10-s0 have two rows; lp.solve_lps stacks them as it stacks wider
+ones.
 
 Run as a script, it prints one `key trace-sha256 lp-sha256 lps events
 reason z_lb` line per golden run, so two commits can be compared bit for
