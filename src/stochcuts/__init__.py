@@ -29,6 +29,6 @@ from .instance_io import (parse, emit, load, save, builtin, generate_sslp,
 from .verify import (VerificationReport, check_cut_validity,
                      check_pbbenc_combination, check_dim1_no_gap,
                      check_thm1_strictness, check_refinement_monotone,
-                     feasible_first_stage_points, hull_min_value, run_suite)
+                     feasible_first_stage_points, run_suite)
 
 __version__ = "0.1.0"

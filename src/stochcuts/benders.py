@@ -103,10 +103,11 @@ def compute_theta_lower_bounds(instance):
 
 class MasterState:
     """Instance + cut pool + the best lower bound produced so far, and the
-    master kept as the pool grows: its rows and rhs and the cuts'
-    max-abs-normalized rows live in buffers that double when full, the
-    normalized rows are indexed by their sums, and dual_start holds the
-    last optimal basis of the master's dual (lp.DualStart)."""
+    master kept as the pool grows: its rows and rhs and the cuts' max-abs
+    scales live in buffers that double when full, the cuts' normalized
+    rows (row and rhs over the scale) are indexed by their sums and
+    derived where add_cut compares them, not stored, and dual_start holds
+    the last optimal basis of the master's dual (lp.DualStart)."""
 
     def __init__(self, instance):
         self.instance = instance
@@ -119,9 +120,9 @@ class MasterState:
         self._rhs = np.zeros(m1 + 64)
         self._rows[:m1, :n1] = instance.first_stage_matrix
         self._rhs[:m1] = instance.first_stage_rhs
-        # max-abs-normalized (x_coeffs, theta_coeffs, rhs), one row per cut;
-        # the pool positions sorted by the rows' sums, and those sums
-        self._normalized = np.zeros((64, width + 1))
+        # max |(x_coeffs, theta_coeffs, rhs)|, one per cut; the pool
+        # positions sorted by the normalized rows' sums, and those sums
+        self._scales = np.zeros(64)
         self._order = []
         self._keys = []
         self.theta_lb = compute_theta_lower_bounds(instance)
@@ -148,14 +149,17 @@ class MasterState:
             reach = 2.0 * row.size * DEDUP_TOL
             lo = bisect_left(self._keys, key - reach)
             hi = bisect_left(self._keys, key + reach, lo)
-            near = self._normalized[self._order[lo:hi]]
+            window = np.array(self._order[lo:hi], dtype=np.intp)
+            rows = self.instance.m1 + window
+            near = (np.column_stack([self._rows[rows], self._rhs[rows]])
+                    / self._scales[window, None])
             if (np.abs(near - row).max(axis=1) <= DEDUP_TOL).any():
                 return False
             at = bisect_left(self._keys, key, lo, hi)
             self._keys.insert(at, key)
             self._order.insert(at, k)
-        self._normalized = _room(self._normalized, k)
-        self._normalized[k] = row
+        self._scales = _room(self._scales, k)
+        self._scales[k] = scale
         self._rows, self._rhs = _room(self._rows, r), _room(self._rhs, r)
         n1 = self.instance.n1
         self._rows[r, :n1] = cut.x_coeffs

@@ -30,6 +30,7 @@ u) raises FormatError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -263,6 +264,13 @@ class GeneratorConfig:
     site_budget: int = None    # optional row: open exactly this many sites
 
     def __post_init__(self):
+        for name in ("sites", "clients", "scenarios", "seed", "site_budget"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or (name == "site_budget" and value is None)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.sites < 1 or self.clients < 1:
             raise ValueError("sites and clients must be at least 1")
         if self.scenarios < 1:

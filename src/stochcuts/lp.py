@@ -36,8 +36,9 @@ artificial column, so every LP on an m x n matrix A pivots on
 artificial.  An artificial is fixed at [0, 0] unless phase 1 opens it, and
 phase 1 pins it back.  The matrix is built once per A and shared, never
 written to: by every LP of a start cache entry, by every LP of a solve_lps
-batch on one A, and by each result's Basis.  No LP copies it; a _Stack
-stacks its LPs' matrices for its batched products while it runs.
+batch, a _Stack included, and by each result's Basis.  No LP or stack
+copies it.  The dual path builds its dual's [A' | -Z | I | I] once, and
+the dual's matrix is its leading block.
 
 Cost model.  On small LPs the time is numpy call overhead, about a
 microsecond a call, not flops.  _iterate reads scalars as Python floats,
@@ -61,13 +62,15 @@ retry, and a phase 1 that breaks down stores no region.  Branch and bound
 passes one cache to all its node LPs, and a Lagrangian separation target
 passes one to all its inner MIPs, which differ only in their objective.
 
-The contract extends to stacks.  solve_lps solves LPs of one shape -- a
+The contract extends to stacks.  solve_lps solves LPs on one A -- a
 round of recourse subproblems under fixed recourse -- in lockstep: each
 takes exactly the pivots solve_lp would take, and each result is bitwise
-solve_lp's, since each stacked product has the LP's own shape (see
-_Stack).  Lockstep saves numpy call overhead, not flops, so it pays only
-for batches of STACK_MIN or more LPs; smaller batches, and batches of
-mixed shapes or with a tall LP, go one LP at a time.  A recourse round makes one
+solve_lp's, since each stacked product is one BLAS call in the LP's own
+shape (see _Stack).  Lockstep saves numpy call overhead, not flops, so it
+pays only for batches of STACK_MIN or more LPs; smaller batches, and
+batches on more than one A or with a tall LP, go one LP at a time.  So
+the theta-bound LPs of an instance whose T_s varies by scenario go one at
+a time.  A recourse round makes one
 checked model and one with_rhs child per subproblem, which checks only its
 rhs; children of one model share its [A | I | I] and its _start (the
 bounds of every working column, the start statuses and the structural
@@ -640,18 +643,21 @@ class _Simplex:
 
 
 class _Stack:
-    """LPs of one shape pivoting in lockstep: at each step every LP still
-    running takes the pivot _iterate would take next.  Row k of each array
-    is the k-th running LP: working matrix (K, m, C), basis inverse
-    (K, m, m), per-column state (K, C) and per-basis-slot values, bounds
-    and costs (K, m).  Each stacked product is one BLAS call per LP of the
-    shape _iterate uses, and every other operation is elementwise, so every
-    number that reaches a decision or a result is the one _iterate
-    computes.  Refactorizations and the work between runs of pivots
-    (_phases) go through the LP's own _Simplex."""
+    """LPs on one working matrix pivoting in lockstep: at each step every
+    LP still running takes the pivot _iterate would take next.  The stack
+    holds no matrix of its own: it reads the (m, C) [A | I | I] its LPs
+    share.  Row k of each of its arrays is the k-th running LP: basis
+    inverse (K, m, m), per-column state (K, C) and per-basis-slot values,
+    bounds and costs (K, m).  It prices with (y[:, None, :] @ afull)[:, 0]
+    and gathers entering columns as afull.T[j]; numpy runs each broadcast
+    product as one BLAS call per LP in the shape _iterate uses, and every
+    other operation is elementwise, so every number that reaches a
+    decision or a result is the one _iterate computes.  Refactorizations
+    and the work between runs of pivots (_phases) go through the LP's own
+    _Simplex."""
 
     # per-row arrays and lists, cut down together when LPs leave
-    _ARRAYS = ("af", "xval", "lb", "ub", "cost", "sign", "status", "binv",
+    _ARRAYS = ("xval", "lb", "ub", "cost", "sign", "status", "binv",
                "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
     _LISTS = ("lps", "phases", "ids", "it", "allow")
 
@@ -662,7 +668,7 @@ class _Stack:
         # each LP's first run of pivots, its artificials installed
         runs = [next(phases) for phases in self.phases]
         self.results = [None] * k
-        self.af = np.array([lp.Afull for lp in lps])
+        self.afull = lps[0].Afull     # every LP's, shared (solve_lps)
         self.cost = np.array([cost for cost, _ in runs])
         self.xval, self.lb, self.ub, self.status = (
             np.array([getattr(lp, name) for lp in lps])
@@ -678,10 +684,10 @@ class _Stack:
         self.any_free = bool((self.status == _FREE).any())
         self.it, self.allow = [0] * k, [allow for _, allow in runs]
         self.max_iter = max(50000, 500 * width)
-        # by position, cut to the running rows at each step: row k, the
-        # flat positions of its first column and basis slot, ratio buffer
-        self.rows = np.arange(k)
-        self.col0, self.slot0 = self.rows * width, self.rows * m
+        # by position, cut to the running rows at each step: the flat
+        # positions of row k's first column and basis slot, ratio buffer
+        rows = np.arange(k)
+        self.col0, self.slot0 = rows * width, rows * m
         self.ratios = np.empty((k, m))
 
     def _load(self, k, cost, allow_unbounded):
@@ -780,7 +786,7 @@ class _Stack:
     def _reduced_costs(self):
         """cost - (cb @ Binv) @ Afull in every row, bitwise the LP's own."""
         y = (self.cb[:, None, :] @ self.binv)[:, 0]
-        return self.cost - (y[:, None, :] @ self.af)[:, 0]
+        return self.cost - (y[:, None, :] @ self.afull)[:, 0]
 
     def _step(self):
         """One iteration of _iterate in every row.  Rows that end their run
@@ -790,7 +796,7 @@ class _Stack:
         reads it there.  Entries of a row are addressed by flat position,
         which numpy indexes faster than (row, column)."""
         size = len(self.lps)
-        rows, col0 = self.rows[:size], self.col0[:size]
+        col0 = self.col0[:size]
         ratios = self.ratios[:size]
         d = self._reduced_costs()
         viol = self.sign * d
@@ -808,7 +814,7 @@ class _Stack:
         # and falls from an upper bound (or free) when d > 0; d is neither
         # zero nor NaN there, and a row without one takes no step
         dirn = np.copysign(1.0, -d.ravel()[fj])
-        w = (self.binv @ self.af[rows, :, j][:, :, None])[:, :, 0]
+        w = (self.binv @ self.afull.T[j][:, :, None])[:, :, 0]
         delta = dirn[:, None] * w     # basic values move as xb - t * delta
         # the ratio test of _iterate, row by row
         bound = np.where(delta > 0.0, self.lbb, self.ubb)
@@ -914,15 +920,16 @@ def solve_lp(model, starts=None, dual_start=None):
         return _Simplex(model, RETRY_REFACTOR_EVERY).solve()
 
 
-def _solve_fresh(model):
+def _solve_fresh(model, afull=None):
     """The result of a checked model on the primal way, without a cache,
     and the _Simplex that reached it: the from-scratch retry's if the
-    first attempt broke down."""
-    lp = _Simplex(model)
+    first attempt broke down.  afull: the model's [A | I | I], when the
+    caller has it; both attempts share it."""
+    lp = _Simplex(model, afull=afull)
     try:
         return lp.solve(), lp
     except SimplexBreakdown:
-        lp = _Simplex(model, RETRY_REFACTOR_EVERY)
+        lp = _Simplex(model, RETRY_REFACTOR_EVERY, afull=afull)
         return lp.solve(), lp
 
 
@@ -944,7 +951,11 @@ def _solve_dual(model, start=None):
     With a DualStart `start` whose basis maps onto this dual, phase 2 runs
     from that basis; the dual is solved from scratch instead if the basis
     is singular or infeasible, or phase 2 does not end OPTIMAL.  An OPTIMAL
-    end replaces the start's basis."""
+    end replaces the start's basis.
+
+    The dual's working matrix [A' | -Z | I | I] is built once, and the
+    dual's matrix [A' | -Z] is its leading block: the warm start, the cold
+    solve and its retry all pivot on it."""
     A, lb = model.A, model.lb
     m, n = A.shape
     u = model.ub - lb
@@ -952,8 +963,9 @@ def _solve_dual(model, start=None):
     senses = np.asarray(model.senses, dtype="U2")
     minus_z = np.zeros((n, boxed.size))
     minus_z[boxed, np.arange(boxed.size)] = -1.0
+    afull = _working_matrix(A.T, minus_z)
     dual = LpModel(np.concatenate([A @ lb - model.b, u[boxed]]),
-                   np.hstack([A.T, minus_z]), (LE,) * n, model.c,
+                   afull[:, :m + boxed.size], (LE,) * n, model.c,
                    np.concatenate([np.where(senses == GE, 0.0, -np.inf),
                                    np.zeros(boxed.size)]),
                    np.concatenate([np.where(senses == LE, 0.0, np.inf),
@@ -965,7 +977,7 @@ def _solve_dual(model, start=None):
     res = None
     cols = None if start is None else start._columns(m, boxed.size, n)
     if cols is not None:
-        lp = _Simplex(dual)
+        lp = _Simplex(dual, afull=afull)
         try:
             if lp._from_basis(cols):
                 res = lp._run(lp._phase2())
@@ -973,7 +985,7 @@ def _solve_dual(model, start=None):
             pass
     if res is None or res.status != OPTIMAL:
         try:
-            res, lp = _solve_fresh(dual)
+            res, lp = _solve_fresh(dual, afull)
         except SimplexBreakdown:
             return None
         if res.status != OPTIMAL:
@@ -986,26 +998,23 @@ def _solve_dual(model, start=None):
                     reduced_costs=model.c - y @ A)
 
 
-def _working_matrix(A):
-    """[A | I | I]: A's structural, slack and artificial columns."""
-    eye = np.eye(A.shape[0])
-    return np.hstack([A, eye, eye])
-
-
-def _matrix_entry(A, cache):
-    """A's entry in `cache`, made on first use: ([A | I | I], a dict of
-    A's regions), under the key (A's shape, A's bytes)."""
-    key = (A.shape, A.tobytes())
-    if key not in cache:
-        cache[key] = (_working_matrix(A), {})
-    return cache[key]
+def _working_matrix(*blocks):
+    """[A | I | I] for A the blocks side by side: A's structural, slack and
+    artificial columns, built in one piece."""
+    eye = np.eye(blocks[0].shape[0])
+    return np.hstack([*blocks, eye, eye])
 
 
 def _solve_from(model, starts):
-    """solve_lp's first attempt through the cache `starts`.  A region maps
-    to the INFEASIBLE result or to the LP after phase 1, on its entry's
-    [A | I | I], which phase 2 never runs on, only on copies."""
-    afull, regions = _matrix_entry(model.A, starts)
+    """solve_lp's first attempt through the cache `starts`, whose entry for
+    A, made on first use under the key (A's shape, A's bytes), is
+    ([A | I | I], a dict of A's regions).  A region maps to the INFEASIBLE
+    result or to the LP after phase 1, on its entry's [A | I | I], which
+    phase 2 never runs on, only on copies."""
+    key = (model.A.shape, model.A.tobytes())
+    if key not in starts:
+        starts[key] = (_working_matrix(model.A), {})
+    afull, regions = starts[key]
     region = (tuple(model.senses),
               *(np.asarray(v, dtype=float).tobytes()
                 for v in (model.b, model.lb, model.ub)))
@@ -1019,30 +1028,35 @@ def _solve_from(model, starts):
     return lp._run(lp._phase2())
 
 
+def _one_matrix(models):
+    """True when every model is on the first one's A: the same array, or
+    one of its shape and bytes."""
+    A = models[0].A
+    key = (A.shape, A.tobytes())
+    return all(model.A is A or (model.A.shape, model.A.tobytes()) == key
+               for model in models)
+
+
 def solve_lps(models):
-    """Solve LPs that share a row count; result i is bitwise
-    solve_lp(models[i]).  STACK_MIN or more models of one shape, none of
-    them tall (_dualizes), pivot in lockstep (_Stack), sharing one
-    [A | I | I] per A, and models with one A, senses and bounds --
-    with_rhs's children of one model -- one _start; a breakdown retries
-    that LP alone, as solve_lp does.  Any other batch goes one LP at a
-    time."""
-    shapes = {model.A.shape for model in models}
-    if len({rows for rows, _ in shapes}) > 1:
-        raise ValueError("solve_lps needs models with one row count")
-    if (len(models) < STACK_MIN or len(shapes) > 1
-            or any(map(_dualizes, models))):
+    """Solve a batch of LPs; result i is bitwise solve_lp(models[i]).
+    STACK_MIN or more models on one A -- the first model's array, or one
+    of its shape and bytes -- none of them tall (_dualizes), pivot in
+    lockstep (_Stack) on one [A | I | I], and models with one senses and
+    bounds -- with_rhs's children of one model -- share one _start; a
+    breakdown retries that LP alone, as solve_lp does.  Any other batch
+    goes one LP at a time."""
+    if (len(models) < STACK_MIN or any(map(_dualizes, models))
+            or not _one_matrix(models)):
         return [solve_lp(model) for model in models]
-    matrices, shared, lps = {}, {}, []
+    afull, shared, lps = _working_matrix(models[0].A), {}, []
     for model in models:
         if not model.checked:
             model.check()
-        # with_rhs's children share one A, senses and bounds: one start
-        key = tuple(map(id, (model.A, model.senses, model.lb, model.ub)))
+        # with_rhs's children share one senses and bounds: one start
+        key = tuple(map(id, (model.senses, model.lb, model.ub)))
         if key not in shared:
-            shared[key] = (_matrix_entry(model.A, matrices)[0], _start(model))
-        afull, start = shared[key]
-        lps.append(_Simplex(model, afull=afull, start=start))
+            shared[key] = _start(model)
+        lps.append(_Simplex(model, afull=afull, start=shared[key]))
     return [res if res is not None
             else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
             for res, model in zip(_Stack(lps).run(), models)]

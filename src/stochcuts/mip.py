@@ -1,5 +1,5 @@
 """Best-bound branch and bound over the dense simplex, plus a brute-force
-binary enumerator used as an independent oracle in tests and verification."""
+binary enumerator that the tests use as an independent oracle."""
 
 from __future__ import annotations
 

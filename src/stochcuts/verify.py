@@ -17,7 +17,7 @@ from .benders import solve_scenario_subproblem, solve_cluster_subproblem, \
 from .drivers import RunConfig, run_benders, run_bdd, run_apblagc, \
     _cut_loop, REASON_SATURATED, REASON_TIME_LIMIT
 from .instance_io import builtin, GeneratorConfig, generate_sslp
-from .lp import LpModel, solve_lp, OPTIMAL, EQ
+from .lp import OPTIMAL
 from .mip import solve_mip, MIP_OPTIMAL
 from .model import BINARY, KIND_PBBENC, KIND_PBLAGC, theta_weights, \
     build_extensive
@@ -238,26 +238,6 @@ def check_single_cluster_exactness(instance, exact):
     return VerificationReport("single-cluster", instance.name, status,
                               worst=float(worst), witness=witness,
                               detail=detail)
-
-
-def hull_min_value(points, values, xhat, tol=1e-6):
-    """Least convex-combination objective over the given (point, value)
-    pairs whose combination reproduces xhat; None when xhat is outside the
-    convex hull of the points.  Used to certify cut tightness."""
-    points = [np.asarray(p, dtype=float) for p in points]
-    values = np.asarray(values, dtype=float)
-    k = len(points)
-    n = points[0].size
-    a = np.zeros((n + 1, k))
-    for j, p in enumerate(points):
-        a[:n, j] = p
-    a[n, :] = 1.0
-    b = np.concatenate([np.asarray(xhat, dtype=float), [1.0]])
-    model = LpModel.make(values, a, [EQ] * (n + 1), b)
-    res = solve_lp(model)
-    if res.status != OPTIMAL:
-        return None
-    return res.objective
 
 
 # -- suites used by the command line ---------------------------------------

@@ -174,6 +174,17 @@ def test_generator_config_validation():
         GeneratorConfig(scenarios=0)
     with pytest.raises(ValueError):
         GeneratorConfig(sites=0)
+    # a fractional budget would ask for 1.5 open sites, an empty first
+    # stage; a fractional count dies inside numpy without this check
+    for field, value in (("site_budget", 1.5), ("sites", 2.5),
+                         ("clients", 4.0), ("scenarios", "4"),
+                         ("seed", 0.5), ("seed", None)):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GeneratorConfig(**{"sites": 3, "clients": 4, "scenarios": 4,
+                               field: value})
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        GeneratorConfig(seed=-1)
+    assert GeneratorConfig(sites=np.int64(3), site_budget=None).sites == 3
 
 
 def test_builtin_thm1_arrays(thm1):

@@ -552,10 +552,53 @@ def test_mixed_shapes_build_no_stack(monkeypatch):
     assert built == []
 
 
-def test_lps_share_one_working_matrix():
+def test_stacked_products_are_each_lps_own():
+    # The stack prices and gathers its entering columns on the one
+    # [A | I | I] its LPs share: (y[:, None, :] @ afull)[:, 0] and
+    # afull.T[j].  numpy runs a broadcast product as one BLAS call per LP
+    # in the LP's own shape, so each row is byte for byte that LP's
+    # y[k] @ afull and binv[k] @ afull[:, j[k]].  One 2-D gemm y @ afull
+    # sums in another order and differs.
+    def own_bits(y, binv, afull, j, broadcast):
+        prices = (y[:, None, :] @ afull)[:, 0] if broadcast else y @ afull
+        columns = (binv @ afull.T[j][:, :, None])[:, :, 0]
+        return (all(prices[k].tobytes() == (y[k] @ afull).tobytes()
+                    and columns[k].tobytes()
+                    == (binv[k] @ afull[:, j[k]]).tobytes()
+                    for k in range(len(y))))
+
+    rng = np.random.default_rng(31)
+    gemm_differs = 0
+    for _ in range(30):
+        k, m = int(rng.integers(1, 41)), int(rng.integers(1, 121))
+        n = int(rng.integers(1, 200))
+        a = (rng.integers(-4, 5, size=(m, n))
+             * rng.uniform(0.5, 2.0, size=(m, n)))
+        afull = lp_module._working_matrix(a)
+        y, binv = rng.normal(size=(k, m)), rng.normal(size=(k, m, m))
+        j = rng.integers(0, afull.shape[1], size=k)
+        assert own_bits(y, binv, afull, j, broadcast=True)
+        gemm_differs += not own_bits(y, binv, afull, j, broadcast=False)
+    assert gemm_differs
+
+
+def test_lps_share_one_working_matrix(monkeypatch):
     # After phase 1 every region of a start cache holds its entry's one
     # [A | I | I], and every stacked result's basis its batch's: no LP
-    # copies the matrix, artificials or not.
+    # copies the matrix, artificials or not.  A stack holds no matrix of
+    # its own either: its matrix is every LP's, and none of its arrays
+    # holds a matrix per LP or shares the LPs' one.
+    stacks = []
+
+    class Seen(_Stack):
+        def __init__(self, lps):
+            super().__init__(lps)
+            stacks.append((self.afull, [lp.Afull for lp in lps],
+                           [v for v in vars(self).values()
+                            if isinstance(v, np.ndarray)
+                            and v is not self.afull]))
+
+    monkeypatch.setattr(lp_module, "_Stack", Seen)
     rng = np.random.default_rng(30)
     arts = kept = 0
     for _ in range(20):
@@ -571,18 +614,90 @@ def test_lps_share_one_working_matrix():
                         or region.Afull is afull)
         models = _family(rng, STACK_MIN, m, n)
         models = [models[0].with_rhs(model.b) for model in models]
+        stacks.clear()
         bases = [res.basis for res in solve_lps(models)
                  if res.basis is not None]
         assert all(basis._lp.Afull is bases[0]._lp.Afull for basis in bases)
         kept += len(bases)
+        (afull, rows, arrays), = stacks
+        assert all(row is afull for row in rows)
+        assert all(not np.shares_memory(v, afull)
+                   and v.shape[1:] != afull.shape for v in arrays)
     assert arts and kept
 
 
-def test_solve_lps_needs_one_row_count():
-    with pytest.raises(ValueError, match="one row count"):
-        solve_lps([LpModel.make([1.0], [[1.0]], [GE], [1.0]),
-                   LpModel.make([1.0], [[1.0], [1.0]], [GE, GE], [1.0, 2.0])])
-    assert solve_lps([]) == []
+def test_dual_path_builds_one_working_matrix(monkeypatch):
+    # A dual-path solve builds the dual's [A' | -Z | I | I] once, and the
+    # dual model's A is its leading block: with no start, with a start
+    # that does not map, and with one that maps but is infeasible, so
+    # that the warm attempt and the cold solve both pivot on it.
+    built, made = [], []
+    working_matrix, init = lp_module._working_matrix, _Simplex.__init__
+
+    def counted(*blocks):
+        built.append(working_matrix(*blocks))
+        return built[-1]
+
+    def recorded(self, model, *args, **kwargs):
+        init(self, model, *args, **kwargs)
+        made.append((model.A, self.Afull))
+
+    monkeypatch.setattr(lp_module, "_working_matrix", counted)
+    monkeypatch.setattr(_Simplex, "__init__", recorded)
+    tried = _count_warm_starts(monkeypatch)
+    rng = np.random.default_rng(49)
+    m, n = lp_module.DUAL_MIN + 10, 8
+    model = _tall_model(rng, m, n)
+    model = LpModel.make(np.abs(model.c) + 1.0, model.A, model.senses,
+                         model.b, model.lb, model.ub)
+    after = DualStart()
+    negative = LpModel.make(np.where(np.arange(n) == 2, -1.0, model.c),
+                            model.A, model.senses, model.b, model.lb,
+                            model.ub)
+    for lp, start, attempts in ((model, after, []),
+                                (model, DualStart(m + 5, 0, None), []),
+                                (negative, "infeasible", [False])):
+        if start == "infeasible":
+            start = DualStart(m, after.boxed, m + after.boxed + np.arange(n))
+        built.clear(), made.clear(), tried.clear()
+        assert solve_lp(lp, dual_start=start).status == OPTIMAL
+        assert tried == attempts and len(made) == 1 + len(attempts)
+        (afull,) = built
+        assert all(full is afull and np.shares_memory(A, afull)
+                   for A, full in made)
+        assert made[0][0].shape == (n, m + after.boxed)
+
+
+def test_two_matrices_of_one_shape_build_no_stack(monkeypatch):
+    # A stack pivots on one [A | I | I].  A batch on two matrices of one
+    # shape goes one LP at a time; one whose members hold equal copies of
+    # one matrix stacks.  Both match solve_lp byte for byte.
+    built = _count_stacks(monkeypatch)
+    rng = np.random.default_rng(32)
+    for _ in range(6):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        one, two = _family(rng, STACK_MIN, m, n), _family(rng, STACK_MIN, m, n)
+        copies = [LpModel.make(model.c, model.A.copy(), model.senses,
+                               model.b, model.lb, model.ub) for model in one]
+        for models, stacked in ((one[::2] + two[::2], []),
+                                (copies, [STACK_MIN])):
+            built.clear()
+            want = [_result_bytes(solve_lp(model)) for model in models]
+            assert [_result_bytes(res) for res in solve_lps(models)] == want
+            assert built == stacked
+
+
+def test_solve_lps_mixed_row_counts_go_one_at_a_time(monkeypatch):
+    # LPs with different row counts build no stack and get solve_lp's
+    # results; an empty batch has no results.
+    built = _count_stacks(monkeypatch)
+    rng = np.random.default_rng(33)
+    models = [LpModel.make(rng.normal(size=3), rng.normal(size=(m, 3)),
+                           [GE] * m, rng.normal(size=m))
+              for m in [1, 2] * STACK_MIN]
+    want = [_result_bytes(solve_lp(model)) for model in models]
+    assert [_result_bytes(res) for res in solve_lps(models)] == want
+    assert built == [] and solve_lps([]) == []
 
 
 _STACK_WITH_DRIFTED_MASTER = """

@@ -8,7 +8,7 @@ from stochcuts.verify import (PASS, FAIL, INCONCLUSIVE, VerificationReport,
                               feasible_first_stage_points, check_cut_validity,
                               check_pbbenc_combination, check_dim1_no_gap,
                               check_thm1_strictness, check_refinement_monotone,
-                              hull_min_value, run_suite)
+                              run_suite)
 from stochcuts.instance_io import builtin
 
 
@@ -102,15 +102,6 @@ def test_check_refinement_monotone_rejects_non_chain(refinement_example):
                 Partition.make([(0, 2), (1, 3)])]
     with pytest.raises(ValueError, match="not a refinement chain"):
         check_refinement_monotone(refinement_example, crossing)
-
-
-def test_hull_min_value():
-    points = [np.array([0.0]), np.array([1.0])]
-    values = [0.0, 2.0]
-    assert hull_min_value(points, values, np.array([0.5])) == pytest.approx(1.0)
-    assert hull_min_value(points, values, np.array([1.0])) == pytest.approx(2.0)
-    # outside the hull there is no certificate
-    assert hull_min_value(points, values, np.array([2.0])) is None
 
 
 def test_format_line_shapes():
