@@ -28,17 +28,19 @@ class MasterInfeasibleError(InfeasibleError, RuntimeError):
     """The cut pool (or the first-stage system itself) admits no x."""
 
 
-def _solve_recourse(instance, targets, systems, xhat):
+def _solve_recourse(instance, targets, systems, xhat, bases=None):
     """The LpResult of each target's recourse LP on its system's technology
     and rhs, all solved by one solve_lps call: fixed recourse makes every
     subproblem the same LP but for its rhs, so one checked model serves
-    them all and each checks only its rhs.  An infeasible one carries its
+    them all and each checks only its rhs, and any basis one of them
+    ended at is a warm start for every other (`bases`, one lp.Basis or
+    None per target; see lp.solve_lps).  An infeasible one carries its
     Farkas ray."""
     recourse = LpModel.make(instance.second_stage_cost, instance.recourse,
                             (GE,) * instance.m2)
     results = solve_lps([
         recourse.with_rhs(system.rhs - system.technology @ xhat)
-        for system in systems])
+        for system in systems], bases)
     for target, res in zip(targets, results):
         if res.status == LP_UNBOUNDED:
             raise ValueError(f"target {target}: recourse unbounded below")
@@ -52,11 +54,11 @@ def solve_scenario_subproblem(instance, scenarios, xhat):
                            [instance.scenarios[s] for s in scenarios], xhat)
 
 
-def solve_cluster_subproblem(instance, records, xhat):
-    """Same LP on each cluster's probability-averaged technology and rhs;
-    one LpResult per record."""
+def solve_cluster_subproblem(instance, records, xhat, bases=None):
+    """Same LP on each cluster's probability-averaged technology and rhs,
+    warm from bases[i] where given; one LpResult per record."""
     return _solve_recourse(instance, [a.cluster for a in records], records,
-                           xhat)
+                           xhat, bases)
 
 
 def make_benders_cut(instance, s, result):

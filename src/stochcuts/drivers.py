@@ -180,20 +180,30 @@ def _outer_stop(lb_k, lb0_first, kappa1):
     return progress <= kappa1 * total + 1e-9
 
 
-def _benders_round(instance, state, targets, kind, x, theta):
+def _benders_round(instance, state, targets, kind, x, theta, warm):
     """Add each cluster's violated optimality (or feasibility) cut at x.
 
-    A target whose recourse LP last ended OPTIMAL keeps that basis, and
-    the round skips its LP when the basis certifies that no cut is due.
-    Under fixed recourse the basis stays dual feasible at every x, so
-    where it is still primal feasible at x, its objective q there is the
-    LP's optimum.  The LP is skipped when also
+    A target keeps the basis its recourse LP last ended at, OPTIMAL or,
+    from a warm run, INFEASIBLE, and the round skips its LP when the basis
+    certifies that no cut is due.  Under fixed recourse the basis stays
+    dual feasible at every x, so where it is still primal feasible at x,
+    its objective q there is the LP's optimum.  The LP is skipped when also
     q <= t_P + CUT_VIOLATION_TOL / 2 * (1 + |t_P|): a solve would return
     that optimum and add no cut, since its own test has the whole
     CUT_VIOLATION_TOL, and the other half is a margin far above the LP
     core's rounding.  Every other LP is solved; solve_lps gives each
     result as solve_lp would, whatever the batch, so the cuts, masters and
-    traces are those of a round that solves every LP."""
+    traces are those of a round that solves every LP.
+
+    With `warm`, each LP solved starts from its target's basis, by a dual
+    simplex (lp.solve_lps).  A degenerate recourse LP has more than one
+    optimal dual, and a warm start can end at another one than a cold
+    solve.  The loops without Lagrangian rounds, benders and alg1, pass
+    warm: their bounds, the LP relaxation's and the integer L-shaped
+    method's at each partition, are optima that do not depend on which
+    optimal dual a cut is made from.  The Lagrangian loops do not: their
+    bounds move with the cuts' duals, in either direction (ROADMAP items
+    6 and 8), so bdd and apblagc solve cold, as before."""
     added = 0
     todo = []
     for target in targets:
@@ -202,7 +212,9 @@ def _benders_round(instance, state, targets, kind, x, theta):
             target.rhs - target.technology @ x)
         if q is None or q > t_p + CUT_VIOLATION_TOL / 2 * (1.0 + abs(t_p)):
             todo.append((target, t_p))
-    results = solve_cluster_subproblem(instance, [t for t, _ in todo], x)
+    results = solve_cluster_subproblem(
+        instance, [t for t, _ in todo], x,
+        [t.basis for t, _ in todo] if warm else None)
     for (target, t_p), res in zip(todo, results):
         target.keep_basis(res.basis)
         if res.status == LP_INFEASIBLE:
@@ -250,12 +262,13 @@ def _refined(partition, duals, coefficient):
 
 def _integer_l_shaped(instance, state, targets, kind, deadline):
     """The integer L-shaped method at the current partition: the integer
-    master, then a Benders round at its x, until the round adds no cut.
-    The last master's (x, theta, objective), or None at the deadline."""
+    master, then a warm Benders round at its x, until the round adds no
+    cut.  The last master's (x, theta, objective), or None at the
+    deadline."""
     while True:
         out = solve_master(state, relax_integrality=False, deadline=deadline)
         if out is None or not _benders_round(instance, state, targets, kind,
-                                             out[0], out[1]):
+                                             out[0], out[1], warm=True):
             return out
 
 
@@ -300,7 +313,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
                 reason = REASON_TIME_LIMIT
                 break
             if _benders_round(instance, state, targets, benders_kind,
-                              x, theta) == 0:
+                              x, theta, lagrangian_kind is None) == 0:
                 break
             x, theta, z = solve_master(state)
             if not exact:

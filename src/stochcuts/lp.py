@@ -20,14 +20,15 @@ pivot rule, not by any problem-level preference.
 Contract: for a given model and BLAS build, the pivot sequence and every
 returned number are a pure function of the model.  No state survives a
 call, except through a cache or a start the caller owns and passes in.  A
-cache is used only where its use is bitwise neutral.  The one carried
-state that is not is the dual path's warm start (DualStart, below): with
-one, the result is a pure function of the model and the start, and a
-degenerate LP can end at another optimal vertex than without it.  A
-result's basis (Basis reuse, below) may be read, and no caller's read
-changes an LP result.  A change to this kernel that keeps each
-floating-point expression feeding a decision or a result therefore
-reproduces every result bitwise, and can be checked that way
+cache is used only where its use is bitwise neutral.  Two carried starts
+are not: the dual path's warm start (DualStart, below) and the recourse
+basis a warm run starts from (Warm recourse, below).  With one, the
+result is a pure function of the model and the start, and a degenerate
+LP can end at another optimal vertex than without it.  A result's basis
+(Basis reuse, below) may be read, and no caller's read changes an LP
+result.  A change to this kernel that keeps each floating-point
+expression feeding a decision or a result therefore reproduces every
+result bitwise, and can be checked that way
 (tests/test_trace_golden.py --against <other>/src).
 
 Working matrix.  Rows become slack columns and each row has one
@@ -91,11 +92,15 @@ with y >= 0 on >= rows, y <= 0 on <= rows, y free on = rows and z >= 0
 only on the columns F with a finite ub, has one <= row per column and
 goes through the same simplex, on an n x n basis.  Its row duals are -x',
 so x = lb - (its row duals), clipped into the box against rounding; the
-duals are y, the reduced costs c - A'y and the objective c.x.  Unless the
-dual ends OPTIMAL -- infeasible, unbounded, or broken down after its own
-retry -- the LP goes the primal way, which gives the Farkas ray of an
-infeasible LP and reports an unbounded one.  The dual path is not bitwise
-the primal one: degenerate optima can come out at another vertex.
+duals are y, the reduced costs c - A'y and the objective c.x.  A dual
+that ends UNBOUNDED proves the LP infeasible: _iterate leaves the ray it
+stopped on (the entering column's unit step and the basic values' move),
+and the ray's y part is the LP's Farkas ray, returned with INFEASIBLE
+when it passes the Farkas test (Feasibility, below).  Otherwise, unless
+the dual ends OPTIMAL -- infeasible, broken down after its own retry, or
+a ray the test turns away -- the LP goes the primal way, which reports
+an unbounded LP.  The dual path is not bitwise the primal one:
+degenerate optima can come out at another vertex.
 DUAL_MIN is a containment line, not a measured crossover: below it every
 LP keeps the primal path's bits.
 
@@ -121,10 +126,43 @@ it stays primal feasible there.  Basis.objective_at(b) solves the basic
 values at b with that Binv and returns the objective, or None when a
 basic value leaves its bounds by more than 1e-12 * (1 + max |b|) or an
 artificial is basic.  Making one costs a reference, and a result whose
-basis no caller reads is collected with its LP.  Dual-path,
-INFEASIBLE and UNBOUNDED results carry none.  A Benders round reads it to
-skip the recourse LPs whose answer it already knows
+basis no caller reads is collected with its LP.  A warm run's INFEASIBLE
+end carries its dual feasible basis too (Warm recourse); dual-path,
+UNBOUNDED and other INFEASIBLE results carry none.  A Benders round reads
+it to skip the recourse LPs whose answer it already knows
 (drivers._benders_round).
+
+Warm recourse.  solve_lp(model, basis=kept) and solve_lps(models, bases)
+start an LP from the Basis of a with_rhs sibling: the same A, c, senses
+and bounds, so the same working matrix and reduced costs, and only the
+basic values move with b.  The kept basis is dual feasible, so a bounded
+dual simplex runs from it (_Simplex._dual) on a copy of its LP at the new
+b: the basic value furthest outside its bounds leaves for the bound it
+broke, the dual ratio test picks the entering column (lowest index on
+ties), and Binv is refactorized every REFACTOR_EVERY pivots.  Once every
+basic value is within 1e-9 * (1 + max |b|) of its bounds, phase 2
+finishes from that basis, and its refactorization and _verify stay the
+only acceptance test.  A row that no column can bring back proves the LP
+infeasible: its Binv row, negated when the value is under its lower
+bound, is the Farkas ray, and the result keeps the still dual feasible
+basis for the next start.  The LP goes the cold way -- the path it takes
+without a basis -- when an artificial is basic in the start, on a
+breakdown (a pivot under PIVOT_TOL, a singular basis, _verify), after
+more pivots than the LP has structural and slack columns, or at an
+infeasible end that Feasibility's rule does not confirm.  Warm LPs go one
+at a time; solve_lps stacks the rest as without bases, so result i is
+bitwise solve_lp(models[i], basis=bases[i]).
+
+Feasibility.  One rule decides that an LP is infeasible, in phase 1 and
+at a warm run's infeasible end: a value further outside its bounds than
+_verify's bound test allows, FEAS_TOL * (1 + max |x|), and a ray that
+passes the Farkas test (_certifies).  Phase 1 ends INFEASIBLE as before
+when the artificials' sum is over FEAS_TOL * (1 + max |b|); under it, it
+applies the bound test to each artificial before pinning it, and ends
+INFEASIBLE with its prices y1 where one fails and y1 passes.  The test is
+the one the tests apply to every Farkas ray, so a tiny wrong-signed entry
+of A'y on a column with no bound on that side, rounding the pivot
+tolerance let through, is caught there.
 """
 
 from __future__ import annotations
@@ -250,14 +288,16 @@ class LpResult:
     duals: np.ndarray = None           # one multiplier per input row
     reduced_costs: np.ndarray = None   # structural columns only
     farkas: np.ndarray = None          # row multipliers proving infeasibility
-    # the final basis of an OPTIMAL primal-path result, else None
+    # the final basis of an OPTIMAL primal-path result or of a warm run's
+    # INFEASIBLE end, else None
     basis: Basis = field(default=None, repr=False, compare=False)
 
 
 class Basis:
-    """The optimal basis an LP ended at, read-only (see Basis reuse in the
-    module docstring).  It holds the LP's _Simplex as phase 2 left it, so
-    making one costs a reference; only objective_at computes."""
+    """The dual feasible basis an LP ended at, read-only (see Basis reuse
+    in the module docstring).  It holds the LP's _Simplex as its last run
+    left it, so making one costs a reference; only objective_at
+    computes."""
     __slots__ = ("_lp",)
 
     def __init__(self, lp):
@@ -492,6 +532,11 @@ class _Simplex:
             if not math.isfinite(rmin) and not math.isfinite(tflip):
                 if allow_unbounded:
                     xval[bi] = xb
+                    # the ray: column j moves by dirn, the basic values
+                    # by -delta, per unit step
+                    self.ray = np.zeros(xval.size)
+                    self.ray[bi] = -delta
+                    self.ray[j] = dirn
                     return UNBOUNDED
                 raise SimplexBreakdown("phase-1 objective unbounded")
             if tflip <= rmin:
@@ -565,6 +610,15 @@ class _Simplex:
         if infeas > FEAS_TOL * self.scale_b:
             y1, _ = self._prices(cost1)
             return LpResult(INFEASIBLE, farkas=y1)
+        # _verify's bound test on each artificial, before it is pinned: one
+        # left further from zero makes the region infeasible when y1 proves
+        # it (Feasibility, in the module docstring)
+        scale_x = 1.0 + float(np.abs(self.xval).max(initial=0.0))
+        if not (float(np.abs(self.xval[self.ncols0:]).max(initial=0.0))
+                <= FEAS_TOL * scale_x):
+            y1, _ = self._prices(cost1)
+            if _certifies(self.model, y1):
+                return LpResult(INFEASIBLE, farkas=y1)
         # feasible: pin the artificials at zero and forget their cost
         self.lb[self.ncols0:] = 0.0
         self.ub[self.ncols0:] = 0.0
@@ -632,14 +686,110 @@ class _Simplex:
                     and np.all(xb <= self.ub[basis] + FEAS_TOL))
 
     def _restart(self, model):
-        """A copy of this LP, phase 1 done, to run phase 2 for `model`, an
-        LP with the same feasible region: the arrays phase 2 writes to are
-        copied, the working matrix, bounds and rhs shared."""
+        """A copy of this LP, at its basis, for `model`, an LP with the
+        same A, senses and bounds: the arrays pivots write to are copied,
+        the working matrix, bounds and rhs shared (a warm start then sets
+        its own rhs, _solve_warm)."""
         twin = _Simplex.__new__(_Simplex)
         twin.__dict__.update(self.__dict__, model=model)
         for name in ("basis", "status", "xval", "Binv"):
             setattr(twin, name, getattr(self, name).copy())
         return twin
+
+    def _dual(self):
+        """The bounded dual simplex from a dual feasible basis (see Warm
+        recourse in the module docstring).  Each pivot takes the basic
+        value furthest outside its bounds, by more than 1e-9 * (1 + max
+        |b|), out to that bound, and brings in the column the dual ratio
+        test picks, lowest index on ties; Binv is refactorized every
+        refactor_every pivots.  Returns None once no basic value is that
+        far out, for phase 2 to finish from the basis, or the INFEASIBLE
+        result, with the basis, at a row that no column can bring back.
+        Raises SimplexBreakdown where the LP goes the cold way instead: a
+        pivot under PIVOT_TOL, more pivots than the LP has structural and
+        slack columns, or an infeasible end that the Farkas test or
+        _verify's bound test does not confirm."""
+        n, m = self.n, self.m
+        cost = np.zeros(self.Afull.shape[1])
+        cost[:n] = self.model.c
+        self._basic_values()
+        self._price_by_status()
+        if not m:
+            return None
+        bi, lb, ub, xval = self.basis, self.lb, self.ub, self.xval
+        status, sign = self.status, self.sign
+        xb, lbb, ubb, cb = xval[bi], lb[bi], ub[bi], cost[bi]
+        Afull, Binv = self.Afull, self.Binv
+        ratios = np.empty(Afull.shape[1])
+        tol = 1e-9 * self.scale_b
+        stale = 0       # pivots since the last refactorization
+        for _ in range(n + m + 1):
+            viol = np.maximum(lbb - xb, xb - ubb)
+            r = int(viol.argmax())
+            if not viol.item(r) > tol:
+                xval[bi] = xb
+                return None
+            up = xb.item(r) > ubb.item(r)   # r leaves for its upper bound
+            alpha = Binv[r] @ Afull
+            d = cost - (cb @ Binv) @ Afull
+            # a column may enter when moving it off its bound moves basic
+            # value r toward the bound it broke; its ratio is its reduced
+            # cost's distance from the wrong sign over |alpha|
+            toward = sign * alpha
+            if not up:
+                toward = -toward
+            enter = toward < -PIVOT_TOL
+            slack = -sign * d
+            if self.free.size:
+                enter[self.free] = np.abs(alpha[self.free]) > PIVOT_TOL
+                slack[self.free] = np.abs(d[self.free])
+            if not enter.any():
+                if stale:       # look again on a refactorized Binv
+                    self._refactor()
+                    Binv, xb, stale = self.Binv, xval[bi], 0
+                    continue
+                xval[bi] = xb
+                farkas = Binv[r] if up else -Binv[r]
+                scale_x = 1.0 + float(np.abs(xval).max(initial=0.0))
+                if (viol.item(r) > FEAS_TOL * scale_x
+                        and _certifies(self.model, farkas)):
+                    return LpResult(INFEASIBLE, farkas=farkas,
+                                    basis=Basis(self))
+                raise SimplexBreakdown("infeasible end not certified")
+            ratios.fill(np.inf)
+            np.divide(np.maximum(slack, 0.0), np.abs(alpha), out=ratios,
+                      where=enter)
+            rmin = ratios.item(ratios.argmin())
+            if not math.isfinite(rmin):
+                raise SimplexBreakdown("dual ratio test out of tolerance")
+            j = int((ratios <= rmin + 1e-12 + 1e-9 * rmin).argmax())
+            w = Binv @ Afull[:, j]
+            wr = w.item(r)
+            if not abs(wr) > PIVOT_TOL:
+                raise SimplexBreakdown("dual pivot out of tolerance")
+            out = bi.item(r)
+            bound = ubb.item(r) if up else lbb.item(r)
+            step = (xb.item(r) - bound) / wr
+            xb -= step * w
+            xval[out] = bound
+            status[out] = _AT_UB if up else _AT_LB
+            if lbb.item(r) != ubb.item(r):
+                sign[out] = 1.0 if up else -1.0
+            if status.item(j) == _FREE:
+                self.free = self.free[self.free != j]
+            xb[r] = xval.item(j) + step
+            status[j] = _BASIC
+            sign[j] = 0.0
+            bi[r] = j
+            lbb[r], ubb[r], cb[r] = lb.item(j), ub.item(j), cost.item(j)
+            row = Binv[r] / wr
+            Binv -= w[:, None] * row
+            Binv[r] = row
+            stale += 1
+            if stale == self.refactor_every:
+                self._refactor()
+                Binv, xb, stale = self.Binv, xval[bi], 0
+        raise SimplexBreakdown("dual iteration limit exceeded")
 
 
 class _Stack:
@@ -888,8 +1038,13 @@ class _Stack:
         binv[fr] = row
 
 
-def solve_lp(model, starts=None, dual_start=None):
+def solve_lp(model, starts=None, dual_start=None, basis=None):
     """Solve a minimization LP; deterministic for a fixed input.
+
+    `basis`, a Basis of an LP with this one's A, c, senses and bounds (a
+    with_rhs sibling), starts a dual simplex from it (see Warm recourse in
+    the module docstring); where that run gives no result, the LP is
+    solved as without it.
 
     When the final checks fail, the eta updates have usually drifted on an
     ill-conditioned basis; the LP is solved once more from scratch with a
@@ -897,10 +1052,10 @@ def solve_lp(model, starts=None, dual_start=None):
     raised.  An LP that passes the first time never reaches the retry.
 
     A tall LP (_dualizes) is first solved through its dual, and goes the
-    primal way only if that does not end OPTIMAL (see the module
-    docstring).  `dual_start`, a DualStart owned by the caller, starts that
-    dual from the basis it holds and keeps the one it ends at; other LPs
-    ignore it.
+    primal way only if that neither ends OPTIMAL nor proves it infeasible
+    (see the module docstring).  `dual_start`, a DualStart owned by the
+    caller, starts that dual from the basis it holds and keeps the one it
+    ends at; other LPs ignore it.
 
     `starts`, a dict owned by the caller, holds phase 1's end state by
     feasible region and is reused and extended here: an LP whose region it
@@ -908,6 +1063,10 @@ def solve_lp(model, starts=None, dual_start=None):
     bitwise the one without it."""
     if not model.checked:
         model.check()
+    if basis is not None:
+        result = _solve_warm(model, basis)
+        if result is not None:
+            return result
     if _dualizes(model):
         result = _solve_dual(model, dual_start)
         if result is not None:
@@ -933,6 +1092,43 @@ def _solve_fresh(model, afull=None):
         return lp.solve(), lp
 
 
+def _solve_warm(model, basis):
+    """The result of the dual simplex run from `basis` (_Simplex._dual),
+    then phase 2, or None where the LP goes the cold way: an artificial
+    basic in the start, a breakdown, or an end neither OPTIMAL nor
+    INFEASIBLE."""
+    kept = basis._lp
+    if kept.basis.max(initial=-1) >= kept.ncols0:
+        return None
+    lp = kept._restart(model)
+    lp.b = np.asarray(model.b, dtype=float).copy()
+    lp.scale_b = 1.0 + float(np.abs(lp.b).max(initial=0.0))
+    lp.refactor_every = REFACTOR_EVERY
+    try:
+        result = lp._dual() or lp._run(lp._phase2())
+    except SimplexBreakdown:
+        return None
+    return None if result.status == UNBOUNDED else result
+
+
+def _certifies(model, y):
+    """True when y proves `model` infeasible, by the test the module's
+    tests apply to every Farkas ray: y >= -1e-9 on >= rows and <= 1e-9 on
+    <= rows, every entry of A'y over 1e-12 (under -1e-12) on a column
+    with a finite upper (lower) bound, and y.b above the supremum of
+    y.A x over the box by more than 1e-9."""
+    senses = np.asarray(model.senses)
+    if (y[senses == GE] < -1e-9).any() or (y[senses == LE] > 1e-9).any():
+        return False
+    z = model.A.T @ y
+    up, down = z > 1e-12, z < -1e-12
+    ub, lb = model.ub[up], model.lb[down]
+    if not (np.isfinite(ub).all() and np.isfinite(lb).all()):
+        return False
+    sup = float(z[up] @ ub) + float(z[down] @ lb)
+    return float(y @ model.b) > sup + 1e-9
+
+
 def _dualizes(model):
     """True for an LP solve_lp takes through its dual: DUAL_MIN rows or
     more, more rows than columns, and a finite lower bound on every
@@ -942,7 +1138,8 @@ def _dualizes(model):
 
 
 def _solve_dual(model, start=None):
-    """The OPTIMAL result of a tall LP read off its dual, or None.  With
+    """The OPTIMAL result of a tall LP read off its dual, the INFEASIBLE
+    one read off an unbounded dual's ray, or None.  With
     x = lb + x', 0 <= x' <= u, the dual is
         min -(b - A lb).y + u_F.z   s.t.  A'y - z <= c,
     y >= 0 on >= rows, <= 0 on <= rows, free on = rows, and z >= 0 only on
@@ -950,8 +1147,8 @@ def _solve_dual(model, start=None):
 
     With a DualStart `start` whose basis maps onto this dual, phase 2 runs
     from that basis; the dual is solved from scratch instead if the basis
-    is singular or infeasible, or phase 2 does not end OPTIMAL.  An OPTIMAL
-    end replaces the start's basis.
+    is singular or infeasible, or phase 2 breaks down.  An OPTIMAL end
+    replaces the start's basis.
 
     The dual's working matrix [A' | -Z | I | I] is built once, and the
     dual's matrix [A' | -Z] is its leading block: the warm start, the cold
@@ -983,13 +1180,17 @@ def _solve_dual(model, start=None):
                 res = lp._run(lp._phase2())
         except SimplexBreakdown:
             pass
-    if res is None or res.status != OPTIMAL:
+    if res is None:
         try:
             res, lp = _solve_fresh(dual, afull)
         except SimplexBreakdown:
             return None
-        if res.status != OPTIMAL:
-            return None
+    if res.status == UNBOUNDED:     # the LP is infeasible: y's ray proves it
+        farkas = lp.ray[:m].copy()
+        return (LpResult(INFEASIBLE, farkas=farkas)
+                if _certifies(model, farkas) else None)
+    if res.status != OPTIMAL:
+        return None
     if start is not None:
         start._keep(m, boxed.size, lp)
     y = res.x[:m]
@@ -1037,21 +1238,39 @@ def _one_matrix(models):
                for model in models)
 
 
-def solve_lps(models):
-    """Solve a batch of LPs; result i is bitwise solve_lp(models[i]).
-    STACK_MIN or more models on one A -- the first model's array, or one
-    of its shape and bytes -- none of them tall (_dualizes), pivot in
-    lockstep (_Stack) on one [A | I | I], and models with one senses and
-    bounds -- with_rhs's children of one model -- share one _start; a
-    breakdown retries that LP alone, as solve_lp does.  Any other batch
-    goes one LP at a time."""
-    if (len(models) < STACK_MIN or any(map(_dualizes, models))
-            or not _one_matrix(models)):
-        return [solve_lp(model) for model in models]
-    afull, shared, lps = _working_matrix(models[0].A), {}, []
-    for model in models:
+def solve_lps(models, bases=None):
+    """Solve a batch of LPs; result i is bitwise solve_lp(models[i],
+    basis=bases[i]), or solve_lp(models[i]) without bases.  Each LP with
+    a basis first runs warm, alone (_solve_warm).  Of the others,
+    STACK_MIN or more on one A -- the first one's array, or one of its
+    shape and bytes -- none of them tall (_dualizes), pivot in lockstep
+    (_Stack) on one [A | I | I], and those with one senses and bounds --
+    with_rhs's children of one model -- share one _start; a breakdown
+    retries that LP alone, as solve_lp does.  Any other batch goes one LP
+    at a time."""
+    results = [None] * len(models)
+    for i, model in enumerate(models):
         if not model.checked:
             model.check()
+        if bases is not None and bases[i] is not None:
+            results[i] = _solve_warm(model, bases[i])
+    cold = [i for i, res in enumerate(results) if res is None]
+    rest = [models[i] for i in cold]
+    if (len(rest) < STACK_MIN or any(map(_dualizes, rest))
+            or not _one_matrix(rest)):
+        solved = map(solve_lp, rest)
+    else:
+        solved = _solve_stacked(rest)
+    for i, res in zip(cold, solved):
+        results[i] = res
+    return results
+
+
+def _solve_stacked(models):
+    """The results of checked models on one A, none of them tall, solved
+    in lockstep (see solve_lps)."""
+    afull, shared, lps = _working_matrix(models[0].A), {}, []
+    for model in models:
         # with_rhs's children share one senses and bounds: one start
         key = tuple(map(id, (model.senses, model.lb, model.ub)))
         if key not in shared:

@@ -10,7 +10,7 @@ from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
                              INTEGER, KIND_BENDERS, KIND_PBBENC,
                              KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY)
 from stochcuts.mip import solve_mip
-from stochcuts.partition import build_partition_extensive
+from stochcuts.partition import build_partition_extensive, single_cluster
 from stochcuts.verify import check_cut_validity, run_suite, PASS
 from stochcuts.drivers import (ALGORITHMS, RunConfig, RunTrace, run,
                                run_benders, run_bdd,
@@ -80,24 +80,45 @@ def test_bounded_integer_column(refinement_example, algorithm):
 @pytest.mark.parametrize("name", ["thm1", "refinement-example",
                                   "dim1-random-0", "dim1-random-1",
                                   "dim1-random-2", "sslp-3-4-10-s0"])
-def test_alg1_is_exact(name):
+def test_alg1_is_exact(name, monkeypatch):
     # each partition's bound is its partition problem's, solved on the
     # shared master: at least the partition MIP's (the master's
     # per-scenario theta bounds may lift it), at most the MIP optimum, and
-    # the optimum itself, within epsilon, when the gap closed
+    # the optimum itself, within epsilon, when the gap closed.  Each
+    # benders_round event records its partition's bound; a refinement or
+    # the termination repeats the bound before it.
+    from stochcuts import drivers
     if name.startswith("sslp-"):
         inst = generate_sslp(GeneratorConfig(sites=3, clients=4,
                                              scenarios=10, seed=0))
     else:
         inst = builtin(name)
+    partitions = [single_cluster(inst.n_scenarios)]
+    refined = drivers._refined
+
+    def recorded(partition, duals, coefficient):
+        newp = refined(partition, duals, coefficient)
+        if newp is not None:
+            partitions.append(newp)
+        return newp
+
+    monkeypatch.setattr(drivers, "_refined", recorded)
     config = RunConfig(algorithm="alg1")
     trace = run_alg1(inst, config)
+    assert trace.final_partition == partitions[-1]
     optimum = solve_mip(build_extensive(inst)).objective
-    partition_mip = solve_mip(build_partition_extensive(
-        inst, trace.final_partition)).objective
-    z = trace.final_lower_bound
-    assert partition_mip - 1e-9 * (1.0 + abs(partition_mip)) <= z
-    assert z <= optimum + 1e-9 * (1.0 + abs(optimum))
+    z = None
+    for ev in trace.events:
+        if ev.kind != "benders_round":
+            assert ev.z_lb == z
+            continue
+        partition = partitions[ev.refinements]
+        assert partition.size == ev.n_clusters
+        partition_mip = solve_mip(build_partition_extensive(
+            inst, partition)).objective
+        z = ev.z_lb
+        assert partition_mip - 1e-9 * (1.0 + abs(partition_mip)) <= z
+        assert z <= optimum + 1e-9 * (1.0 + abs(optimum))
     if trace.cuts:
         assert check_cut_validity(inst, trace.cuts).status == PASS
     if trace.termination_reason == REASON_CONVERGED:
@@ -438,9 +459,9 @@ def test_recourse_skips_change_no_run(name, algorithm, monkeypatch):
     solved = []
     subproblems = drivers.solve_cluster_subproblem
 
-    def counted(instance, records, xhat):
+    def counted(instance, records, xhat, bases=None):
         solved.append(len(records))
-        return subproblems(instance, records, xhat)
+        return subproblems(instance, records, xhat, bases)
 
     monkeypatch.setattr(drivers, "solve_cluster_subproblem", counted)
     skipping = run(inst, config)

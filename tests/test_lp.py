@@ -398,6 +398,51 @@ def test_drifted_master_solves_on_retry():
     assert float(out.stdout) == pytest.approx(ref.fun, rel=1e-6)
 
 
+# The master x at which alg1's first Benders round on
+# generate_sslp(sites=10, clients=50, scenarios=20, seed=0) solves the
+# recourse LP of the cluster of all 20 scenarios (60 rows, 500 columns)
+STRADDLING_X = [0.025461163362373834, 0.06159165336527339,
+                0.024243338542362713, 0.011235796565570666,
+                0.04148334829715694, 0.036575944422717194,
+                0.10603831514948114, 0.09327560072360574,
+                0.0511230952696331, 2.7416512989012635e-19]
+
+
+def test_one_feasibility_rule_for_phase_one():
+    # Phase 1 of this LP ends with its artificials' sum, 1.65e-6, under
+    # FEAS_TOL * (1 + max |b|), but with one artificial further from zero
+    # than _verify's bound test allows, so pinning it used to end in
+    # SimplexBreakdown.  Phase 1 now applies that test to each artificial
+    # before it is pinned: the LP is INFEASIBLE, as HiGHS finds, with a
+    # ray that passes check_farkas, and the cluster subproblem gives the
+    # same result.
+    from stochcuts.benders import solve_cluster_subproblem
+    from stochcuts.partition import aggregate
+    inst = generate_sslp(GeneratorConfig(sites=10, clients=50, scenarios=20,
+                                         seed=0))
+    agg = aggregate(inst, range(inst.n_scenarios))
+    x = np.array(STRADDLING_X)
+    model = LpModel.make(inst.second_stage_cost, inst.recourse,
+                         (GE,) * inst.m2, agg.rhs - agg.technology @ x)
+    lp = _Simplex(model)
+    phase1 = lp._phase1()
+    run = next(phase1)
+    with pytest.raises(StopIteration) as done:
+        phase1.send(lp._iterate(*run))
+    assert done.value.value.status == INFEASIBLE
+    arts = np.abs(lp.xval[lp.ncols0:])
+    scale_x = 1.0 + np.abs(lp.xval).max()
+    assert arts.sum() <= lp_module.FEAS_TOL * lp.scale_b
+    assert arts.max() > lp_module.FEAS_TOL * scale_x
+    res = solve_lp(model)
+    assert res.status == INFEASIBLE
+    check_farkas(model, res)
+    assert _result_bytes(solve_cluster_subproblem(inst, [agg], x)[0]) \
+        == _result_bytes(res)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert _highs(linprog, model).status == 2
+
+
 def _result_bytes(res):
     return (res.status, repr(res.objective),
             *(None if a is None else a.tobytes()
@@ -1034,8 +1079,9 @@ def test_dual_path_only_for_tall_lps_with_finite_lower_bounds(monkeypatch):
 
 def test_dual_path_falls_back_on_infeasible_and_unbounded(monkeypatch):
     # The dual of an infeasible LP is unbounded or infeasible, and the dual
-    # of an unbounded one infeasible: either way the LP goes the primal
-    # way, which gives the Farkas ray or the UNBOUNDED status.
+    # of an unbounded one infeasible.  An unbounded dual's ray gives the
+    # Farkas ray, which must pass check_farkas; an infeasible dual sends
+    # the LP the primal way, which gives the UNBOUNDED status.
     taken = _count_dual_solves(monkeypatch)
     rng = np.random.default_rng(45)
     m, n = lp_module.DUAL_MIN + 8, 12
@@ -1058,7 +1104,7 @@ def test_dual_path_falls_back_on_infeasible_and_unbounded(monkeypatch):
                             np.append(model.ub, np.inf))
     assert solve_lp(model).status == OPTIMAL
     assert solve_lp(open_ray).status == UNBOUNDED
-    assert taken == [False, True, False]
+    assert taken == [True, True, False]
 
 
 def test_tall_stack_matches_solve_lp(monkeypatch):
@@ -1166,7 +1212,7 @@ def test_warm_dual_start_matches_cold(monkeypatch):
     tried = _count_warm_starts(monkeypatch)
     for model, start in masters:
         _warm_matches_cold(model, start)
-    assert len(masters) == 10 and tried == [True] * 10
+    assert masters and tried == [True] * len(masters)
     rng = np.random.default_rng(47)
     statuses = set()
     for _ in range(12):
@@ -1315,3 +1361,100 @@ def test_only_optimal_primal_results_carry_a_basis(monkeypatch):
     model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0])
     assert solve_lp(model, starts={}).basis.objective_at([4.0]) == 4.0
     assert solve_lp(model).basis.objective_at([-1.0]) is None   # y < 0
+
+
+def _warm_outcomes(monkeypatch):
+    """A list that records, per warm start solve_lp tries, the status the
+    dual simplex and phase 2 ended with, or "cold" where the LP went the
+    cold way."""
+    outcomes = []
+    solve_warm = lp_module._solve_warm
+
+    def recorded(model, basis):
+        res = solve_warm(model, basis)
+        outcomes.append("cold" if res is None else res.status)
+        return res
+
+    monkeypatch.setattr(lp_module, "_solve_warm", recorded)
+    return outcomes
+
+
+@st.composite
+def _scaled_recourse_lps(draw):
+    """Recourse-like LPs: >= rows, y >= 0 with no upper bound, positive
+    costs, and three-decimal coefficients on rows and columns scaled by
+    powers of ten, so that a Farkas row picks up rounding between 1e-12
+    and PIVOT_TOL on unbounded columns."""
+    m, n = draw(st.integers(2, 9)), draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = (np.round(rng.uniform(-1.0, 1.0, size=(m, n)), 3)
+         * (rng.uniform(size=(m, n)) < 0.6)
+         * 10.0 ** rng.integers(-2, 3, size=(m, 1))
+         * 10.0 ** rng.integers(-2, 3, size=n))
+    b = a @ rng.uniform(0.0, 1.0, size=n) - rng.uniform(0.0, 1.0, size=m)
+    return LpModel.make(rng.uniform(0.5, 5.0, size=n), a, (GE,) * m, b)
+
+
+def test_warm_run_matches_cold(monkeypatch):
+    # An LP re-solved from a with_rhs sibling's basis -- OPTIMAL, or a
+    # warm INFEASIBLE end's, chained over perturbed rhs -- has the cold
+    # solve's status and optimum, to 1e-9 relative, and an optimal
+    # solution or a Farkas ray that the independent checks accept.  The
+    # draws end OPTIMAL, end INFEASIBLE and go cold, and the scaled ones
+    # reach warm Farkas rows that only the certificate test turns away.
+    outcomes = _warm_outcomes(monkeypatch)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(_small_lps(), _scaled_recourse_lps()),
+           st.integers(0, 2 ** 32 - 1))
+    def check(model, seed):
+        rng = np.random.default_rng(seed)
+        res = solve_lp(model)
+        scale = 1.0 + np.abs(model.b).max()
+        for step in (1e-3, 0.1, 1.0, 3.0):
+            if res.basis is None:
+                return
+            b = model.b + scale * rng.normal(0.0, step, size=model.b.size)
+            sibling = model.with_rhs(b)
+            warm = solve_lp(sibling, basis=res.basis)
+            cold = solve_lp(sibling)
+            assert warm.status == cold.status
+            if warm.status == OPTIMAL:
+                assert abs(warm.objective - cold.objective) <= 1e-9 * (
+                    1.0 + abs(cold.objective))
+                check_optimal(sibling, warm)
+            else:
+                check_farkas(sibling, warm)
+            res = warm
+
+    check()
+    assert set(outcomes) == {OPTIMAL, INFEASIBLE, "cold"}
+
+
+def test_solve_lps_with_bases_matches_solve_lp(monkeypatch):
+    # Recourse-like batches, with_rhs children of one model, some members
+    # with a sibling's basis and some without: result i is byte for byte
+    # solve_lp(models[i], basis=bases[i]).  The warm members go one at a
+    # time and the rest still stack.
+    built = _count_stacks(monkeypatch)
+    outcomes = _warm_outcomes(monkeypatch)
+    rng = np.random.default_rng(21)
+    for trial in range(10):
+        m, n = int(rng.integers(6, 12)), int(rng.integers(3, 6))
+        # a column of ones makes every rhs feasible; half the trials lack it
+        w = np.hstack([rng.integers(-3, 5, size=(m, n)),
+                       np.full((m, 1), float(trial % 2))])
+        recourse = LpModel.make(rng.integers(1, 6, size=n + 1), w, (GE,) * m)
+        first = solve_lps([recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
+                           for _ in range(2 * STACK_MIN)])
+        models = [recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
+                  for _ in range(2 * STACK_MIN)]
+        bases = [res.basis if k % 2 else None for k, res in enumerate(first)]
+        got = solve_lps(models, bases)
+        want = [solve_lp(model, basis=basis)
+                for model, basis in zip(models, bases)]
+        assert ([_result_bytes(res) for res in got]
+                == [_result_bytes(res) for res in want])
+    # each trial stacks its first batch and the members without a start
+    assert len(built) == 20 and min(built) >= STACK_MIN
+    assert {OPTIMAL, INFEASIBLE} <= set(outcomes)

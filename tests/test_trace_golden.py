@@ -33,6 +33,12 @@ With --trace-only as well it compares the trace digests alone, for a
 change that solves fewer LPs, or other ones, and must leave every trace
 and cut pool as it was.
 
+With --record KEY [KEY ...] it runs the named golden runs on this
+checkout's package and rewrites only their entries of trace_golden.json;
+every other entry keeps its bytes, and an unknown key changes nothing:
+
+    OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py --record KEY
+
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
 (bench/run.py --seed 0).  The benders and bdd masters there grow past
@@ -66,8 +72,8 @@ from stochcuts import (builtin, emit, generate_sslp, GeneratorConfig, parse,
                        run, RunConfig)
 from stochcuts.drivers import cut_split, write_trace_csv
 
-GOLDEN = json.loads((Path(__file__).parent / "trace_golden.json")
-                    .read_text(encoding="utf-8"))
+GOLDEN_FILE = Path(__file__).parent / "trace_golden.json"
+GOLDEN = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
 
 # the --wide sweep: (instance, algorithm, separation budget or None)
 WIDE = (
@@ -177,6 +183,44 @@ def lp_sha256():
             setattr(mod, attr, orig)
 
 
+def _golden_text(golden):
+    """trace_golden.json's text for `golden`: one line per entry's head and
+    one per event, entries in the dict's order."""
+    return "{\n" + ",\n".join(
+        f'  {json.dumps(key)}: {{"reason": {json.dumps(entry["reason"])}, '
+        '"events": [\n'
+        + ",\n".join("    " + json.dumps(row) for row in entry["events"])
+        + "\n  ]}" for key, entry in golden.items()) + "\n}\n"
+
+
+def record(keys):
+    """Rewrite the entries `keys` of trace_golden.json from runs of this
+    checkout's package; exits without writing on an unknown key, another
+    package, or a file not in _golden_text's layout."""
+    unknown = sorted(set(keys) - GOLDEN.keys())
+    if unknown:
+        sys.exit(f"unknown golden keys: {' '.join(unknown)}")
+    here = Path(__file__).resolve().parents[1] / "src"
+    if Path(stochcuts.__file__).resolve().parents[1] != here:
+        sys.exit(f"--record runs the package in {here} only")
+    if _golden_text(GOLDEN) != GOLDEN_FILE.read_text(encoding="utf-8"):
+        sys.exit(f"{GOLDEN_FILE.name} is not in the layout --record writes")
+    golden = dict(GOLDEN)
+    for key in keys:
+        name, config = _parse(key)
+        trace = run(_instance(name), config)
+        golden[key] = {"reason": trace.termination_reason, "events": [
+            [ev.kind, ev.z_lb, ev.z_ub, *cut_split(ev.cuts), ev.n_clusters,
+             ev.refinements] for ev in trace.events]}
+    GOLDEN_FILE.write_text(_golden_text(golden), encoding="utf-8")
+
+
+def test_golden_file_is_in_the_record_layout():
+    # --record rewrites the whole file, so every entry it does not name
+    # keeps its bytes only if the file is in the layout it writes
+    assert _golden_text(GOLDEN) == GOLDEN_FILE.read_text(encoding="utf-8")
+
+
 def _close(got, want):
     if want is None:
         return got is None
@@ -252,7 +296,13 @@ if __name__ == "__main__":
                         help="compare with the package in OTHER/src")
     parser.add_argument("--trace-only", action="store_true",
                         help="with --against, compare trace digests only")
+    parser.add_argument("--record", nargs="+", metavar="KEY",
+                        help="rewrite these golden entries from this "
+                             "checkout")
     args = parser.parse_args()
+    if args.record:
+        record(args.record)
+        sys.exit(0)
     if args.against:
         sys.exit(1 if against(args.against, args.wide, args.trace_only)
                  else 0)
