@@ -30,17 +30,15 @@ class MasterInfeasibleError(InfeasibleError, RuntimeError):
 
 def _solve_recourse(instance, targets, systems, xhat, bases=None):
     """The LpResult of each target's recourse LP on its system's technology
-    and rhs, all solved by one solve_lps call: fixed recourse makes every
-    subproblem the same LP but for its rhs, so one checked model serves
-    them all and each checks only its rhs, and any basis one of them
-    ended at is a warm start for every other (`bases`, one lp.Basis or
-    None per target; see lp.solve_lps).  An infeasible one carries its
-    Farkas ray."""
+    and rhs: fixed recourse makes every subproblem one LP, (W, d), at the
+    rhs h - T xhat of its system, so one solve_lps call takes that LP and
+    each system's rhs, and any basis one of them ended at is a warm start
+    for every other (`bases`, one lp.Basis or None per target; see
+    lp.solve_lps).  An infeasible one carries its Farkas ray."""
     recourse = LpModel.make(instance.second_stage_cost, instance.recourse,
                             (GE,) * instance.m2)
-    results = solve_lps([
-        recourse.with_rhs(system.rhs - system.technology @ xhat)
-        for system in systems], bases)
+    results = solve_lps(recourse, [system.rhs - system.technology @ xhat
+                                   for system in systems], bases)
     for target, res in zip(targets, results):
         if res.status == LP_UNBOUNDED:
             raise ValueError(f"target {target}: recourse unbounded below")
@@ -87,11 +85,21 @@ def make_feasibility_cut(instance, agg, result):
 
 def compute_theta_lower_bounds(instance):
     """L_s = min d.y over W y >= h_s - T_s x with x anywhere in its relaxed
-    box; keeps the master bounded before any cut mentions theta_s."""
-    results = solve_lps([
-        stacked_model(instance, np.zeros(instance.n1),
-                      [(1.0, sc.technology, sc.rhs)]).lp
-        for sc in instance.scenarios])
+    box; keeps the master bounded before any cut mentions theta_s.  When
+    every T_s is T_0's, as in every sslp instance, the scenarios' LPs are
+    scenario 0's at the rhs [b; h_s], and one solve_lps call takes them;
+    otherwise each scenario's own LP is solved."""
+    def theta_lp(sc):
+        return stacked_model(instance, np.zeros(instance.n1),
+                             [(1.0, sc.technology, sc.rhs)]).lp
+
+    scenarios = instance.scenarios
+    if len({sc.technology.tobytes() for sc in scenarios}) == 1:
+        b = instance.first_stage_rhs
+        results = solve_lps(theta_lp(scenarios[0]),
+                            [np.concatenate([b, sc.rhs]) for sc in scenarios])
+    else:
+        results = [solve_lp(theta_lp(sc)) for sc in scenarios]
     out = np.zeros(instance.n_scenarios)
     for s, res in enumerate(results):
         if res.status == LP_INFEASIBLE:

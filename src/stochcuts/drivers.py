@@ -191,8 +191,9 @@ def _benders_round(instance, state, targets, kind, x, theta, warm):
     q <= t_P + CUT_VIOLATION_TOL / 2 * (1 + |t_P|): a solve would return
     that optimum and add no cut, since its own test has the whole
     CUT_VIOLATION_TOL, and the other half is a margin far above the LP
-    core's rounding.  Every other LP is solved; solve_lps gives each
-    result as solve_lp would, whatever the batch, so the cuts, masters and
+    core's rounding.  Every other LP is solved, all in one solve_lps call
+    on the recourse LP at each target's rhs, which gives each result as
+    solve_lp would, however many there are, so the cuts, masters and
     traces are those of a round that solves every LP.
 
     With `warm`, each LP solved starts from its target's basis, by a dual

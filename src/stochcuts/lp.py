@@ -55,31 +55,38 @@ objective, so its end state is a function of the feasible region.
 solve_lp(model, starts) keeps in `starts`, a dict the caller owns, one
 entry per A, by its shape and bytes: the [A | I | I] its LPs share, and
 its regions, by the senses and the bytes of b, lb and ub.  A region holds
-the stored INFEASIBLE result, or the LP as phase 1 left it, on the shared
-matrix; a hit runs phase 2 from a copy of its basis, statuses, values and
-refactorized inverse, artificials pinned, and a miss runs phase 1 and
-stores its end.  A breakdown anywhere falls back to the from-scratch
-retry, and a phase 1 that breaks down stores no region.  Branch and bound
-passes one cache to all its node LPs, and a Lagrangian separation target
-passes one to all its inner MIPs, which differ only in their objective.
+the stored INFEASIBLE result, or copies of the basis and statuses phase 1
+ended at, and no LP, model, values or inverse.  Phase 1 ends on a
+refactorization, which solves Binv and the basic values from the basis,
+b and the nonbasic values, and each nonbasic value sits at the bound its
+status names, or at 0 when free.  So a hit builds its LP on the entry's
+matrix, places the basis and statuses (_from_basis), which sets the
+nonbasic values and refactorizes, and runs phase 2 from phase 1's end
+state, bit for bit, the artificials pinned by _start.  A miss runs phase
+1 and stores its end; a phase 1 that installs no artificial leaves the LP
+as it was built, and stores nothing.  A breakdown anywhere falls back to
+the from-scratch retry, and a phase 1 that breaks down stores no region.
+Branch and bound passes one cache to all its node LPs, and a Lagrangian
+separation target passes one to all its inner MIPs, which differ only in
+their objective.
 
-The contract extends to stacks.  solve_lps solves LPs on one A -- a
-round of recourse subproblems under fixed recourse -- in lockstep: each
-takes exactly the pivots solve_lp would take, and each result is bitwise
-solve_lp's, since each stacked product is one BLAS call in the LP's own
-shape (see _Stack).  Lockstep saves numpy call overhead, not flops, so it
-pays only for batches of STACK_MIN or more LPs; smaller batches, and
-batches on more than one A or with a tall LP, go one LP at a time.  So
-the theta-bound LPs of an instance whose T_s varies by scenario go one at
-a time.  A recourse round makes one
-checked model and one with_rhs child per subproblem, which checks only its
-rhs; children of one model share its [A | I | I] and its _start (the
-bounds of every working column, the start statuses and the structural
-columns' start values), copied into each LP's own arrays.  Between runs
-of pivots the stack writes back the basis and the nonbasic state (the LP
-refactorizes next, so no Binv is copied) and loads only what _phases
-moved: the costs and the artificials' bounds, pinned at zero, when phase 2
-begins, then the refactorized Binv and the basic values.
+The contract extends to stacks.  Under fixed recourse the subproblems of
+a round -- the recourse LPs of its clusters or scenarios, or the
+theta-bound LPs of an instance whose T_s is the same in every scenario --
+are one LP at other right-hand sides.  solve_lps(model, rhs) takes that
+LP and its right-hand sides and solves them in lockstep: each takes
+exactly the pivots solve_lp would take, and result i is bitwise
+solve_lp(model.with_rhs(rhs[i])), since each stacked product is one BLAS
+call in the LP's own shape (see _Stack).  Lockstep saves numpy call
+overhead, not flops, so it pays only for STACK_MIN or more LPs; fewer,
+or a tall LP's, go one at a time.  A batch builds one [A | I | I] and one
+_start (the bounds of every working column, the start statuses and the
+structural columns' start values), copied into each LP's own arrays.
+Between runs of pivots the stack writes back the basis and the nonbasic
+state (the LP refactorizes next, so no Binv is copied) and loads only
+what _phases moved: the costs and the artificials' bounds, pinned at
+zero, when phase 2 begins, then the refactorized Binv and the basic
+values.
 
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
@@ -132,26 +139,25 @@ UNBOUNDED and other INFEASIBLE results carry none.  A Benders round reads
 it to skip the recourse LPs whose answer it already knows
 (drivers._benders_round).
 
-Warm recourse.  solve_lp(model, basis=kept) and solve_lps(models, bases)
-start an LP from the Basis of a with_rhs sibling: the same A, c, senses
-and bounds, so the same working matrix and reduced costs, and only the
-basic values move with b.  The kept basis is dual feasible, so a bounded
-dual simplex runs from it (_Simplex._dual) on a copy of its LP at the new
-b: the basic value furthest outside its bounds leaves for the bound it
-broke, the dual ratio test picks the entering column (lowest index on
-ties), and Binv is refactorized every REFACTOR_EVERY pivots.  Once every
-basic value is within 1e-9 * (1 + max |b|) of its bounds, phase 2
-finishes from that basis, and its refactorization and _verify stay the
-only acceptance test.  A row that no column can bring back proves the LP
-infeasible: its Binv row, negated when the value is under its lower
-bound, is the Farkas ray, and the result keeps the still dual feasible
-basis for the next start.  The LP goes the cold way -- the path it takes
-without a basis -- when an artificial is basic in the start, on a
-breakdown (a pivot under PIVOT_TOL, a singular basis, _verify), after
-more pivots than the LP has structural and slack columns, or at an
-infeasible end that Feasibility's rule does not confirm.  Warm LPs go one
-at a time; solve_lps stacks the rest as without bases, so result i is
-bitwise solve_lp(models[i], basis=bases[i]).
+Warm recourse.  solve_lps(model, rhs, bases) starts LP i from bases[i],
+the Basis of a with_rhs sibling: the same A, c, senses and bounds, so the
+same working matrix and reduced costs, and only the basic values move
+with b.  The kept basis is dual feasible, so a bounded dual simplex runs
+from it (_Simplex._dual) on a copy of its LP at the new b: the basic
+value furthest outside its bounds leaves for the bound it broke, the
+dual ratio test picks the entering column (lowest index on ties), and
+Binv is refactorized every REFACTOR_EVERY pivots.  Once every basic value
+is within 1e-9 * (1 + max |b|) of its bounds, phase 2 finishes from that
+basis, and its refactorization and _verify stay the only acceptance
+test.  A row that no column can bring back proves the LP infeasible: its
+Binv row, negated when the value is under its lower bound, is the Farkas
+ray, and the result keeps the still dual feasible basis for the next
+start.  The LP goes the cold way -- the path it takes without a basis --
+when an artificial is basic in the start, on a breakdown (a pivot under
+PIVOT_TOL, a singular basis, _verify), after more pivots than the LP has
+structural and slack columns, or at an infeasible end that Feasibility's
+rule does not confirm.  Warm LPs go one at a time, and the rest as
+without bases.
 
 Feasibility.  One rule decides that an LP is infeasible, in phase 1 and
 at a warm run's infeasible end: a value further outside its bounds than
@@ -168,7 +174,7 @@ tolerance let through, is caught there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -668,18 +674,20 @@ class _Simplex:
     def solve(self):
         return self._run(self._phases())
 
-    def _from_basis(self, basis):
+    def _from_basis(self, basis, status=None):
         """Set up phase 2 from `basis`, one working column per row, instead
-        of running phase 1: every other structural column at its start
-        value, every other slack at its finite bound.  False if a basic
-        value breaks its bounds by more than FEAS_TOL; a singular basis
-        raises SimplexBreakdown."""
-        n = self.n
-        fin = np.isfinite(self.lb[n:])
-        self.status[n:] = np.where(fin, _AT_LB, _AT_UB)
-        self.xval[n:] = np.where(fin, self.lb[n:], self.ub[n:])
-        self.status[basis] = _BASIC
-        self.basis = basis
+        of running phase 1, with `status` per working column, or else the
+        start statuses with every other slack at its finite bound: each
+        nonbasic column at the bound its status names, or at 0 when free.
+        False if a basic value breaks its bounds by more than FEAS_TOL; a
+        singular basis raises SimplexBreakdown."""
+        if status is None:
+            n, status = self.n, self.status
+            status[n:] = np.where(np.isfinite(self.lb[n:]), _AT_LB, _AT_UB)
+            status[basis] = _BASIC
+        self.status, self.basis = status, basis
+        self.xval = np.where(status == _AT_LB, self.lb,
+                             np.where(status == _AT_UB, self.ub, 0.0))
         self._refactor()
         xb = self.xval[basis]
         return bool(np.all(xb >= self.lb[basis] - FEAS_TOL)
@@ -1038,13 +1046,8 @@ class _Stack:
         binv[fr] = row
 
 
-def solve_lp(model, starts=None, dual_start=None, basis=None):
+def solve_lp(model, starts=None, dual_start=None):
     """Solve a minimization LP; deterministic for a fixed input.
-
-    `basis`, a Basis of an LP with this one's A, c, senses and bounds (a
-    with_rhs sibling), starts a dual simplex from it (see Warm recourse in
-    the module docstring); where that run gives no result, the LP is
-    solved as without it.
 
     When the final checks fail, the eta updates have usually drifted on an
     ill-conditioned basis; the LP is solved once more from scratch with a
@@ -1063,10 +1066,6 @@ def solve_lp(model, starts=None, dual_start=None, basis=None):
     bitwise the one without it."""
     if not model.checked:
         model.check()
-    if basis is not None:
-        result = _solve_warm(model, basis)
-        if result is not None:
-            return result
     if _dualizes(model):
         result = _solve_dual(model, dual_start)
         if result is not None:
@@ -1210,8 +1209,8 @@ def _solve_from(model, starts):
     """solve_lp's first attempt through the cache `starts`, whose entry for
     A, made on first use under the key (A's shape, A's bytes), is
     ([A | I | I], a dict of A's regions).  A region maps to the INFEASIBLE
-    result or to the LP after phase 1, on its entry's [A | I | I], which
-    phase 2 never runs on, only on copies."""
+    result or to copies of the basis and statuses phase 1 ended at, which
+    a hit places on a new LP on the entry's [A | I | I]."""
     key = (model.A.shape, model.A.tobytes())
     if key not in starts:
         starts[key] = (_working_matrix(model.A), {})
@@ -1220,62 +1219,47 @@ def _solve_from(model, starts):
               *(np.asarray(v, dtype=float).tobytes()
                 for v in (model.b, model.lb, model.ub)))
     start = regions.get(region)
-    if start is None:
-        lp = _Simplex(model, afull=afull)
-        start = regions[region] = lp._run(lp._phase1()) or lp
     if isinstance(start, LpResult):
         return LpResult(INFEASIBLE, farkas=start.farkas.copy())
-    lp = start._restart(model)
+    lp = _Simplex(model, afull=afull)
+    if start is not None:
+        lp._from_basis(*(a.copy() for a in start))
+        return lp._run(lp._phase2())
+    result = lp._run(lp._phase1())
+    if result is not None:
+        regions[region] = result
+        return LpResult(INFEASIBLE, farkas=result.farkas.copy())
+    if lp.art_sign.any():
+        regions[region] = (lp.basis.copy(), lp.status.copy())
     return lp._run(lp._phase2())
 
 
-def _one_matrix(models):
-    """True when every model is on the first one's A: the same array, or
-    one of its shape and bytes."""
-    A = models[0].A
-    key = (A.shape, A.tobytes())
-    return all(model.A is A or (model.A.shape, model.A.tobytes()) == key
-               for model in models)
-
-
-def solve_lps(models, bases=None):
-    """Solve a batch of LPs; result i is bitwise solve_lp(models[i],
-    basis=bases[i]), or solve_lp(models[i]) without bases.  Each LP with
-    a basis first runs warm, alone (_solve_warm).  Of the others,
-    STACK_MIN or more on one A -- the first one's array, or one of its
-    shape and bytes -- none of them tall (_dualizes), pivot in lockstep
-    (_Stack) on one [A | I | I], and those with one senses and bounds --
-    with_rhs's children of one model -- share one _start; a breakdown
-    retries that LP alone, as solve_lp does.  Any other batch goes one LP
-    at a time."""
+def solve_lps(model, rhs, bases=None):
+    """Solve the LP `model` at each right-hand side in `rhs`, one round of
+    subproblems under fixed recourse; result i is bitwise
+    solve_lp(model.with_rhs(rhs[i])).  With `bases`, one Basis of a
+    with_rhs sibling or None per rhs, each LP with a basis first runs
+    warm, alone (_solve_warm).  The others go one at a time when they are
+    fewer than STACK_MIN or the LP is tall (_dualizes); else they pivot in
+    lockstep (_Stack) on one [A | I | I] from one _start, and one that
+    breaks down there is retried alone, as solve_lp retries it."""
+    if not model.checked:
+        model.check()
+        model = replace(model, checked=True)
+    models = [model.with_rhs(b) for b in rhs]
     results = [None] * len(models)
-    for i, model in enumerate(models):
-        if not model.checked:
-            model.check()
-        if bases is not None and bases[i] is not None:
-            results[i] = _solve_warm(model, bases[i])
+    for i, basis in enumerate(bases or ()):
+        if basis is not None:
+            results[i] = _solve_warm(models[i], basis)
     cold = [i for i, res in enumerate(results) if res is None]
-    rest = [models[i] for i in cold]
-    if (len(rest) < STACK_MIN or any(map(_dualizes, rest))
-            or not _one_matrix(rest)):
-        solved = map(solve_lp, rest)
-    else:
-        solved = _solve_stacked(rest)
-    for i, res in zip(cold, solved):
-        results[i] = res
+    if len(cold) < STACK_MIN or _dualizes(model):
+        for i in cold:
+            results[i] = solve_lp(models[i])
+        return results
+    afull, start = _working_matrix(model.A), _start(model)
+    stack = _Stack([_Simplex(models[i], afull=afull, start=start)
+                    for i in cold])
+    for i, res in zip(cold, stack.run()):
+        results[i] = (res if res is not None
+                      else _Simplex(models[i], RETRY_REFACTOR_EVERY).solve())
     return results
-
-
-def _solve_stacked(models):
-    """The results of checked models on one A, none of them tall, solved
-    in lockstep (see solve_lps)."""
-    afull, shared, lps = _working_matrix(models[0].A), {}, []
-    for model in models:
-        # with_rhs's children share one senses and bounds: one start
-        key = tuple(map(id, (model.senses, model.lb, model.ub)))
-        if key not in shared:
-            shared[key] = _start(model)
-        lps.append(_Simplex(model, afull=afull, start=shared[key]))
-    return [res if res is not None
-            else _Simplex(model, RETRY_REFACTOR_EVERY).solve()
-            for res, model in zip(_Stack(lps).run(), models)]

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stochcuts.model import (Instance, Scenario, Cut, BINARY,
                              KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY,
-                             KIND_LAGRANGIAN, theta_weights)
+                             KIND_LAGRANGIAN, stacked_model, theta_weights)
 from stochcuts.partition import AggregatedScenario, aggregate, single_cluster
 from stochcuts.lagrangian import scenario_target, cluster_target
 from stochcuts.benders import (solve_scenario_subproblem,
@@ -12,7 +14,7 @@ from stochcuts.benders import (solve_scenario_subproblem,
                                compute_theta_lower_bounds, MasterState,
                                solve_master, MasterInfeasibleError,
                                DEDUP_TOL)
-from stochcuts.lp import OPTIMAL, INFEASIBLE
+from stochcuts.lp import OPTIMAL, INFEASIBLE, STACK_MIN, solve_lp
 
 
 def test_scenario_subproblem_values(thm1):
@@ -165,6 +167,25 @@ def test_theta_lower_bounds(thm1, refinement_example):
     assert compute_theta_lower_bounds(thm1) == pytest.approx([0.0, 0.0])
     lbs = compute_theta_lower_bounds(refinement_example)
     assert lbs == pytest.approx([0.0, 1.5, 0.0, 0.0])
+
+
+def test_theta_lower_bounds_per_scenario_technology(small_sslp):
+    # With T_s shared, the theta-bound LPs are one LP at STACK_MIN or more
+    # rhs; with T_s varying by scenario, each is its own LP.  Either way
+    # every bound is byte for byte solve_lp's on the scenario's own LP.
+    shared = small_sslp(scenarios=2 * STACK_MIN)
+    varying = dataclasses.replace(shared, scenarios=tuple(
+        Scenario(sc.probability, sc.technology * (1.0 + 0.25 * s), sc.rhs)
+        for s, sc in enumerate(shared.scenarios)))
+    assert len({sc.technology.tobytes() for sc in varying.scenarios}) > 1
+    for instance in (shared, varying):
+        want = [solve_lp(stacked_model(instance, np.zeros(instance.n1),
+                                       [(1.0, sc.technology, sc.rhs)]).lp)
+                .objective for sc in instance.scenarios]
+        assert (compute_theta_lower_bounds(instance).tobytes()
+                == np.array(want).tobytes())
+    assert (compute_theta_lower_bounds(shared).tobytes()
+            != compute_theta_lower_bounds(varying).tobytes())
 
 
 def test_master_state_round(thm1):

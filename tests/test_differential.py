@@ -9,7 +9,8 @@ whose LP relaxation HiGHS finds infeasible with an InfeasibleError, and
 only an instance without an integer solution may be refused.  Instances
 are server-location ones (with and without the site-budget row, which can
 leave no solution) and the builtin dim1-random family at drawn seeds.  The draw is derandomized, so the test is repeatable, and
-skipped without scipy.
+skipped without scipy.  One more test runs benders at the paper's client
+count, on sslp-10-50-20.
 """
 
 import numpy as np
@@ -37,9 +38,10 @@ def _instances(draw):
         site_budget=draw(st.none() | st.integers(1, sites))))
 
 
-def _highs(instance):
-    """(LP relaxation, MIP optimum) of build_extensive(instance), by HiGHS;
-    inf where it finds no solution."""
+def _highs(instance, integer=True):
+    """(LP relaxation, MIP optimum) of build_extensive(instance), by HiGHS,
+    or (LP relaxation,) when not `integer`; inf where it finds no
+    solution."""
     mip = build_extensive(instance)
     lp = mip.lp
     senses = np.asarray(lp.senses)
@@ -47,7 +49,8 @@ def _highs(instance):
                                                     lp.b),
                                      np.where(senses == GE, np.inf, lp.b))
     values = []
-    for integrality in (np.zeros(lp.c.size), mip.integer.astype(int)):
+    for integrality in (np.zeros(lp.c.size),
+                        mip.integer.astype(int))[:1 + integer]:
         res = optimize.milp(lp.c, constraints=rows,
                             bounds=optimize.Bounds(lp.lb, lp.ub),
                             integrality=integrality,
@@ -87,3 +90,16 @@ def test_drivers_agree_with_highs(instance):
             assert trace.final_upper_bound >= optimum - slack
             assert abs(z - optimum) <= config.epsilon * abs(optimum) + slack, \
                 (z, optimum)
+
+
+def test_benders_at_the_papers_client_count():
+    # sslp-10-50-20, at the paper's 50 clients: benders converges to
+    # HiGHS's LP relaxation
+    instance = generate_sslp(GeneratorConfig(sites=10, clients=50,
+                                             scenarios=20, seed=0))
+    relaxation, = _highs(instance, integer=False)
+    trace = run(instance, RunConfig(algorithm="benders"))
+    assert trace.termination_reason == REASON_CONVERGED
+    z = trace.final_lower_bound
+    assert abs(z - relaxation) <= TOL * (1.0 + abs(relaxation)), \
+        (z, relaxation)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 import stochcuts
 import stochcuts.lp as lp_module
 from stochcuts import builtin, generate_sslp, GeneratorConfig
-from stochcuts.lp import (DualStart, LpModel, solve_lp, solve_lps, OPTIMAL,
-                          INFEASIBLE, UNBOUNDED, LE, GE, EQ, STACK_MIN,
-                          SimplexBreakdown, _Simplex, _Stack)
+from stochcuts.lp import (DualStart, LpModel, LpResult, solve_lp, solve_lps,
+                          OPTIMAL, INFEASIBLE, UNBOUNDED, LE, GE, EQ,
+                          STACK_MIN, SimplexBreakdown, _Simplex, _Stack)
 
 
 def check_optimal(model, res, tol=1e-7):
@@ -449,24 +449,31 @@ def _result_bytes(res):
               for a in (res.x, res.duals, res.reduced_costs, res.farkas)))
 
 
+def _costs_and_bounds(rng, n):
+    """Integer costs, and bounds with free and boxed columns."""
+    c = rng.integers(-5, 6, size=n).astype(float)
+    lb = np.where(rng.uniform(size=n) < 0.2, -np.inf, 0.0)
+    ub = np.where(rng.uniform(size=n) < 0.5, rng.uniform(1.0, 5.0, size=n),
+                  np.inf)
+    return c, lb, ub
+
+
 def _family(rng, k, m, n, degenerate=False):
-    """k LPs on one matrix and row senses, each with its own rhs, costs and
-    bounds: a batch mixes optimal, infeasible and unbounded members, free
-    and boxed columns, equality rows and different artificial counts.  A
-    degenerate family has mostly zero rhs, so pivots stall."""
+    """An LP and k right-hand sides for it, as solve_lps takes a batch: one
+    matrix, row senses, costs and bounds, with free and boxed columns and
+    equality rows, and a rhs per member, so that members differ in status
+    and artificial count.  A degenerate family has mostly zero rhs, so
+    pivots stall."""
     a = rng.integers(-4, 5, size=(m, n)).astype(float)
     senses = [(GE, LE, EQ)[i] for i in rng.integers(0, 3, size=m)]
-    models = []
+    rhs = []
     for _ in range(k):
         b = a @ rng.uniform(0.0, 2.0, size=n) + rng.normal(0.0, 1.5, size=m)
         if degenerate:
             b = np.where(rng.uniform(size=m) < 0.6, 0.0, np.round(b))
-        c = rng.integers(-5, 6, size=n).astype(float)
-        lb = np.where(rng.uniform(size=n) < 0.2, -np.inf, 0.0)
-        ub = np.where(rng.uniform(size=n) < 0.5, rng.uniform(1.0, 5.0, size=n),
-                      np.inf)
-        models.append(LpModel.make(c, a, senses, b, lb, ub))
-    return models
+        rhs.append(b)
+    c, lb, ub = _costs_and_bounds(rng, n)
+    return LpModel.make(c, a, senses, rhs[0], lb, ub), rhs
 
 
 def _artificials(model):
@@ -496,26 +503,23 @@ def _check_families(monkeypatch, seed, trials, degenerate):
     seen = set()
     for _ in range(trials):
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 14))
-        models = _family(rng, int(rng.integers(1, 3 * STACK_MIN)), m, n,
-                         degenerate)
-        want = [_result_bytes(solve_lp(model)) for model in models]
+        model, rhs = _family(rng, int(rng.integers(1, 3 * STACK_MIN)), m, n,
+                             degenerate)
+        models = [model.with_rhs(b) for b in rhs]
+        want = [_result_bytes(solve_lp(child)) for child in models]
         built.clear()
-        assert [_result_bytes(res) for res in solve_lps(models)] == want
-        statuses = {w[0] for w in want}
-        seen |= statuses
-        if len(statuses) == 3:
-            seen.add("mixed statuses")
+        assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
+        seen |= {w[0] for w in want}
         if built:
             seen.add("stack")
-            if len({_artificials(model) for model in models}) > 1:
+            if len({_artificials(child) for child in models}) > 1:
                 seen.add("artificial counts differ")
-        for model in models:
-            if (np.isinf(model.lb) & np.isinf(model.ub)).any():
-                seen.add("free column")
-            if np.isfinite(model.ub).any():
-                seen.add("boxed column")
-            if EQ in model.senses:
-                seen.add("equality row")
+        if (np.isinf(model.lb) & np.isinf(model.ub)).any():
+            seen.add("free column")
+        if np.isfinite(model.ub).any():
+            seen.add("boxed column")
+        if EQ in model.senses:
+            seen.add("equality row")
     return seen
 
 
@@ -524,8 +528,7 @@ def test_solve_lps_matches_solve_lp(monkeypatch):
     # that prices with one 2-D product over the shared columns instead of
     # one product per LP fails here or under Bland below.
     assert _check_families(monkeypatch, 11, 120, degenerate=False) >= {
-        OPTIMAL, INFEASIBLE, UNBOUNDED, "mixed statuses", "stack",
-        "artificial counts differ", "free column", "boxed column",
+        OPTIMAL, INFEASIBLE, UNBOUNDED, "stack", "artificial counts differ", "free column", "boxed column",
         "equality row"}
 
 
@@ -558,43 +561,29 @@ def test_solve_lps_matches_solve_lp_across_refactorizations(monkeypatch):
     recourse = LpModel.make(inst.second_stage_cost, inst.recourse,
                             (GE,) * inst.m2)
     rng = np.random.default_rng(15)
-    batches = [[recourse.with_rhs(sc.rhs - sc.technology @ xhat)
-                for sc in inst.scenarios]]
+    batches = [(recourse, [sc.rhs - sc.technology @ xhat
+                           for sc in inst.scenarios])]
     batches += [_family(rng, 2 * STACK_MIN, m, 6, degenerate)
                 for m in (3, 6, 9) for degenerate in (False, True)]
-    for models in batches:
-        want = [_result_bytes(solve_lp(model)) for model in models]
-        assert [_result_bytes(res) for res in solve_lps(models)] == want
+    for model, rhs in batches:
+        want = [_result_bytes(solve_lp(model.with_rhs(b))) for b in rhs]
+        assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
     assert refactors
 
 
 def test_solve_lps_stacks_any_row_count(monkeypatch):
     # A stack of one shape makes each product in the LP's own shape, so
     # batches of one and two rows stack too and match solve_lp byte for
-    # byte.
+    # byte.  An empty batch has no results.
     built = _count_stacks(monkeypatch)
     rng = np.random.default_rng(14)
     for m in (1, 2, 3):
         built.clear()
-        models = _family(rng, STACK_MIN, m, 5)
-        want = [_result_bytes(solve_lp(model)) for model in models]
-        assert [_result_bytes(res) for res in solve_lps(models)] == want
+        model, rhs = _family(rng, STACK_MIN, m, 5)
+        want = [_result_bytes(solve_lp(model.with_rhs(b))) for b in rhs]
+        assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
         assert built == [STACK_MIN]
-
-
-def test_mixed_shapes_build_no_stack(monkeypatch):
-    # LPs with one row count but different column counts go one LP at a
-    # time, with solve_lp's results.
-    built = _count_stacks(monkeypatch)
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        m = int(rng.integers(1, 6))
-        models = [LpModel.make(rng.normal(size=n), rng.normal(size=(m, n)),
-                               [GE] * m, rng.normal(size=m))
-                  for n in (1, 2) + tuple(rng.integers(1, 14, size=STACK_MIN))]
-        want = [_result_bytes(solve_lp(model)) for model in models]
-        assert [_result_bytes(res) for res in solve_lps(models)] == want
-    assert built == []
+        assert solve_lps(model, []) == []
 
 
 def test_stacked_products_are_each_lps_own():
@@ -628,8 +617,9 @@ def test_stacked_products_are_each_lps_own():
 
 
 def test_lps_share_one_working_matrix(monkeypatch):
-    # After phase 1 every region of a start cache holds its entry's one
-    # [A | I | I], and every stacked result's basis its batch's: no LP
+    # A start cache region holds the INFEASIBLE result or the basis and
+    # statuses phase 1 ended at, and no LP, model, values or inverse; and
+    # every stacked result's basis holds its batch's [A | I | I]: no LP
     # copies the matrix, artificials or not.  A stack holds no matrix of
     # its own either: its matrix is every LP's, and none of its arrays
     # holds a matrix per LP or shares the LPs' one.
@@ -645,7 +635,7 @@ def test_lps_share_one_working_matrix(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_Stack", Seen)
     rng = np.random.default_rng(30)
-    arts = kept = 0
+    arts = kept = held = 0
     for _ in range(20):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
         starts = {}
@@ -655,12 +645,13 @@ def test_lps_share_one_working_matrix(monkeypatch):
         for afull, regions in starts.values():
             assert afull.shape == (m, n + 2 * m)
             for region in regions.values():
-                assert (not isinstance(region, _Simplex)
-                        or region.Afull is afull)
-        models = _family(rng, STACK_MIN, m, n)
-        models = [models[0].with_rhs(model.b) for model in models]
+                assert isinstance(region, LpResult) or (
+                    [(a.shape, a.dtype) for a in region]
+                    == [((m,), np.intp), ((n + 2 * m,), np.int8)])
+                held += not isinstance(region, LpResult)
+        model, rhs = _family(rng, STACK_MIN, m, n)
         stacks.clear()
-        bases = [res.basis for res in solve_lps(models)
+        bases = [res.basis for res in solve_lps(model, rhs)
                  if res.basis is not None]
         assert all(basis._lp.Afull is bases[0]._lp.Afull for basis in bases)
         kept += len(bases)
@@ -668,7 +659,7 @@ def test_lps_share_one_working_matrix(monkeypatch):
         assert all(row is afull for row in rows)
         assert all(not np.shares_memory(v, afull)
                    and v.shape[1:] != afull.shape for v in arrays)
-    assert arts and kept
+    assert arts and kept and held
 
 
 def test_dual_path_builds_one_working_matrix(monkeypatch):
@@ -713,38 +704,6 @@ def test_dual_path_builds_one_working_matrix(monkeypatch):
         assert made[0][0].shape == (n, m + after.boxed)
 
 
-def test_two_matrices_of_one_shape_build_no_stack(monkeypatch):
-    # A stack pivots on one [A | I | I].  A batch on two matrices of one
-    # shape goes one LP at a time; one whose members hold equal copies of
-    # one matrix stacks.  Both match solve_lp byte for byte.
-    built = _count_stacks(monkeypatch)
-    rng = np.random.default_rng(32)
-    for _ in range(6):
-        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
-        one, two = _family(rng, STACK_MIN, m, n), _family(rng, STACK_MIN, m, n)
-        copies = [LpModel.make(model.c, model.A.copy(), model.senses,
-                               model.b, model.lb, model.ub) for model in one]
-        for models, stacked in ((one[::2] + two[::2], []),
-                                (copies, [STACK_MIN])):
-            built.clear()
-            want = [_result_bytes(solve_lp(model)) for model in models]
-            assert [_result_bytes(res) for res in solve_lps(models)] == want
-            assert built == stacked
-
-
-def test_solve_lps_mixed_row_counts_go_one_at_a_time(monkeypatch):
-    # LPs with different row counts build no stack and get solve_lp's
-    # results; an empty batch has no results.
-    built = _count_stacks(monkeypatch)
-    rng = np.random.default_rng(33)
-    models = [LpModel.make(rng.normal(size=3), rng.normal(size=(m, 3)),
-                           [GE] * m, rng.normal(size=m))
-              for m in [1, 2] * STACK_MIN]
-    want = [_result_bytes(solve_lp(model)) for model in models]
-    assert [_result_bytes(res) for res in solve_lps(models)] == want
-    assert built == [] and solve_lps([]) == []
-
-
 _STACK_WITH_DRIFTED_MASTER = """
 import sys
 import numpy as np
@@ -752,30 +711,33 @@ import stochcuts.lp as L
 L.DUAL_MIN = 10 ** 9   # the primal path, where the breakdown is
 d = np.load(sys.argv[1])
 senses = [str(s) for s in d["senses"]]
-rng = np.random.default_rng(3)
-models = [L.LpModel.make(d["c"], d["A"], senses, d["b"], d["lb"], d["ub"])]
-for _ in range(L.STACK_MIN):
-    models.append(L.LpModel.make(d["c"] * rng.uniform(0.5, 1.5, d["c"].size),
-                                 d["A"], senses, d["b"], d["lb"], d["ub"]))
+model = L.LpModel.make(d["c"], d["A"], senses, d["b"], d["lb"], d["ub"])
 try:
-    L._Simplex(models[0]).solve()
+    L._Simplex(model).solve()
     raise SystemExit("the first attempt no longer breaks down")
 except L.SimplexBreakdown:
     pass
+retries = []
+init = L._Simplex.__init__
+def counted(self, model, refactor_every=None, afull=None, start=None):
+    retries.append(refactor_every == L.RETRY_REFACTOR_EVERY)
+    init(self, model, refactor_every, afull, start)
+L._Simplex.__init__ = counted
 def key(r):
     return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
             r.reduced_costs.tobytes())
-assert [key(r) for r in L.solve_lps(models)] == \
-    [key(L.solve_lp(m)) for m in models]
+got = [key(r) for r in L.solve_lps(model, [d["b"]] * L.STACK_MIN)]
+assert retries == [False] * L.STACK_MIN + [True] * L.STACK_MIN, retries
+assert got == [key(L.solve_lp(model))] * L.STACK_MIN
 print("ok")
 """
 
 
 def test_solve_lps_retries_one_member():
-    # The drifted master (see test_drifted_master_solves_on_retry) in a
-    # stack with cost-perturbed copies of itself: it breaks down, is retried
-    # alone, and every result still matches solve_lp.  One BLAS thread, as
-    # that breakdown needs.
+    # The drifted master (see test_drifted_master_solves_on_retry) stacked
+    # STACK_MIN times at its own rhs: every member breaks down, is retried
+    # alone, and still matches solve_lp.  One BLAS thread, as that
+    # breakdown needs.
     path = [str(Path(stochcuts.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -792,10 +754,11 @@ def _shared_region_lps(rng, count, m, n, degenerate):
     are drawn from pools of two, two and four: feasible regions repeat, and
     some LPs share A, bounds and senses but not b, or A and b but not the
     bounds."""
-    pool = _family(rng, 4, m, n, degenerate)
+    model, rhs = _family(rng, 2, m, n, degenerate)
+    draws = [_costs_and_bounds(rng, n) for _ in range(4)]
     pick = rng.integers(0, (2, 2, 4), size=(count, 3))
-    return [LpModel.make(pool[k].c, pool[0].A, pool[0].senses, pool[i].b,
-                         pool[j].lb, pool[j].ub) for i, j, k in pick]
+    return [LpModel.make(draws[k][0], model.A, model.senses, rhs[i],
+                         *draws[j][1:]) for i, j, k in pick]
 
 
 def _check_start_cache(seed, trials, degenerate):
@@ -873,7 +836,8 @@ assert sum(retries) == 2, retries
 del retries[:]
 starts = {}
 assert [key(L.solve_lp(m, starts)) for m in models] == want
-# one phase 1 and the two retries; one matrix, one region
+# one LP per solve, the miss's and the five hits', and the two retries;
+# one matrix, one region
 print(len(retries), sum(retries), len(starts),
       sum(len(regions) for _, regions in starts.values()))
 """
@@ -884,7 +848,8 @@ def test_start_cache_retries_a_breakdown():
     # phase 1 and breaks down in phase 2.  Behind a cost-perturbed copy of
     # itself it is a cache hit that breaks down, then a second hit: each
     # time it is solved again from scratch, and every result matches
-    # solve_lp's.  One BLAS thread, as that breakdown needs.
+    # solve_lp's.  Each hit builds its LP from the stored basis and
+    # statuses.  One BLAS thread, as that breakdown needs.
     path = [str(Path(stochcuts.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -893,7 +858,7 @@ def test_start_cache_retries_a_breakdown():
                           str(DRIFT_MASTER)], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr + out.stdout
-    assert out.stdout.split() == ["3", "2", "1", "1"]
+    assert out.stdout.split() == ["8", "2", "1", "1"]
 
 
 def _highs(linprog, model):
@@ -1108,29 +1073,24 @@ def test_dual_path_falls_back_on_infeasible_and_unbounded(monkeypatch):
 
 
 def test_tall_stack_matches_solve_lp(monkeypatch):
-    # solve_lps sends a batch that holds a tall LP to solve_lp one LP at a
-    # time: byte for byte solve_lp's results, a batch of tall LPs and a
-    # batch of one shape that mixes tall LPs with ones that have a free
-    # column (DUAL_MIN lowered so that they stay small)
+    # solve_lps sends a tall LP's batch to solve_lp one LP at a time,
+    # through the dual path, and stacks it when a free column keeps it on
+    # the primal path: byte for byte solve_lp's results both ways
+    # (DUAL_MIN lowered so that the LPs stay small)
     built = _count_stacks(monkeypatch)
     taken = _count_dual_solves(monkeypatch)
-    rng = np.random.default_rng(46)
-    m = lp_module.DUAL_MIN
-    models = [_tall_model(rng, m, 10) for _ in range(STACK_MIN)]
-    want = [_result_bytes(solve_lp(model)) for model in models]
-    taken.clear()
-    assert [_result_bytes(res) for res in solve_lps(models)] == want
-    assert built == [] and taken == [True] * STACK_MIN
     monkeypatch.setattr(lp_module, "DUAL_MIN", 6)
-    models = [_tall_model(rng, 8, 4) for _ in range(2 * STACK_MIN)]
-    free = np.arange(4) == 0
-    models[1::2] = [LpModel.make(model.c, model.A, model.senses, model.b,
-                                 np.where(free, -np.inf, model.lb), model.ub)
-                    for model in models[1::2]]
-    want = [_result_bytes(solve_lp(model)) for model in models]
-    taken.clear()
-    assert [_result_bytes(res) for res in solve_lps(models)] == want
-    assert built == [] and len(taken) == STACK_MIN
+    rng = np.random.default_rng(46)
+    tall = _tall_model(rng, 8, 4)
+    rhs = [tall.b + rng.normal(0.0, 1.0, size=8) for _ in range(STACK_MIN)]
+    free = LpModel.make(tall.c, tall.A, tall.senses, tall.b,
+                        np.where(np.arange(4) == 0, -np.inf, tall.lb), tall.ub)
+    for model, stacked, dual in ((tall, [], [True] * STACK_MIN),
+                                 (free, [STACK_MIN], [])):
+        want = [_result_bytes(solve_lp(model.with_rhs(b))) for b in rhs]
+        built.clear(), taken.clear()
+        assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
+        assert built == stacked and taken == dual
 
 
 def test_drifted_master_solves_through_its_dual(monkeypatch):
@@ -1330,11 +1290,11 @@ def test_stacked_bases_answer_as_solve_lps():
         m, n = int(rng.integers(3, 9)), int(rng.integers(3, 12))
         w = np.hstack([rng.integers(-3, 5, size=(m, n)), np.ones((m, 1))])
         recourse = LpModel.make(rng.integers(1, 6, size=n + 1), w, (GE,) * m)
-        models = [recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
-                  for _ in range(STACK_MIN + int(rng.integers(0, 6)))]
-        stacked = solve_lps(models)
+        rhs = [rng.normal(0.0, 3.0, size=m)
+               for _ in range(STACK_MIN + int(rng.integers(0, 6)))]
+        stacked = solve_lps(recourse, rhs)
         built += 1
-        for model, res in zip(models, stacked):
+        for model, res in zip(map(recourse.with_rhs, rhs), stacked):
             alone = solve_lp(model)
             assert _result_bytes(res) == _result_bytes(alone)
             for _ in range(3):
@@ -1416,7 +1376,7 @@ def test_warm_run_matches_cold(monkeypatch):
                 return
             b = model.b + scale * rng.normal(0.0, step, size=model.b.size)
             sibling = model.with_rhs(b)
-            warm = solve_lp(sibling, basis=res.basis)
+            warm, = solve_lps(model, [b], [res.basis])
             cold = solve_lp(sibling)
             assert warm.status == cold.status
             if warm.status == OPTIMAL:
@@ -1432,10 +1392,10 @@ def test_warm_run_matches_cold(monkeypatch):
 
 
 def test_solve_lps_with_bases_matches_solve_lp(monkeypatch):
-    # Recourse-like batches, with_rhs children of one model, some members
-    # with a sibling's basis and some without: result i is byte for byte
-    # solve_lp(models[i], basis=bases[i]).  The warm members go one at a
-    # time and the rest still stack.
+    # Recourse-like batches, some members with a sibling's basis and some
+    # without: result i is byte for byte that of a batch of its rhs and
+    # basis alone.  The warm members go one at a time and the rest still
+    # stack.
     built = _count_stacks(monkeypatch)
     outcomes = _warm_outcomes(monkeypatch)
     rng = np.random.default_rng(21)
@@ -1445,14 +1405,13 @@ def test_solve_lps_with_bases_matches_solve_lp(monkeypatch):
         w = np.hstack([rng.integers(-3, 5, size=(m, n)),
                        np.full((m, 1), float(trial % 2))])
         recourse = LpModel.make(rng.integers(1, 6, size=n + 1), w, (GE,) * m)
-        first = solve_lps([recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
-                           for _ in range(2 * STACK_MIN)])
-        models = [recourse.with_rhs(rng.normal(0.0, 3.0, size=m))
-                  for _ in range(2 * STACK_MIN)]
+        first = solve_lps(recourse, [rng.normal(0.0, 3.0, size=m)
+                                     for _ in range(2 * STACK_MIN)])
+        rhs = [rng.normal(0.0, 3.0, size=m) for _ in range(2 * STACK_MIN)]
         bases = [res.basis if k % 2 else None for k, res in enumerate(first)]
-        got = solve_lps(models, bases)
-        want = [solve_lp(model, basis=basis)
-                for model, basis in zip(models, bases)]
+        got = solve_lps(recourse, rhs, bases)
+        want = [solve_lps(recourse, [b], [basis])[0]
+                for b, basis in zip(rhs, bases)]
         assert ([_result_bytes(res) for res in got]
                 == [_result_bytes(res) for res in want])
     # each trial stacks its first batch and the members without a start

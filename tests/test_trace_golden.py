@@ -5,8 +5,8 @@ event: [kind, z_lb, z_ub, ccut, fcut, n_clusters, refinements].  Kinds,
 cut counts, cluster counts, refinements and the reason must match exactly;
 the bounds to 1e-9 relative.  Keys read instance:algorithm[:flag], with
 every other RunConfig field at its default.  The recourse LPs of
-sslp-1-1-10-s0 have two rows; lp.solve_lps stacks them as it stacks wider
-ones.
+sslp-1-1-10-s0 have two rows; lp.solve_lps, which takes the recourse LP
+and one rhs per subproblem, stacks them as it stacks wider ones.
 
 Run as a script, it prints one `key trace-sha256 lp-sha256 lps events
 reason z_lb` line per golden run, so two commits can be compared bit for
@@ -16,7 +16,9 @@ rounding, or only which LPs were solved.  The first digest
 covers the trace CSV without its wall-clock column and the final cut pool
 (kind, coefficient bytes, rhs repr, origin); the second every LP result of
 the run in call order (status, objective repr, x, duals, reduced costs and
-Farkas ray bytes), whether it came from solve_lp or solve_lps:
+Farkas ray bytes), whether it came from solve_lp or solve_lps.  The
+recorder counts the list solve_lps returns, whatever its arguments, so it
+also digests older checkouts, whose solve_lps took a list of LPs:
 
     OPENBLAS_NUM_THREADS=1 python tests/test_trace_golden.py
 
