@@ -41,6 +41,14 @@ batch, a _Stack included, and by each result's Basis.  No LP or stack
 copies it.  The dual path builds its dual's [A' | -Z | I | I] once, and
 the dual's matrix is its leading block.
 
+Starts.  An LP takes its start when its _Simplex is built: the slack
+basis, for phase 1, or a placed (basis, status, Binv or None), for phase
+2 or the dual simplex.  A placed LP sets each nonbasic value from its
+status and bounds and solves the basic values with Binv, a kept Basis's
+copied, or by a refactorization (a start cache region, a DualStart); it
+builds no b - A x0, identity or slack range.  A primal LP that breaks
+down is solved once more from the slack basis (_retry).
+
 Cost model.  On small LPs the time is numpy call overhead, about a
 microsecond a call, not flops.  _iterate reads scalars as Python floats,
 clamps the ratio test's minimum at zero instead of the whole ratio vector,
@@ -59,10 +67,10 @@ the stored INFEASIBLE result, or copies of the basis and statuses phase 1
 ended at, and no LP, model, values or inverse.  Phase 1 ends on a
 refactorization, which solves Binv and the basic values from the basis,
 b and the nonbasic values, and each nonbasic value sits at the bound its
-status names, or at 0 when free.  So a hit builds its LP on the entry's
-matrix, places the basis and statuses (_from_basis), which sets the
-nonbasic values and refactorizes, and runs phase 2 from phase 1's end
-state, bit for bit, the artificials pinned by _start.  A miss runs phase
+status names, or at 0 when free.  So a hit, an LP on the entry's matrix
+placed on copies of the basis and statuses (Starts), runs phase 2 from
+phase 1's end state, bit for bit, the artificials pinned by _start.  A
+miss runs phase
 1 and stores its end; a phase 1 that installs no artificial leaves the LP
 as it was built, and stores nothing.  A breakdown anywhere falls back to
 the from-scratch retry, and a phase 1 that breaks down stores no region.
@@ -79,9 +87,10 @@ exactly the pivots solve_lp would take, and result i is bitwise
 solve_lp(model.with_rhs(rhs[i])), since each stacked product is one BLAS
 call in the LP's own shape (see _Stack).  Lockstep saves numpy call
 overhead, not flops, so it pays only for STACK_MIN or more LPs; fewer,
-or a tall LP's, go one at a time.  A batch builds one [A | I | I] and one
-_start (the bounds of every working column, the start statuses and the
-structural columns' start values), copied into each LP's own arrays.
+or a tall LP's, go one at a time.  A batch builds one [A | I | I], and
+one _start (the bounds of every working column, the start statuses and
+the structural columns' start values) when an LP first takes it: a
+stacked LP copies it, and a warm one (Warm recourse) shares its bounds.
 Between runs of pivots the stack writes back the basis and the nonbasic
 state (the LP refactorizes next, so no Binv is copied) and loads only
 what _phases moved: the costs and the artificials' bounds, pinned at
@@ -143,8 +152,9 @@ Warm recourse.  solve_lps(model, rhs, bases) starts LP i from bases[i],
 the Basis of a with_rhs sibling: the same A, c, senses and bounds, so the
 same working matrix and reduced costs, and only the basic values move
 with b.  The kept basis is dual feasible, so a bounded dual simplex runs
-from it (_Simplex._dual) on a copy of its LP at the new b: the basic
-value furthest outside its bounds leaves for the bound it broke, the
+from it (_Simplex._dual) on an LP at the new b placed on copies of the
+kept basis, statuses and Binv (Starts): the basic value furthest outside
+its bounds leaves for the bound it broke, the
 dual ratio test picks the entering column (lowest index on ties), and
 Binv is refactorized every REFACTOR_EVERY pivots.  Once every basic value
 is within 1e-9 * (1 + max |b|) of its bounds, phase 2 finishes from that
@@ -394,29 +404,42 @@ def _signs(status, lb, ub):
 
 
 class _Simplex:
-    def __init__(self, model, refactor_every=None, afull=None, start=None):
+    def __init__(self, model, refactor_every=None, afull=None, start=None,
+                 placed=None):
         """afull: the working matrix [A | I | I] (see the module
         docstring), when the caller already has it for an LP on A; start:
         _start of a model with these senses and bounds.  Both are shared,
-        never written to.  refactor_every, the cadence of
+        never written to; a placed LP, which no pivot rule writes a bound
+        of, shares start's bounds too.  placed: (basis, status, Binv or
+        None), taken over, or None for the slack basis (Starts, in the
+        module docstring).  refactor_every, the cadence of
         refactorizations, defaults to REFACTOR_EVERY as it is when the LP
-        is built, and a stack row keeps its LP's.  The caller checks the
-        model."""
+        is built.  The caller checks the model."""
         self.model = model
         self.refactor_every = refactor_every or REFACTOR_EVERY
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
-        self.m, self.n = m, n
+        self.m, self.n, self.ncols0 = m, n, n + m
         self.Afull = _working_matrix(A) if afull is None else afull
-        self.lb, self.ub, self.status, x0 = (
-            _start(model) if start is None else [a.copy() for a in start])
         self.b = np.asarray(model.b, dtype=float).copy()
         self.scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        self.ncols0 = n + m
-        self.xval = np.concatenate([x0, self.b - A @ x0, np.zeros(m)])
-        self.basis = np.arange(n, n + m)
-        self.Binv = np.eye(m)
         self.art_sign = np.zeros(m)   # row i's phase-1 cost on its artificial
+        if placed is None:
+            self.lb, self.ub, self.status, x0 = (
+                _start(model) if start is None else [a.copy() for a in start])
+            self.xval = np.concatenate([x0, self.b - A @ x0, np.zeros(m)])
+            self.basis = np.arange(n, n + m)
+            self.Binv = np.eye(m)
+            return
+        self.lb, self.ub = (_start(model) if start is None else start)[:2]
+        self.basis, self.status, Binv = placed
+        self.xval = np.where(self.status == _AT_LB, self.lb,
+                             np.where(self.status == _AT_UB, self.ub, 0.0))
+        if Binv is None:
+            self._refactor()
+        else:
+            self.Binv = Binv
+            self._basic_values()
 
     def _refactor(self):
         B = self.Afull[:, self.basis]
@@ -674,36 +697,6 @@ class _Simplex:
     def solve(self):
         return self._run(self._phases())
 
-    def _from_basis(self, basis, status=None):
-        """Set up phase 2 from `basis`, one working column per row, instead
-        of running phase 1, with `status` per working column, or else the
-        start statuses with every other slack at its finite bound: each
-        nonbasic column at the bound its status names, or at 0 when free.
-        False if a basic value breaks its bounds by more than FEAS_TOL; a
-        singular basis raises SimplexBreakdown."""
-        if status is None:
-            n, status = self.n, self.status
-            status[n:] = np.where(np.isfinite(self.lb[n:]), _AT_LB, _AT_UB)
-            status[basis] = _BASIC
-        self.status, self.basis = status, basis
-        self.xval = np.where(status == _AT_LB, self.lb,
-                             np.where(status == _AT_UB, self.ub, 0.0))
-        self._refactor()
-        xb = self.xval[basis]
-        return bool(np.all(xb >= self.lb[basis] - FEAS_TOL)
-                    and np.all(xb <= self.ub[basis] + FEAS_TOL))
-
-    def _restart(self, model):
-        """A copy of this LP, at its basis, for `model`, an LP with the
-        same A, senses and bounds: the arrays pivots write to are copied,
-        the working matrix, bounds and rhs shared (a warm start then sets
-        its own rhs, _solve_warm)."""
-        twin = _Simplex.__new__(_Simplex)
-        twin.__dict__.update(self.__dict__, model=model)
-        for name in ("basis", "status", "xval", "Binv"):
-            setattr(twin, name, getattr(self, name).copy())
-        return twin
-
     def _dual(self):
         """The bounded dual simplex from a dual feasible basis (see Warm
         recourse in the module docstring).  Each pivot takes the basic
@@ -720,7 +713,6 @@ class _Simplex:
         n, m = self.n, self.m
         cost = np.zeros(self.Afull.shape[1])
         cost[:n] = self.model.c
-        self._basic_values()
         self._price_by_status()
         if not m:
             return None
@@ -923,14 +915,15 @@ class _Stack:
 
     def run(self):
         """Results in input order; None where an LP broke down.  Each row
-        refactorizes at its own LP's cadence."""
+        refactorizes every REFACTOR_EVERY pivots, the cadence solve_lps
+        builds its LPs with."""
         while self.lps:
             self.it = [i + 1 for i in self.it]
             gone = []
-            for k, (i, lp) in enumerate(zip(self.it, self.lps)):
+            for k, i in enumerate(self.it):
                 if i > self.max_iter:
                     gone.append(k)
-                elif i % lp.refactor_every == 0:
+                elif i % REFACTOR_EVERY == 0:
                     try:
                         self._refactor(k)
                     except SimplexBreakdown:
@@ -979,7 +972,7 @@ class _Stack:
         ratios.fill(np.inf)
         np.divide(self.xb - bound, delta, out=ratios,
                   where=np.abs(delta) > PIVOT_TOL)
-        rmin = np.minimum.reduce(ratios, axis=1)
+        rmin = np.minimum.reduce(ratios, axis=1, initial=np.inf)
         rmin[rmin <= 0.0] = 0.0     # degeneracy within tolerance; -0.0 too
         tflip = self.ub.ravel()[fj] - self.lb.ravel()[fj]
         flip = tflip <= rmin
@@ -1049,10 +1042,9 @@ class _Stack:
 def solve_lp(model, starts=None, dual_start=None):
     """Solve a minimization LP; deterministic for a fixed input.
 
-    When the final checks fail, the eta updates have usually drifted on an
-    ill-conditioned basis; the LP is solved once more from scratch with a
-    refactorization every RETRY_REFACTOR_EVERY pivots before the failure is
-    raised.  An LP that passes the first time never reaches the retry.
+    When the final checks fail, the LP is solved once more from scratch
+    (_retry) before the failure is raised.  An LP that passes the first
+    time never reaches the retry.
 
     A tall LP (_dualizes) is first solved through its dual, and goes the
     primal way only if that neither ends OPTIMAL nor proves it infeasible
@@ -1070,39 +1062,33 @@ def solve_lp(model, starts=None, dual_start=None):
         result = _solve_dual(model, dual_start)
         if result is not None:
             return result
-    if starts is None:
-        return _solve_fresh(model)[0]
     try:
+        if starts is None:
+            return _Simplex(model).solve()
         return _solve_from(model, starts)
     except SimplexBreakdown:
-        return _Simplex(model, RETRY_REFACTOR_EVERY).solve()
+        return _retry(model)[0]
 
 
-def _solve_fresh(model, afull=None):
-    """The result of a checked model on the primal way, without a cache,
-    and the _Simplex that reached it: the from-scratch retry's if the
-    first attempt broke down.  afull: the model's [A | I | I], when the
-    caller has it; both attempts share it."""
-    lp = _Simplex(model, afull=afull)
-    try:
-        return lp.solve(), lp
-    except SimplexBreakdown:
-        lp = _Simplex(model, RETRY_REFACTOR_EVERY, afull=afull)
-        return lp.solve(), lp
+def _retry(model, afull=None):
+    """The from-scratch retry of a checked model whose first attempt broke
+    down, and its _Simplex: the eta updates have usually drifted on an
+    ill-conditioned basis, so it refactorizes every RETRY_REFACTOR_EVERY
+    pivots.  afull: the model's [A | I | I], if the caller has it."""
+    lp = _Simplex(model, RETRY_REFACTOR_EVERY, afull)
+    return lp.solve(), lp
 
 
-def _solve_warm(model, basis):
+def _solve_warm(model, basis, start):
     """The result of the dual simplex run from `basis` (_Simplex._dual),
     then phase 2, or None where the LP goes the cold way: an artificial
     basic in the start, a breakdown, or an end neither OPTIMAL nor
-    INFEASIBLE."""
+    INFEASIBLE.  start: _start(model), whose bounds the LP shares."""
     kept = basis._lp
     if kept.basis.max(initial=-1) >= kept.ncols0:
         return None
-    lp = kept._restart(model)
-    lp.b = np.asarray(model.b, dtype=float).copy()
-    lp.scale_b = 1.0 + float(np.abs(lp.b).max(initial=0.0))
-    lp.refactor_every = REFACTOR_EVERY
+    lp = _Simplex(model, afull=kept.Afull, start=start, placed=[
+        a.copy() for a in (kept.basis, kept.status, kept.Binv)])
     try:
         result = lp._dual() or lp._run(lp._phase2())
     except SimplexBreakdown:
@@ -1173,15 +1159,27 @@ def _solve_dual(model, start=None):
     res = None
     cols = None if start is None else start._columns(m, boxed.size, n)
     if cols is not None:
-        lp = _Simplex(dual, afull=afull)
+        bounds = _start(dual)
+        status = bounds[2].copy()
+        # each slack (of a <= row) and artificial at its lower bound, 0
+        status[dual.c.size:] = _AT_LB
+        status[cols] = _BASIC
         try:
-            if lp._from_basis(cols):
+            lp = _Simplex(dual, afull=afull, start=bounds,
+                          placed=(cols, status, None))
+            xb = lp.xval[cols]
+            if (np.all(xb >= lp.lb[cols] - FEAS_TOL)
+                    and np.all(xb <= lp.ub[cols] + FEAS_TOL)):
                 res = lp._run(lp._phase2())
         except SimplexBreakdown:
             pass
     if res is None:
+        lp = _Simplex(dual, afull=afull)
         try:
-            res, lp = _solve_fresh(dual, afull)
+            try:
+                res = lp.solve()
+            except SimplexBreakdown:
+                res, lp = _retry(dual, afull)
         except SimplexBreakdown:
             return None
     if res.status == UNBOUNDED:     # the LP is infeasible: y's ray proves it
@@ -1218,13 +1216,14 @@ def _solve_from(model, starts):
     region = (tuple(model.senses),
               *(np.asarray(v, dtype=float).tobytes()
                 for v in (model.b, model.lb, model.ub)))
-    start = regions.get(region)
-    if isinstance(start, LpResult):
-        return LpResult(INFEASIBLE, farkas=start.farkas.copy())
-    lp = _Simplex(model, afull=afull)
-    if start is not None:
-        lp._from_basis(*(a.copy() for a in start))
+    held = regions.get(region)
+    if isinstance(held, LpResult):
+        return LpResult(INFEASIBLE, farkas=held.farkas.copy())
+    if held is not None:
+        lp = _Simplex(model, afull=afull,
+                      placed=(*(a.copy() for a in held), None))
         return lp._run(lp._phase2())
+    lp = _Simplex(model, afull=afull)
     result = lp._run(lp._phase1())
     if result is not None:
         regions[region] = result
@@ -1248,18 +1247,19 @@ def solve_lps(model, rhs, bases=None):
         model = replace(model, checked=True)
     models = [model.with_rhs(b) for b in rhs]
     results = [None] * len(models)
+    start = None    # _start(model), built when an LP first takes it
     for i, basis in enumerate(bases or ()):
         if basis is not None:
-            results[i] = _solve_warm(models[i], basis)
+            start = start or _start(model)
+            results[i] = _solve_warm(models[i], basis, start)
     cold = [i for i, res in enumerate(results) if res is None]
     if len(cold) < STACK_MIN or _dualizes(model):
         for i in cold:
             results[i] = solve_lp(models[i])
         return results
-    afull, start = _working_matrix(model.A), _start(model)
+    afull, start = _working_matrix(model.A), start or _start(model)
     stack = _Stack([_Simplex(models[i], afull=afull, start=start)
                     for i in cold])
     for i, res in zip(cold, stack.run()):
-        results[i] = (res if res is not None
-                      else _Simplex(models[i], RETRY_REFACTOR_EVERY).solve())
+        results[i] = res if res is not None else _retry(models[i], afull)[0]
     return results

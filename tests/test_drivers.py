@@ -8,7 +8,9 @@ import pytest
 from stochcuts import builtin, generate_sslp, GeneratorConfig, mip
 from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
                              INTEGER, KIND_BENDERS, KIND_PBBENC,
-                             KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY)
+                             KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY,
+                             validate)
+from stochcuts.lp import STACK_MIN
 from stochcuts.mip import solve_mip
 from stochcuts.partition import build_partition_extensive, single_cluster
 from stochcuts.verify import check_cut_validity, run_suite, PASS
@@ -187,6 +189,28 @@ def test_single_scenario_instance():
         assert trace.final_lower_bound <= ext + 1e-6
         if algorithm == "alg1":
             assert trace.final_lower_bound == pytest.approx(ext, abs=1e-6)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_instance_with_no_recourse_rows(algorithm):
+    # An instance with no recourse rows is well formed.  Its recourse
+    # rounds solve LPs with no rows, which stack from lp.STACK_MIN
+    # scenarios on: 8 scenarios give the bound that 4, solved one LP at a
+    # time, give.
+    def instance(scenarios):
+        return Instance("no-recourse-rows", [-1.0], np.zeros((0, 1)), [],
+                        (BINARY,), [1.0], np.zeros((0, 1)),
+                        [Scenario(1.0 / scenarios, np.zeros((0, 1)),
+                                  np.zeros(0))] * scenarios)
+
+    assert 4 < STACK_MIN <= 8
+    bounds = []
+    for scenarios in (4, 8):
+        inst = instance(scenarios)
+        assert validate(inst) == []
+        bounds.append(run(inst, RunConfig(algorithm=algorithm))
+                      .final_lower_bound)
+    assert bounds == [-1.0, -1.0]
 
 
 def test_feasibility_cuts_through_the_cut_loop():

@@ -542,10 +542,10 @@ def test_solve_lps_matches_solve_lp_under_bland(monkeypatch):
 
 def test_solve_lps_matches_solve_lp_across_refactorizations(monkeypatch):
     # Each LP refactorizes every REFACTOR_EVERY pivots, read when it is
-    # built, and a stack row at its own LP's cadence.  At a cadence of 3
-    # the stack refactorizes mid-run; had the stack and a one-at-a-time
-    # solve read the cadence at different times, 8 of the 20 recourse LPs
-    # of sslp-10-10-20 at x = 0.37 would differ.
+    # built, and a stack row every REFACTOR_EVERY pivots, read as it runs.
+    # At a cadence of 3 the stack refactorizes mid-run; had the stack and
+    # a one-at-a-time solve used different cadences, 8 of the 20 recourse
+    # LPs of sslp-10-10-20 at x = 0.37 would differ.
     monkeypatch.setattr(lp_module, "REFACTOR_EVERY", 3)
     refactors = []
     refactor = _Stack._refactor
@@ -584,6 +584,26 @@ def test_solve_lps_stacks_any_row_count(monkeypatch):
         assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
         assert built == [STACK_MIN]
         assert solve_lps(model, []) == []
+
+
+def test_solve_lps_stacks_lps_with_no_rows(monkeypatch):
+    # An LP with no rows still pivots: its columns flip bound to bound, or
+    # run off unbounded.  Stacked STACK_MIN times, its ratio test has no
+    # row to take a minimum over, which is +inf, as in _iterate; the
+    # results are byte for byte solve_lp's.
+    built = _count_stacks(monkeypatch)
+    flips = LpModel.make([-1.0, 2.0, -3.0, 0.0], lb=[0.0, -1.0, 0.0, -np.inf],
+                         ub=[1.0, 4.0, 2.5, np.inf])
+    ray = LpModel.make([1.0, -1.0], ub=[2.0, np.inf])
+    rhs = [np.zeros(0)] * STACK_MIN
+    for model, status in ((flips, OPTIMAL), (ray, UNBOUNDED)):
+        built.clear()
+        want = _result_bytes(solve_lp(model))
+        assert want[0] == status
+        assert [_result_bytes(res) for res in solve_lps(model, rhs)] \
+            == [want] * STACK_MIN
+        assert built == [STACK_MIN]
+    assert solve_lp(flips).objective == -10.5
 
 
 def test_stacked_products_are_each_lps_own():
@@ -824,9 +844,9 @@ models[1:1] = [master]
 models.append(master)
 retries = []
 init = L._Simplex.__init__
-def counted(self, model, refactor_every=L.REFACTOR_EVERY, afull=None):
+def counted(self, model, refactor_every=None, *args, **kwargs):
     retries.append(refactor_every == L.RETRY_REFACTOR_EVERY)
-    init(self, model, refactor_every, afull)
+    init(self, model, refactor_every, *args, **kwargs)
 L._Simplex.__init__ = counted
 def key(r):
     return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
@@ -1120,17 +1140,21 @@ def test_drifted_master_solves_through_its_dual(monkeypatch):
 
 
 def _count_warm_starts(monkeypatch):
-    """A list that records, per warm start _solve_dual tries, True if the
-    start basis was feasible and False if not; a singular one raises."""
+    """A list that records, per LP built on a placed basis -- here, per
+    warm start _solve_dual tries -- True if every basic value is within
+    FEAS_TOL of its bounds (the start is feasible) and False if not; a
+    singular one raises."""
     tried = []
-    from_basis = _Simplex._from_basis
+    init = _Simplex.__init__
 
-    def counted(self, basis):
-        ok = from_basis(self, basis)
-        tried.append(ok)
-        return ok
+    def counted(self, model, *args, placed=None, **kwargs):
+        init(self, model, *args, placed=placed, **kwargs)
+        if placed is not None:
+            xb, tol = self.xval[self.basis], lp_module.FEAS_TOL
+            tried.append(bool(np.all(xb >= self.lb[self.basis] - tol)
+                              and np.all(xb <= self.ub[self.basis] + tol)))
 
-    monkeypatch.setattr(_Simplex, "_from_basis", counted)
+    monkeypatch.setattr(_Simplex, "__init__", counted)
     return tried
 
 
@@ -1330,8 +1354,8 @@ def _warm_outcomes(monkeypatch):
     outcomes = []
     solve_warm = lp_module._solve_warm
 
-    def recorded(model, basis):
-        res = solve_warm(model, basis)
+    def recorded(model, basis, start):
+        res = solve_warm(model, basis, start)
         outcomes.append("cold" if res is None else res.status)
         return res
 

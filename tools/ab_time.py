@@ -87,6 +87,8 @@ def main(argv=None):
     ap.add_argument("--budget", type=int, default=None)
     ap.add_argument("--pairs", type=int, default=20)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two times a side")
 
     sides = [load(args.a, "ab_side_a"), load(args.b, "ab_side_b")]
     text = instance_text(sides[0], args.sslp, args.instance_seed, args.order)

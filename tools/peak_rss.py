@@ -78,6 +78,8 @@ def main(argv=None):
     ap.add_argument("--runs", type=int, default=2)
     ap.add_argument("--hash-seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
 
     name = (f"{args.driver} sslp-{'-'.join(map(str, args.sslp))}"
             f"-s{args.instance_seed}"
