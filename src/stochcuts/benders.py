@@ -8,9 +8,6 @@ weights of their cluster, so they stay valid verbatim after refinements.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
-
 import numpy as np
 
 from .lp import (DualStart, LpModel, solve_lp, solve_lps, EQ, GE,
@@ -85,23 +82,24 @@ def make_feasibility_cut(instance, agg, result):
 
 def compute_theta_lower_bounds(instance):
     """L_s = min d.y over W y >= h_s - T_s x with x anywhere in its relaxed
-    box; keeps the master bounded before any cut mentions theta_s.  When
-    every T_s is T_0's, as in every sslp instance, the scenarios' LPs are
-    scenario 0's at the rhs [b; h_s], and one solve_lps call takes them;
-    otherwise each scenario's own LP is solved."""
-    def theta_lp(sc):
-        return stacked_model(instance, np.zeros(instance.n1),
-                             [(1.0, sc.technology, sc.rhs)]).lp
-
+    box; keeps the master bounded before any cut mentions theta_s.  The
+    scenarios that share a T_s (every scenario, in every sslp instance)
+    share their LP up to the rhs [b; h_s], so one solve_lps call per
+    distinct T_s takes the group's first LP at each member's rhs."""
     scenarios = instance.scenarios
-    if len({sc.technology.tobytes() for sc in scenarios}) == 1:
-        b = instance.first_stage_rhs
-        results = solve_lps(theta_lp(scenarios[0]),
-                            [np.concatenate([b, sc.rhs]) for sc in scenarios])
-    else:
-        results = [solve_lp(theta_lp(sc)) for sc in scenarios]
+    groups = {}
+    for s, sc in enumerate(scenarios):
+        groups.setdefault(sc.technology.tobytes(), []).append(s)
+    b = instance.first_stage_rhs
+    results = {}
+    for members in groups.values():
+        first = scenarios[members[0]]
+        lp = stacked_model(instance, np.zeros(instance.n1),
+                           [(1.0, first.technology, first.rhs)]).lp
+        rhs = [np.concatenate([b, scenarios[s].rhs]) for s in members]
+        results.update(zip(members, solve_lps(lp, rhs)))
     out = np.zeros(instance.n_scenarios)
-    for s, res in enumerate(results):
+    for s, res in sorted(results.items()):
         if res.status == LP_INFEASIBLE:
             raise InfeasibleError(
                 f"scenario {s}: infeasible for every first stage")
@@ -113,11 +111,11 @@ def compute_theta_lower_bounds(instance):
 
 class MasterState:
     """Instance + cut pool + the best lower bound produced so far, and the
-    master kept as the pool grows: its rows and rhs and the cuts' max-abs
-    scales live in buffers that double when full, the cuts' normalized
-    rows (row and rhs over the scale) are indexed by their sums and
-    derived where add_cut compares them, not stored, and dual_start holds
-    the last optimal basis of the master's dual (lp.DualStart)."""
+    master kept as the pool grows: its rows and rhs, and the sum of each
+    cut's normalized row (row and rhs over their max |.|), live in buffers
+    that double when full; the normalized rows themselves are derived
+    where add_cut compares them, not stored, and dual_start holds the last
+    optimal basis of the master's dual (lp.DualStart)."""
 
     def __init__(self, instance):
         self.instance = instance
@@ -130,11 +128,7 @@ class MasterState:
         self._rhs = np.zeros(m1 + 64)
         self._rows[:m1, :n1] = instance.first_stage_matrix
         self._rhs[:m1] = instance.first_stage_rhs
-        # max |(x_coeffs, theta_coeffs, rhs)|, one per cut; the pool
-        # positions sorted by the normalized rows' sums, and those sums
-        self._scales = np.zeros(64)
-        self._order = []
-        self._keys = []
+        self._sums = np.zeros(64)
         self.theta_lb = compute_theta_lower_bounds(instance)
         self.z_lb = -np.inf
         self.dual_start = DualStart()
@@ -145,36 +139,26 @@ class MasterState:
         DEDUP_TOL of the cut in each of the w normalized coordinates, which
         lie in [-1, 1], so its sum is within w * DEDUP_TOL of the cut's,
         up to rounding under w * w * 2**-52: only the pool rows whose sum is
-        within twice that are compared, which gives the same answer.  A row
-        with a NaN coordinate, whose sum is NaN, matches no row, so it is
-        neither compared nor indexed."""
+        within twice that are normalized and compared, which gives the same
+        answer.  A row with a NaN coordinate, whose sum is NaN, matches no
+        row and no row matches it: a NaN sum falls in no window."""
         stacked = np.concatenate([cut.x_coeffs, cut.theta_coeffs, [cut.rhs]])
         scale = float(np.abs(stacked).max(initial=0.0))
         if scale <= 0.0:
             return False
         row = stacked / scale
-        key = float(row.sum())
+        key, reach = float(row.sum()), 2.0 * row.size * DEDUP_TOL
         k, r = len(self.cuts), self.instance.m1 + len(self.cuts)
-        if not math.isnan(key):
-            reach = 2.0 * row.size * DEDUP_TOL
-            lo = bisect_left(self._keys, key - reach)
-            hi = bisect_left(self._keys, key + reach, lo)
-            window = np.array(self._order[lo:hi], dtype=np.intp)
-            rows = self.instance.m1 + window
-            near = (np.column_stack([self._rows[rows], self._rhs[rows]])
-                    / self._scales[window, None])
-            if (np.abs(near - row).max(axis=1) <= DEDUP_TOL).any():
-                return False
-            at = bisect_left(self._keys, key, lo, hi)
-            self._keys.insert(at, key)
-            self._order.insert(at, k)
-        self._scales = _room(self._scales, k)
-        self._scales[k] = scale
+        rows = self.instance.m1 + np.flatnonzero(
+            (self._sums[:k] >= key - reach) & (self._sums[:k] < key + reach))
+        near = np.column_stack([self._rows[rows], self._rhs[rows]])
+        near /= np.abs(near).max(axis=1, keepdims=True)
+        if (np.abs(near - row).max(axis=1) <= DEDUP_TOL).any():
+            return False
+        self._sums = _room(self._sums, k)
         self._rows, self._rhs = _room(self._rows, r), _room(self._rhs, r)
-        n1 = self.instance.n1
-        self._rows[r, :n1] = cut.x_coeffs
-        self._rows[r, n1:] = cut.theta_coeffs
-        self._rhs[r] = cut.rhs
+        self._sums[k], self._rhs[r] = key, stacked[-1]
+        self._rows[r] = stacked[:-1]
         self.cuts.append(cut)
         return True
 

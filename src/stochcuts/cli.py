@@ -16,8 +16,8 @@ import sys
 
 from .drivers import (ALGORITHMS, RunConfig, run, write_trace_csv,
                       read_trace_csv, REASON_TIME_LIMIT)
-from .instance_io import (GeneratorConfig, generate_sslp, builtin, load, emit,
-                          FormatError)
+from .instance_io import (GeneratorConfig, generate_sslp, builtin, emit,
+                          parse_verbose, FormatError)
 from .model import InfeasibleError
 from .verify import run_suite, FAIL, SUITES
 
@@ -34,14 +34,19 @@ class CliError(Exception):
 
 
 def _load_instance(source):
-    """A path to an instance file, or a builtin name such as thm1."""
+    """A path to an instance file, or a builtin name such as thm1.  The
+    file's warnings (duplicate entries, summed) go to stderr."""
     if os.path.exists(source):
         try:
-            return load(source)
+            with open(source, "r", encoding="utf-8") as fh:
+                instance, warnings = parse_verbose(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read instance: {exc}")
         except FormatError as exc:
             raise CliError(f"{source}: {exc}")
+        for warning in warnings:
+            print(f"warning: {source}: {warning}", file=sys.stderr)
+        return instance
     try:
         return builtin(source)
     except ValueError:
@@ -83,6 +88,10 @@ def _parse_seeds(text):
                        EXIT_USAGE)
     if not seeds:
         raise CliError("seed list is empty", EXIT_USAGE)
+    for seed in seeds:
+        if seed < 0:
+            raise CliError(f"negative seed {seed} in {text!r}; expected "
+                           "e.g. 0,1,2", EXIT_USAGE)
     return seeds
 
 

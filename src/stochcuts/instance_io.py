@@ -20,11 +20,12 @@ that round-trips the double.
     T <s> <i> <j> <value>
     h <s> <i> <value>
 
-Duplicate triplets are summed and reported as warnings.  Loading
-validates the instance: one that model.validate faults (probabilities
-that are not positive or do not sum to 1, a NaN or infinite value in c, A,
-b, d, W, T or h, a negative or NaN u, an integer column without a finite
-u) raises FormatError.
+Duplicate triplets are summed; parse_verbose returns a warning for
+each, which `stochcuts solve` and `compare` print to stderr, and parse
+and load discard.  Loading validates the instance: one that
+model.validate faults (probabilities that are not positive or do not sum
+to 1, a NaN or infinite value in c, A, b, d, W, T or h, a negative or NaN
+u, an integer column without a finite u) raises FormatError.
 """
 
 from __future__ import annotations

@@ -80,8 +80,8 @@ their objective.
 
 The contract extends to stacks.  Under fixed recourse the subproblems of
 a round -- the recourse LPs of its clusters or scenarios, or the
-theta-bound LPs of an instance whose T_s is the same in every scenario --
-are one LP at other right-hand sides.  solve_lps(model, rhs) takes that
+theta-bound LPs of the scenarios that share a T_s -- are one LP at
+other right-hand sides.  solve_lps(model, rhs) takes that
 LP and its right-hand sides and solves them in lockstep: each takes
 exactly the pivots solve_lp would take, and result i is bitwise
 solve_lp(model.with_rhs(rhs[i])), since each stacked product is one BLAS
@@ -1151,11 +1151,12 @@ def _solve_dual(model, start=None):
                    np.concatenate([np.where(senses == GE, 0.0, -np.inf),
                                    np.zeros(boxed.size)]),
                    np.concatenate([np.where(senses == LE, 0.0, np.inf),
-                                   np.full(boxed.size, np.inf)]))
-    if not np.isfinite(dual.c).all():    # b - A lb or u overflowed
+                                   np.full(boxed.size, np.inf)]),
+                   checked=True)
+    # valid as built from the checked LP, but for the objective, whose
+    # b - A lb or u can overflow
+    if not np.isfinite(dual.c).all():
         return None
-    dual.check()
-    dual.checked = True
     res = None
     cols = None if start is None else start._columns(m, boxed.size, n)
     if cols is not None:

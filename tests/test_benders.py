@@ -170,15 +170,25 @@ def test_theta_lower_bounds(thm1, refinement_example):
 
 
 def test_theta_lower_bounds_per_scenario_technology(small_sslp):
-    # With T_s shared, the theta-bound LPs are one LP at STACK_MIN or more
-    # rhs; with T_s varying by scenario, each is its own LP.  Either way
-    # every bound is byte for byte solve_lp's on the scenario's own LP.
+    # The scenarios that share a T_s are one LP at their rhs: with T_s
+    # shared, one group of STACK_MIN or more; with T_s varying by scenario,
+    # groups of one; and two interleaved technologies of STACK_MIN
+    # scenarios each, plus a scenario with its own.  Every way, each bound
+    # is byte for byte solve_lp's on the scenario's own LP, in scenario
+    # order.
     shared = small_sslp(scenarios=2 * STACK_MIN)
     varying = dataclasses.replace(shared, scenarios=tuple(
         Scenario(sc.probability, sc.technology * (1.0 + 0.25 * s), sc.rhs)
         for s, sc in enumerate(shared.scenarios)))
     assert len({sc.technology.tobytes() for sc in varying.scenarios}) > 1
-    for instance in (shared, varying):
+    base = small_sslp(scenarios=2 * STACK_MIN + 1)
+    mixed = dataclasses.replace(base, scenarios=tuple(
+        Scenario(sc.probability, sc.technology
+                 * (3.0 if s == 2 * STACK_MIN else 1.0 + 0.5 * (s % 2)),
+                 sc.rhs)
+        for s, sc in enumerate(base.scenarios)))
+    assert len({sc.technology.tobytes() for sc in mixed.scenarios}) == 3
+    for instance in (shared, varying, mixed):
         want = [solve_lp(stacked_model(instance, np.zeros(instance.n1),
                                        [(1.0, sc.technology, sc.rhs)]).lp)
                 .objective for sc in instance.scenarios]

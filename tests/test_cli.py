@@ -126,6 +126,30 @@ def test_solve_reports_an_infeasible_instance(tmp_path, capsys, algorithm,
     assert not trace_path.exists()
 
 
+def test_solve_reports_duplicate_entries(tmp_path, capsys):
+    # a repeated c line is summed, which doubles that cost: solve and
+    # compare say so on stderr, one warning line per duplicate, and print
+    # and exit as they do for the file with the sum, which warns of nothing
+    body = ("dims 1 1 0 1 1\nmark binary 0\nc 0 {c}\nd 0 1.0\nW 0 0 1.0\n"
+            "scenario 0 1.0\nh 0 0 1.0\n")
+    path, summed = tmp_path / "dup.txt", tmp_path / "summed.txt"
+    path.write_text(f"{FORMAT_TAG}\n" + body.format(c="-1.0\nc 0 -1.0"))
+    summed.write_text(f"{FORMAT_TAG}\n" + body.format(c="-2.0"))
+    for argv in (["solve", "{}", "--algorithm", "benders"],
+                 ["compare", "{}", "--algorithms", "benders"]):
+        outs, errs = [], []
+        for source in (summed, path):
+            assert main([a.format(source) for a in argv]) == EXIT_OK
+            out, err = capsys.readouterr()
+            # compare's last column is the solve's seconds
+            outs.append([line.rsplit(None, 1)[0] if argv[0] == "compare"
+                         else line for line in out.splitlines()])
+            errs.append(err)
+        assert outs[0] == outs[1] and any("-1" in line for line in outs[1])
+        assert errs == ["", f"warning: {path}: line 5: duplicate c entry 0 "
+                            "summed\n"]
+
+
 def test_solve_unreadable_file(tmp_path, capsys):
     assert main(["solve", str(tmp_path)]) == EXIT_FAILURE
     err = capsys.readouterr().err
@@ -292,5 +316,9 @@ def test_verify_cli_injected_failure(capsys):
 
 
 def test_verify_cli_bad_seeds(capsys):
-    code = main(["verify", "--suite", "thm1", "--seeds", "a,b"])
-    assert code == EXIT_USAGE
+    for seeds, message in (("a,b", "bad seed list 'a,b'"),
+                           ("-1", "negative seed -1 in '-1'")):
+        code = main(["verify", "--suite", "dim1", "--seeds=" + seeds])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -686,7 +686,8 @@ def test_dual_path_builds_one_working_matrix(monkeypatch):
     # A dual-path solve builds the dual's [A' | -Z | I | I] once, and the
     # dual model's A is its leading block: with no start, with a start
     # that does not map, and with one that maps but is infeasible, so
-    # that the warm attempt and the cold solve both pivot on it.
+    # that the warm attempt and the cold solve both pivot on it.  The dual
+    # of a checked LP is built checked: no full check runs.
     built, made = [], []
     working_matrix, init = lp_module._working_matrix, _Simplex.__init__
 
@@ -710,6 +711,7 @@ def test_dual_path_builds_one_working_matrix(monkeypatch):
     negative = LpModel.make(np.where(np.arange(n) == 2, -1.0, model.c),
                             model.A, model.senses, model.b, model.lb,
                             model.ub)
+    monkeypatch.setattr(LpModel, "check", None)   # any full check fails
     for lp, start, attempts in ((model, after, []),
                                 (model, DualStart(m + 5, 0, None), []),
                                 (negative, "infeasible", [False])):

@@ -27,12 +27,14 @@ def _tool(name, *options):
 def test_ab_time_times_both_sides():
     out = _tool("ab_time.py", "--pairs", "2")
     assert out.returncode == 0, out.stderr + out.stdout
-    z_lb, header, a, b, ratio = out.stdout.splitlines()
+    z_lb, header, a, b, ratio, drift = out.stdout.splitlines()
     assert z_lb.startswith("z_lb A ")
     assert z_lb.split()[2] == z_lb.split()[4]
     assert header.startswith("benders sslp-2-3-4-s0 order 0, 2 pairs")
     assert a.startswith("A  median ") and b.startswith("B  median ")
     assert ratio.startswith("B/A medians ") and ratio.endswith("/2")
+    assert drift.startswith("A drift ")
+    assert drift.endswith(("B/A is unresolved", "B/A is further from 1"))
 
 
 def test_peak_rss_measures_both_sides():

@@ -11,6 +11,9 @@ parse of the emitted text.  After one warm-up solve per side it times
 single solves of one driver, alternating which side goes first in each
 pair, in CPU seconds (time.process_time), and prints each side's median
 and quartiles, B's median over A's, and in how many pairs B was faster.
+Last it prints A's drift, A's median over the second half of the pairs
+over its median over the first half: a B/A no further from 1 than that
+is unresolved, since A alone moved as much in one run.
 Each side must repeat its own warm-up z_lb bit for bit, and the two sides'
 bounds must agree to the benchmark's REL_TOL (1e-6 relative, as in
 bench/run.py), or it exits 1; a change that only moves a degenerate tie
@@ -113,13 +116,19 @@ def main(argv=None):
                 return 1
             times[side].append(seconds)
     wins = sum(b < a for a, b in zip(*times))
+    ratio = statistics.median(times[1]) / statistics.median(times[0])
+    half = args.pairs // 2
+    drift = (statistics.median(times[0][half:])
+             / statistics.median(times[0][:half]))
     print(f"{args.driver} sslp-{'-'.join(map(str, args.sslp))}"
           f"-s{args.instance_seed} order {args.order}, {args.pairs} pairs, "
           "CPU seconds per solve")
     print(f"A  {quartiles(times[0])}")
     print(f"B  {quartiles(times[1])}")
-    print(f"B/A medians {statistics.median(times[1]) / statistics.median(times[0]):.3f}, "
-          f"B faster in {wins}/{args.pairs}")
+    print(f"B/A medians {ratio:.3f}, B faster in {wins}/{args.pairs}")
+    print(f"A drift {drift:.3f}, its second half's median over its first's: "
+          + ("B/A is unresolved" if abs(ratio - 1.0) <= abs(drift - 1.0)
+             else "B/A is further from 1"))
     return 0
 
 
