@@ -82,20 +82,23 @@ The contract extends to stacks.  Under fixed recourse the subproblems of
 a round -- the recourse LPs of its clusters or scenarios, or the
 theta-bound LPs of the scenarios that share a T_s -- are one LP at
 other right-hand sides.  solve_lps(model, rhs) takes that
-LP and its right-hand sides and solves them in lockstep: each takes
-exactly the pivots solve_lp would take, and result i is bitwise
-solve_lp(model.with_rhs(rhs[i])), since each stacked product is one BLAS
-call in the LP's own shape (see _Stack).  Lockstep saves numpy call
-overhead, not flops, so it pays only for STACK_MIN or more LPs; fewer,
-or a tall LP's, go one at a time.  A batch builds one [A | I | I], and
-one _start (the bounds of every working column, the start statuses and
-the structural columns' start values) when an LP first takes it: a
-stacked LP copies it, and a warm one (Warm recourse) shares its bounds.
-Between runs of pivots the stack writes back the basis and the nonbasic
-state (the LP refactorizes next, so no Binv is copied) and loads only
-what _phases moved: the costs and the artificials' bounds, pinned at
-zero, when phase 2 begins, then the refactorized Binv and the basic
-values.
+LP and its right-hand sides and solves them in lockstep, and result i is
+bitwise solve_lp(model.with_rhs(rhs[i])).  The stack takes a pivot only
+when it is a swap, exactly the one solve_lp would take, since each
+stacked product is one BLAS call in the LP's own shape (see _Stack).  An
+LP whose next pivot would be a bound flip or an unbounded ray, or whose
+stall count reaches STALL_LIMIT, where _iterate turns to Bland's rule,
+leaves the stack and is solved alone from the slack basis on the batch's
+[A | I | I]: the bits the stack would have given.  Lockstep saves numpy
+call overhead, not flops, so it pays only for STACK_MIN or more LPs;
+fewer, or a tall LP's, go one at a time.  A batch builds one
+[A | I | I], and one _start (the bounds of every working column, the
+start statuses and the structural columns' start values) when an LP
+first takes it: a stacked LP copies it, and a warm one (Warm recourse)
+shares its bounds.  Between runs of pivots the stack writes back the
+basis and the nonbasic state (the LP refactorizes next, so no Binv is
+copied), and loads the next run's costs, the LP's bounds and pricing
+signs, its refactorized Binv and its basic values.
 
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
@@ -267,11 +270,17 @@ class LpModel:
             raise ValueError("rhs has a non-finite entry")
 
     def _check_bounds(self):
-        if self.lb.size != self.c.size or self.ub.size != self.c.size:
+        lb, ub = self.lb, self.ub
+        if lb.size != self.c.size or ub.size != self.c.size:
             raise ValueError("bound length does not match column count")
-        if np.isnan(self.lb).any() or np.isnan(self.ub).any():
-            raise ValueError("a bound is NaN")
-        if np.any(self.lb > self.ub):
+        # one test for the valid box, which NaN fails, then the message
+        if not ((lb <= ub) & (lb < np.inf) & (ub > -np.inf)).all():
+            if np.isnan(lb).any() or np.isnan(ub).any():
+                raise ValueError("a bound is NaN")
+            if (lb == np.inf).any():
+                raise ValueError("a lower bound is +inf")
+            if (ub == -np.inf).any():
+                raise ValueError("an upper bound is -inf")
             raise ValueError("lower bound exceeds upper bound")
 
     def with_bounds(self, lb, ub):
@@ -679,7 +688,8 @@ class _Simplex:
         """The two-phase method as a coroutine: it yields (cost,
         allow_unbounded) for each run of pivots, is sent the status that
         run ended with, and returns the LpResult.  solve() runs the pivots
-        with _iterate, _Stack in lockstep with other LPs."""
+        with _iterate, _Stack in lockstep with other LPs for as long as
+        each of its runs ends OPTIMAL after swaps alone."""
         result = yield from self._phase1()
         if result is None:
             result = yield from self._phase2()
@@ -794,45 +804,44 @@ class _Simplex:
 
 class _Stack:
     """LPs on one working matrix pivoting in lockstep: at each step every
-    LP still running takes the pivot _iterate would take next.  The stack
-    holds no matrix of its own: it reads the (m, C) [A | I | I] its LPs
-    share.  Row k of each of its arrays is the k-th running LP: basis
-    inverse (K, m, m), per-column state (K, C) and per-basis-slot values,
-    bounds and costs (K, m).  It prices with (y[:, None, :] @ afull)[:, 0]
-    and gathers entering columns as afull.T[j]; numpy runs each broadcast
-    product as one BLAS call per LP in the shape _iterate uses, and every
-    other operation is elementwise, so every number that reaches a
-    decision or a result is the one _iterate computes.  Refactorizations
-    and the work between runs of pivots (_phases) go through the LP's own
-    _Simplex."""
+    LP still running takes the pivot _iterate would take next, when that
+    pivot is a swap (_step).  The stack holds no matrix of its own: it
+    reads the (m, C) [A | I | I] its LPs share.  Row k of each of its
+    arrays is the k-th running LP: basis inverse (K, m, m), per-column
+    state (K, C) and per-basis-slot values, bounds and costs (K, m).  It
+    prices with (y[:, None, :] @ afull)[:, 0] and gathers entering columns
+    as afull.T[j]; numpy runs each broadcast product as one BLAS call per
+    LP in the shape _iterate uses, and every other operation is
+    elementwise, so every number that reaches a decision or a result is
+    the one _iterate computes.  Refactorizations and the work between runs
+    of pivots (_phases) go through the LP's own _Simplex."""
 
     # per-row arrays and lists, cut down together when LPs leave
     _ARRAYS = ("xval", "lb", "ub", "cost", "sign", "status", "binv",
-               "basis", "xb", "lbb", "ubb", "cb", "stall", "bland")
-    _LISTS = ("lps", "phases", "ids", "it", "allow")
+               "basis", "xb", "lbb", "ubb", "cb", "stall")
+    _LISTS = ("lps", "phases", "ids", "it")
 
     def __init__(self, lps):
         k, (m, width) = len(lps), lps[0].Afull.shape
         self.lps, self.ids = lps, list(range(k))
         self.phases = [lp._phases() for lp in lps]
         # each LP's first run of pivots, its artificials installed
-        runs = [next(phases) for phases in self.phases]
+        costs = [next(phases)[0] for phases in self.phases]
         self.results = [None] * k
         self.afull = lps[0].Afull     # every LP's, shared (solve_lps)
-        self.cost = np.array([cost for cost, _ in runs])
-        self.xval, self.lb, self.ub, self.status = (
+        self.xval, self.status, self.basis = (
             np.array([getattr(lp, name) for lp in lps])
-            for name in ("xval", "lb", "ub", "status"))
-        self.sign = _signs(self.status, self.lb, self.ub)
-        self.binv = np.array([lp.Binv for lp in lps])
-        self.basis = np.array([lp.basis for lp in lps])
+            for name in ("xval", "status", "basis"))
+        self.lb, self.ub, self.cost, self.sign = (
+            np.empty((k, width)) for _ in range(4))
         self.xb, self.lbb, self.ubb, self.cb = (
-            np.take_along_axis(a, self.basis, 1)
-            for a in (self.xval, self.lb, self.ub, self.cost))
-        self.stall, self.bland = np.zeros(k, np.int64), np.zeros(k, bool)
-        self.any_bland, self.peak = False, 0    # peak >= every stall
+            np.empty((k, m)) for _ in range(4))
+        self.binv = np.empty((k, m, m))
+        self.stall, self.it = np.zeros(k, np.int64), [0] * k
+        for row, cost in enumerate(costs):
+            self._load(row, cost)
+        self.peak = 0       # peak >= every stall
         self.any_free = bool((self.status == _FREE).any())
-        self.it, self.allow = [0] * k, [allow for _, allow in runs]
         self.max_iter = max(50000, 500 * width)
         # by position, cut to the running rows at each step: the flat
         # positions of row k's first column and basis slot, ratio buffer
@@ -840,27 +849,21 @@ class _Stack:
         self.col0, self.slot0 = rows * width, rows * m
         self.ratios = np.empty((k, m))
 
-    def _load(self, k, cost, allow_unbounded):
-        """Start LP k's next run of pivots.  Between two runs _phases moves
-        only the costs and the artificials' bounds, both pinned at zero,
-        when phase 2 begins (allow_unbounded turns True), then
-        refactorizes; the rest of row k is the LP's state already."""
+    def _load(self, k, cost):
+        """Start LP k's next run of pivots under `cost`, from the LP's own
+        bounds, Binv and basic values; the basis and nonbasic state of row
+        k are the LP's already."""
         lp = self.lps[k]
         bi = lp.basis
-        if allow_unbounded and not self.allow[k]:
-            n0 = lp.ncols0
-            self.cost[k] = cost
-            self.lb[k, n0:] = self.ub[k, n0:] = self.sign[k, n0:] = 0.0
-            self.lbb[k], self.ubb[k] = lp.lb[bi], lp.ub[bi]
-            self.cb[k] = cost[bi]
-            self.allow[k] = True
+        self.cost[k], self.lb[k], self.ub[k] = cost, lp.lb, lp.ub
+        self.sign[k] = _signs(lp.status, lp.lb, lp.ub)
+        self.lbb[k], self.ubb[k], self.cb[k] = lp.lb[bi], lp.ub[bi], cost[bi]
         self.binv[k], self.xb[k] = lp.Binv, lp.xval[bi]
-        self.stall[k], self.bland[k], self.it[k] = 0, False, 0
+        self.stall[k], self.it[k] = 0, 0
 
     def _store(self, k):
         """Write LP k's basis and nonbasic state back into its _Simplex,
-        which refactorizes next, or ends unbounded and reads neither its
-        basis inverse nor its basic values."""
+        which refactorizes next."""
         lp = self.lps[k]
         lp.basis[:] = self.basis[k]
         lp.xval[:] = self.xval[k]
@@ -875,17 +878,23 @@ class _Stack:
         self.binv[k] = lp.Binv
         self.xb[k] = lp.xval[lp.basis]
 
-    def _finish(self, k, status):
-        """Send LP k the status its run ended with; True if it left the
-        stack, with a result or (None) a breakdown."""
+    def _finish(self, k):
+        """LP k's run of pivots ended OPTIMAL: send its _phases that; True
+        if it left the stack, with a result or (None) a breakdown."""
         self._store(k)
         try:
-            self._load(k, *self.phases[k].send(status))
+            self._load(k, self.phases[k].send(OPTIMAL)[0])
             return False
         except StopIteration as done:
             self.results[self.ids[k]] = done.value
         except SimplexBreakdown:
             pass
+        return True
+
+    def _leave(self, k):
+        """LP k leaves the stack, solved alone from the slack basis: the
+        result the stack would give (solve_lps)."""
+        self.results[self.ids[k]] = _alone(self.lps[k].model, self.afull)[0]
         return True
 
     def _drop(self, rows):
@@ -902,16 +911,6 @@ class _Stack:
                 values = getattr(self, name)
                 values[k] = values[last]
                 values.pop()
-
-    def _set_nonbasic(self, at, at_ub):
-        """The columns at flat positions `at` leave for their upper bound
-        where at_ub, else for their lower bound."""
-        lb, ub = self.lb.ravel()[at], self.ub.ravel()[at]
-        self.xval.ravel()[at] = np.where(at_ub, ub, lb)
-        self.status.ravel()[at] = np.where(at_ub, _AT_UB, _AT_LB)
-        # a fixed column keeps the zero sign it had while basic
-        self.sign.ravel()[at] = np.where(lb != ub, np.where(at_ub, 1.0, -1.0),
-                                         0.0)
 
     def run(self):
         """Results in input order; None where an LP broke down.  Each row
@@ -940,12 +939,17 @@ class _Stack:
         return self.cost - (y[:, None, :] @ self.afull)[:, 0]
 
     def _step(self):
-        """One iteration of _iterate in every row.  Rows that end their run
-        (no entering column, or no leaving one) take part in the array work
-        but are masked out of every update.  d is not zeroed at the basic
-        columns: their sign is 0 and they are never free, so no decision
-        reads it there.  Entries of a row are addressed by flat position,
-        which numpy indexes faster than (row, column)."""
+        """One iteration of _iterate in every row whose next pivot is a
+        swap: an entering column and a ratio-test minimum t under the
+        column's range ub - lb.  A row with no entering column ends its run
+        (_finish); one whose pivot would be a bound flip or a ray, or whose
+        stall count reaches STALL_LIMIT, where _iterate turns to Bland's
+        rule, leaves the stack (_leave).  Rows that do not swap take part
+        in the array work but are masked out of every update.  d is not
+        zeroed at the basic columns: their sign is 0 and they are never
+        free, so no decision reads it there.  Entries of a row are
+        addressed by flat position, which numpy indexes faster than (row,
+        column)."""
         size = len(self.lps)
         col0 = self.col0[:size]
         ratios = self.ratios[:size]
@@ -957,10 +961,6 @@ class _Stack:
         fj = col0 + j
         vj = viol.ravel()[fj]
         going = vj > OPT_TOL        # rows with an entering column
-        if self.any_bland:
-            j = np.where(self.bland, (viol > OPT_TOL).argmax(axis=1), j)
-            fj = col0 + j
-            vj = viol.ravel()[fj]
         # an entering column rises from a lower bound (or free) when d < 0
         # and falls from an upper bound (or free) when d > 0; d is neither
         # zero nor NaN there, and a row without one takes no step
@@ -974,29 +974,19 @@ class _Stack:
                   where=np.abs(delta) > PIVOT_TOL)
         rmin = np.minimum.reduce(ratios, axis=1, initial=np.inf)
         rmin[rmin <= 0.0] = 0.0     # degeneracy within tolerance; -0.0 too
-        tflip = self.ub.ravel()[fj] - self.lb.ravel()[fj]
-        flip = tflip <= rmin
-        ended = None        # rows that end their run
-        if (np.count_nonzero(going) == going.size
-                and not np.count_nonzero(flip)):   # the common step: all swap
+        swap = going & (rmin < self.ub.ravel()[fj] - self.lb.ravel()[fj])
+        out = None          # rows that end their run or leave
+        if np.count_nonzero(swap) == size:      # the common step
             t = rmin
             self.xb -= t[:, None] * delta
             self._swap(slice(size), fj, t, w, delta, dirn, ratios)
         else:
-            # rows with no leaving variable
-            stuck = going & ~(np.isfinite(rmin) | np.isfinite(tflip))
-            moving = going & ~stuck
-            flip &= moving
-            swap = moving & ~flip
-            t = np.where(flip, tflip, np.where(swap, rmin, 0.0))
+            t = np.where(swap, rmin, 0.0)
             np.subtract(self.xb, t[:, None] * delta, out=self.xb,
-                        where=moving[:, None])
-            if flip.any():
-                at = fj[flip]
-                self._set_nonbasic(at, self.status.ravel()[at] == _AT_LB)
+                        where=swap[:, None])
             if swap.any():
                 self._swap(swap.nonzero()[0], fj, t, w, delta, dirn, ratios)
-            ended = ~moving
+            out = ~swap
         gain = vj * t
         obj = (self.cb[:, None, :] @ self.xb[:, :, None])[:, 0, 0]
         still = (gain == 0.0) | (gain <= 1e-12 * (1.0 + np.abs(obj)))
@@ -1005,18 +995,17 @@ class _Stack:
         self.peak += 1      # a stall grows by one a step at most
         if self.peak >= STALL_LIMIT:
             self.peak = int(self.stall.max())
-            self.bland |= self.stall >= STALL_LIMIT
-            self.any_bland |= self.peak >= STALL_LIMIT
-        if ended is not None and np.count_nonzero(ended):
-            # phase 1 cannot be unbounded: a stuck row there broke down
-            self._drop([k for k in ended.nonzero()[0]
-                        if (stuck[k] and not self.allow[k]) or self._finish(
-                            k, UNBOUNDED if stuck[k] else OPTIMAL)])
+            stalled = going & (self.stall >= STALL_LIMIT)
+            out = stalled if out is None else out | stalled
+        if out is not None and np.count_nonzero(out):
+            self._drop([k for k in out.nonzero()[0]
+                        if (self._leave(k) if going[k] else self._finish(k))])
 
     def _swap(self, q, fj, t, w, delta, dirn, ratios):
         """In rows q, every row (a slice) or some (their indices), the
         columns at flat positions fj enter and the ratio test's
-        lowest-index slots leave; the arguments cover every row."""
+        lowest-index slots leave, for their upper bound where delta is not
+        positive, else their lower bound; the arguments cover every row."""
         width, m = self.lb.shape[1], self.xb.shape[1]
         fj, t, col0 = fj[q], t[q], self.col0[q]
         # t is the ratio test's minimum, +0.0 or more, so |t| is t
@@ -1024,8 +1013,14 @@ class _Stack:
         r = np.where(cand, self.basis[q], width).argmin(axis=1)
         fr = self.slot0[q] + r             # the basis slots they take
         enter = self.xval.ravel()[fj] + dirn[q] * t
-        self._set_nonbasic(col0 + self.basis.ravel()[fr],
-                           ~(delta.ravel()[fr] > 0))
+        at = col0 + self.basis.ravel()[fr]     # the leaving columns
+        at_ub = ~(delta.ravel()[fr] > 0)
+        lb, ub = self.lb.ravel()[at], self.ub.ravel()[at]
+        self.xval.ravel()[at] = np.where(at_ub, ub, lb)
+        self.status.ravel()[at] = np.where(at_ub, _AT_UB, _AT_LB)
+        # a fixed column keeps the zero sign it had while basic
+        self.sign.ravel()[at] = np.where(lb != ub, np.where(at_ub, 1.0, -1.0),
+                                         0.0)
         self.status.ravel()[fj] = _BASIC
         self.sign.ravel()[fj] = 0.0
         self.basis.ravel()[fr] = fj - col0
@@ -1062,12 +1057,24 @@ def solve_lp(model, starts=None, dual_start=None):
         result = _solve_dual(model, dual_start)
         if result is not None:
             return result
+    if starts is None:
+        return _alone(model)[0]
     try:
-        if starts is None:
-            return _Simplex(model).solve()
         return _solve_from(model, starts)
     except SimplexBreakdown:
         return _retry(model)[0]
+
+
+def _alone(model, afull=None):
+    """A checked model solved alone from the slack basis, and the _Simplex
+    that gave the result: once more from scratch (_retry) when the first
+    attempt breaks down.  afull: the model's [A | I | I], if the caller
+    has it."""
+    lp = _Simplex(model, afull=afull)
+    try:
+        return lp.solve(), lp
+    except SimplexBreakdown:
+        return _retry(model, afull)
 
 
 def _retry(model, afull=None):
@@ -1175,12 +1182,8 @@ def _solve_dual(model, start=None):
         except SimplexBreakdown:
             pass
     if res is None:
-        lp = _Simplex(dual, afull=afull)
         try:
-            try:
-                res = lp.solve()
-            except SimplexBreakdown:
-                res, lp = _retry(dual, afull)
+            res, lp = _alone(dual, afull)
         except SimplexBreakdown:
             return None
     if res.status == UNBOUNDED:     # the LP is infeasible: y's ray proves it
@@ -1241,8 +1244,10 @@ def solve_lps(model, rhs, bases=None):
     with_rhs sibling or None per rhs, each LP with a basis first runs
     warm, alone (_solve_warm).  The others go one at a time when they are
     fewer than STACK_MIN or the LP is tall (_dualizes); else they pivot in
-    lockstep (_Stack) on one [A | I | I] from one _start, and one that
-    breaks down there is retried alone, as solve_lp retries it."""
+    lockstep (_Stack) on one [A | I | I] from one _start while their
+    pivots are swaps.  One whose next pivot is not leaves the stack and
+    is solved alone (_alone), and one that breaks down there is retried
+    alone, as solve_lp retries it."""
     if not model.checked:
         model.check()
         model = replace(model, checked=True)

@@ -22,7 +22,6 @@ from .mip import MipModel
 from .lp import LpModel, EQ, GE
 
 PROB_TOL = 1e-12        # scenario probabilities must sum to 1 within this
-VALIDITY_SLACK = 1e-6   # cuts may undercut feasible points by at most this
 
 CONTINUOUS = "continuous"
 BINARY = "binary"

@@ -28,7 +28,7 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
-SLACK_TOL = 1e-6
+SLACK_TOL = 1e-6        # cuts may undercut feasible points by at most this
 VALUE_TOL = 1e-6
 COEFF_TOL = 1e-9
 

@@ -263,6 +263,8 @@ def test_model_validation():
     ("b", [np.inf], "rhs has a non-finite entry"),
     ("lb", [np.nan], "a bound is NaN"),
     ("ub", [np.nan], "a bound is NaN"),
+    ("lb", [np.inf], r"a lower bound is \+inf"),
+    ("ub", [-np.inf], "an upper bound is -inf"),
 ])
 def test_model_rejects_nan_and_infinite_data(field, value, message):
     args = dict(c=[1.0], A=[[1.0]], senses=[GE], b=[0.0], lb=[0.0],
@@ -302,6 +304,8 @@ def test_with_bounds_checks_only_the_bounds(monkeypatch):
         model.with_bounds([0.0, np.nan], [1.0, 1.0])
     with pytest.raises(ValueError, match="exceeds"):
         model.with_bounds([0.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="lower bound is"):
+        model.with_bounds([0.0, np.inf], [1.0, np.inf])
     with pytest.raises(ValueError, match="bound length"):
         model.with_bounds([0.0], [1.0])
     child = model.with_bounds([0.0, 0.5], [1.0, 1.0])
@@ -769,6 +773,29 @@ def test_solve_lps_retries_one_member():
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr + out.stdout
     assert out.stdout.strip() == "ok"
+
+
+def test_benders_recourse_stacks_never_leave(monkeypatch):
+    # A stacked row whose next pivot is a bound flip, a ray or Bland's
+    # rule leaves its stack and is solved alone, which gives the same bits
+    # at the cost of its pivots so far.  The recourse rounds of benders on
+    # sslp-10-10-20 stack, and no row of them leaves: a stack that sent
+    # its rows off one at a time would still pass every bitwise test, and
+    # fails here.
+    from stochcuts.drivers import run_benders
+    built = _count_stacks(monkeypatch)
+    left = []
+    leave = _Stack._leave
+
+    def counted(self, k):
+        left.append(k)
+        return leave(self, k)
+
+    monkeypatch.setattr(_Stack, "_leave", counted)
+    inst = generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20,
+                                         seed=0))
+    assert run_benders(inst).events
+    assert built and left == []
 
 
 def _shared_region_lps(rng, count, m, n, degenerate):
