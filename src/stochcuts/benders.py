@@ -13,8 +13,8 @@ import numpy as np
 from .lp import (DualStart, LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
-from .model import (Cut, InfeasibleError, stacked_model, KIND_BENDERS,
-                    KIND_PBBENC, KIND_FEASIBILITY)
+from .model import (Cut, InfeasibleError, UnboundedError, stacked_model,
+                    KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY)
 from .partition import aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
@@ -38,7 +38,7 @@ def _solve_recourse(instance, targets, systems, xhat, bases=None):
                                    for system in systems], bases)
     for target, res in zip(targets, results):
         if res.status == LP_UNBOUNDED:
-            raise ValueError(f"target {target}: recourse unbounded below")
+            raise UnboundedError(f"target {target}: recourse unbounded below")
     return results
 
 
@@ -104,7 +104,8 @@ def compute_theta_lower_bounds(instance):
             raise InfeasibleError(
                 f"scenario {s}: infeasible for every first stage")
         if res.status == LP_UNBOUNDED:
-            raise ValueError(f"scenario {s}: recourse value unbounded below")
+            raise UnboundedError(
+                f"scenario {s}: recourse value unbounded below")
         out[s] = res.objective
     return out
 
@@ -115,9 +116,18 @@ class MasterState:
     cut's normalized row (row and rhs over their max |.|), live in buffers
     that double when full; the normalized rows themselves are derived
     where add_cut compares them, not stored, and dual_start holds the last
-    optimal basis of the master's dual (lp.DualStart)."""
+    optimal basis of the master's dual (lp.DualStart).
 
-    def __init__(self, instance):
+    `warm`, set once per run, is True for the loops without Lagrangian
+    rounds (benders, alg1), whose bounds are optima that do not depend on
+    which optimal vertex or dual an LP ends at: each relaxed master with
+    more rows than columns goes through its dual, warm from dual_start,
+    whatever its row count, and each recourse LP of a Benders round starts
+    from its target's last basis (drivers._benders_round).  Without it,
+    masters keep lp.DUAL_MIN and recourse LPs solve cold, which keeps the
+    bits of the Lagrangian loops' bounds."""
+
+    def __init__(self, instance, warm=False):
         self.instance = instance
         self.cuts = []
         m1, n1 = instance.m1, instance.n1
@@ -132,6 +142,7 @@ class MasterState:
         self.theta_lb = compute_theta_lower_bounds(instance)
         self.z_lb = -np.inf
         self.dual_start = DualStart()
+        self.warm = warm
 
     def add_cut(self, cut):
         """Append unless a pool cut matches coefficientwise after max-abs
@@ -208,7 +219,8 @@ def solve_master(state, relax_integrality=True, deadline=None):
     """
     model = build_master_model(state, relax_integrality)
     if relax_integrality:
-        res = solve_lp(model, dual_start=state.dual_start)
+        res = solve_lp(model, dual_start=state.dual_start,
+                       dual_min=0 if state.warm else None)
         if res.status == LP_INFEASIBLE:
             raise MasterInfeasibleError("master problem infeasible")
         if res.status == LP_UNBOUNDED:

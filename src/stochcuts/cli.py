@@ -18,7 +18,7 @@ from .drivers import (ALGORITHMS, RunConfig, run, write_trace_csv,
                       read_trace_csv, REASON_TIME_LIMIT)
 from .instance_io import (GeneratorConfig, generate_sslp, builtin, emit,
                           parse_verbose, FormatError)
-from .model import InfeasibleError
+from .model import InfeasibleError, UnboundedError
 from .verify import run_suite, FAIL, SUITES
 
 EXIT_OK = 0
@@ -55,11 +55,11 @@ def _load_instance(source):
 
 
 def _run(source, instance, config):
-    """run(instance, config); an instance that the solve proves infeasible
-    is a data failure of `source`."""
+    """run(instance, config); an instance that the solve proves infeasible,
+    or whose recourse it finds unbounded, is a data failure of `source`."""
     try:
         return run(instance, config)
-    except InfeasibleError as exc:
+    except (InfeasibleError, UnboundedError) as exc:
         raise CliError(f"{source}: {exc}")
 
 

@@ -180,7 +180,7 @@ def _outer_stop(lb_k, lb0_first, kappa1):
     return progress <= kappa1 * total + 1e-9
 
 
-def _benders_round(instance, state, targets, kind, x, theta, warm):
+def _benders_round(instance, state, targets, kind, x, theta):
     """Add each cluster's violated optimality (or feasibility) cut at x.
 
     A target keeps the basis its recourse LP last ended at, OPTIMAL or,
@@ -196,10 +196,10 @@ def _benders_round(instance, state, targets, kind, x, theta, warm):
     solve_lp would, however many there are, so the cuts, masters and
     traces are those of a round that solves every LP.
 
-    With `warm`, each LP solved starts from its target's basis, by a dual
-    simplex (lp.solve_lps).  A degenerate recourse LP has more than one
-    optimal dual, and a warm start can end at another one than a cold
-    solve.  The loops without Lagrangian rounds, benders and alg1, pass
+    With state.warm, each LP solved starts from its target's basis, by a
+    dual simplex (lp.solve_lps).  A degenerate recourse LP has more than
+    one optimal dual, and a warm start can end at another one than a cold
+    solve.  The loops without Lagrangian rounds, benders and alg1, run
     warm: their bounds, the LP relaxation's and the integer L-shaped
     method's at each partition, are optima that do not depend on which
     optimal dual a cut is made from.  The Lagrangian loops do not: their
@@ -215,7 +215,7 @@ def _benders_round(instance, state, targets, kind, x, theta, warm):
             todo.append((target, t_p))
     results = solve_cluster_subproblem(
         instance, [t for t, _ in todo], x,
-        [t.basis for t, _ in todo] if warm else None)
+        [t.basis for t, _ in todo] if state.warm else None)
     for (target, t_p), res in zip(todo, results):
         target.keep_basis(res.basis)
         if res.status == LP_INFEASIBLE:
@@ -269,7 +269,7 @@ def _integer_l_shaped(instance, state, targets, kind, deadline):
     while True:
         out = solve_master(state, relax_integrality=False, deadline=deadline)
         if out is None or not _benders_round(instance, state, targets, kind,
-                                             out[0], out[1], warm=True):
+                                             out[0], out[1]):
             return out
 
 
@@ -289,7 +289,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
     after a refinement can sit below the last integer bound."""
     trace = RunTrace(instance.name, algorithm, instance.n_scenarios)
     deadline = trace.t0 + config.time_limit
-    state = MasterState(instance)
+    state = MasterState(instance, warm=lagrangian_kind is None)
     exact = refines and lagrangian_kind is None
     lb0_first = None
     z_ub = None
@@ -314,7 +314,7 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
                 reason = REASON_TIME_LIMIT
                 break
             if _benders_round(instance, state, targets, benders_kind,
-                              x, theta, lagrangian_kind is None) == 0:
+                              x, theta) == 0:
                 break
             x, theta, z = solve_master(state)
             if not exact:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .lp import LpModel, solve_lp, LE, OPTIMAL as LP_OPTIMAL
 from .mip import solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
-from .model import Cut, stacked_model, KIND_LAGRANGIAN, KIND_PBLAGC
+from .model import (Cut, InfeasibleError, stacked_model, KIND_LAGRANGIAN,
+                    KIND_PBLAGC)
 from .partition import AggregatedScenario, aggregate
 
 SEP_GAP_TOL = 1e-6         # outer-minus-certified convergence tolerance
@@ -82,11 +83,14 @@ def inner_model(instance, target, pi, pi0):
 def evaluate_inner(instance, target, pi, pi0, deadline=None):
     """Exact Qbar(pi, pi0) with a minimizer (x, y); None value on deadline.
     The inner MIPs of a target differ only in their objective, so its K
-    keeps meeting the same node regions: they share `target.starts`."""
+    keeps meeting the same node regions: they share `target.starts`.  An
+    empty K, where no integer first stage has a feasible recourse for the
+    cluster, raises InfeasibleError: the instance has no solution."""
     res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline,
                     starts=target.starts)
     if res.status == MIP_INFEASIBLE:
-        raise ValueError(f"target {target.cluster}: K is empty")
+        raise InfeasibleError(f"cluster {target.cluster}: no integer first "
+                              "stage has a feasible recourse (K is empty)")
     if res.status != MIP_OPTIMAL:
         return None, None, None
     n1 = instance.n1

@@ -103,9 +103,10 @@ signs, its refactorized Binv and its basic values.
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
 inverse although at most n of its basic columns are structural.  solve_lp
-solves an LP through its dual when it has DUAL_MIN rows or more, more rows
-than columns, and a finite lower bound on every column.  With x = lb + x'
-and u = ub - lb, the dual
+solves an LP through its dual when it is tall: more rows than columns, a
+finite lower bound on every column, and at least `dual_min` rows, DUAL_MIN
+unless the caller passes another line.  With x = lb + x' and u = ub - lb,
+the dual
     min -(b - A lb).y + u_F.z   s.t.  A'y - z <= c,
 with y >= 0 on >= rows, y <= 0 on <= rows, y free on = rows and z >= 0
 only on the columns F with a finite ub, has one <= row per column and
@@ -121,7 +122,12 @@ a ray the test turns away -- the LP goes the primal way, which reports
 an unbounded LP.  The dual path is not bitwise the primal one:
 degenerate optima can come out at another vertex.
 DUAL_MIN is a containment line, not a measured crossover: below it every
-LP keeps the primal path's bits.
+LP keeps the primal path's bits, and with them the bounds of the
+Lagrangian loops (bdd, apblagc), whose cuts move with the vertex a master
+ends at.  Branch-and-bound node LPs keep it too.  The loops without
+Lagrangian rounds (benders, alg1), whose bounds are optima that no vertex
+choice moves, pass dual_min=0: each of their tall relaxed masters goes
+the dual way, warm from its DualStart (README.md has the measurement).
 
 Warm start.  A row appended to a tall LP is a column appended to its dual,
 at its lower bound 0, so the dual's last optimal basis stays feasible for
@@ -206,9 +212,10 @@ STALL_LIMIT = 1000    # non-improving pivots before Bland's rule kicks in
 REFACTOR_EVERY = 64
 RETRY_REFACTOR_EVERY = 8   # one more attempt when the final checks fail
 STACK_MIN = 8              # smaller solve_lps batches go one LP at a time
-DUAL_MIN = 112             # rows from which a tall LP is solved through
-                           # its dual: a containment line, not a measured
-                           # crossover (see the module docstring)
+DUAL_MIN = 112             # rows from which solve_lp takes a tall LP
+                           # through its dual unless the caller lowers the
+                           # line: it keeps the Lagrangian loops' bits, and
+                           # is not a measured crossover (module docstring)
 
 _BASIC, _AT_LB, _AT_UB, _FREE = 0, 1, 2, 3
 _SENSES = frozenset((LE, GE, EQ))
@@ -1034,18 +1041,19 @@ class _Stack:
         binv[fr] = row
 
 
-def solve_lp(model, starts=None, dual_start=None):
+def solve_lp(model, starts=None, dual_start=None, dual_min=None):
     """Solve a minimization LP; deterministic for a fixed input.
 
     When the final checks fail, the LP is solved once more from scratch
     (_retry) before the failure is raised.  An LP that passes the first
     time never reaches the retry.
 
-    A tall LP (_dualizes) is first solved through its dual, and goes the
-    primal way only if that neither ends OPTIMAL nor proves it infeasible
-    (see the module docstring).  `dual_start`, a DualStart owned by the
-    caller, starts that dual from the basis it holds and keeps the one it
-    ends at; other LPs ignore it.
+    A tall LP (_dualizes) of `dual_min` rows or more, DUAL_MIN when None,
+    is first solved through its dual, and goes the primal way only if that
+    neither ends OPTIMAL nor proves it infeasible (see the module
+    docstring).  `dual_start`, a DualStart owned by the caller, starts
+    that dual from the basis it holds and keeps the one it ends at; other
+    LPs ignore it.
 
     `starts`, a dict owned by the caller, holds phase 1's end state by
     feasible region and is reused and extended here: an LP whose region it
@@ -1053,7 +1061,7 @@ def solve_lp(model, starts=None, dual_start=None):
     bitwise the one without it."""
     if not model.checked:
         model.check()
-    if _dualizes(model):
+    if _dualizes(model, dual_min):
         result = _solve_dual(model, dual_start)
         if result is not None:
             return result
@@ -1121,12 +1129,13 @@ def _certifies(model, y):
     return float(y @ model.b) > sup + 1e-9
 
 
-def _dualizes(model):
-    """True for an LP solve_lp takes through its dual: DUAL_MIN rows or
-    more, more rows than columns, and a finite lower bound on every
-    column."""
+def _dualizes(model, dual_min=None):
+    """True for an LP solve_lp takes through its dual: dual_min rows or
+    more (DUAL_MIN when None), more rows than columns, and a finite lower
+    bound on every column."""
     m, n = model.A.shape
-    return m >= DUAL_MIN and m > n and bool(np.isfinite(model.lb).all())
+    return (m >= (DUAL_MIN if dual_min is None else dual_min) and m > n
+            and bool(np.isfinite(model.lb).all()))
 
 
 def _solve_dual(model, start=None):

@@ -42,6 +42,11 @@ class InfeasibleError(ValueError):
     feasible recourse."""
 
 
+class UnboundedError(ValueError):
+    """A solve found a recourse LP unbounded below: some first stage has
+    an expected recourse of minus infinity."""
+
+
 def _frozen(a, dtype=float):
     a = np.array(a, dtype=dtype, copy=True)
     a.setflags(write=False)

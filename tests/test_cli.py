@@ -126,6 +126,33 @@ def test_solve_reports_an_infeasible_instance(tmp_path, capsys, algorithm,
     assert not trace_path.exists()
 
 
+EMPTY_K = "dims 1 1 1 1 1\nmark binary 0\nd 0 1.0\nA 0 0 2.0\nb 0 1.0\n" \
+    "W 0 0 1.0\nscenario 0 1.0\n"
+UNBOUNDED_RECOURSE = "dims 1 1 0 1 1\nmark binary 0\nd 0 -1.0\nW 0 0 1.0\n" \
+    "scenario 0 1.0\n"
+
+
+@pytest.mark.parametrize("body, algorithm, message", [
+    (EMPTY_K, "bdd", "cluster (0,): no integer first stage has a feasible "
+     "recourse (K is empty)"),
+    (EMPTY_K, "apblagc", "cluster (0,): no integer first stage has a "
+     "feasible recourse (K is empty)"),
+    (EMPTY_K, "alg1", "integer master ended infeasible"),
+] + [(UNBOUNDED_RECOURSE, algorithm,
+      "scenario 0: recourse value unbounded below")
+     for algorithm in ("benders", "bdd", "alg1", "apblagc")])
+def test_solve_reports_an_unsolvable_instance(tmp_path, capsys, body,
+                                              algorithm, message):
+    # 2x = 1 has no binary solution, though its relaxation is feasible; and
+    # min -y over y >= 0 is unbounded below: one error line, exit 1
+    path = tmp_path / "unsolvable.txt"
+    path.write_text(f"{FORMAT_TAG}\n{body}")
+    for argv in (["solve", str(path), "--algorithm", algorithm],
+                 ["compare", "thm1", str(path), "--algorithms", algorithm]):
+        assert main(argv) == EXIT_FAILURE
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_solve_reports_duplicate_entries(tmp_path, capsys):
     # a repeated c line is summed, which doubles that cost: solve and
     # compare say so on stderr, one warning line per duplicate, and print

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from stochcuts import builtin, generate_sslp, GeneratorConfig, mip
-from stochcuts.model import (Instance, Scenario, build_extensive, BINARY,
+from stochcuts.benders import solve_scenario_subproblem
+from stochcuts.model import (Instance, Scenario, InfeasibleError,
+                             UnboundedError, build_extensive, BINARY,
                              INTEGER, KIND_BENDERS, KIND_PBBENC,
                              KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY,
                              validate)
@@ -616,3 +618,89 @@ def test_final_mip_master(thm1):
             assert (final.kind, end.kind) == ("lagrangian_round",
                                               "termination")
             assert before.z_lb <= final.z_lb <= opt + 1e-9 * (1.0 + abs(opt))
+
+
+def _empty_k():
+    """One binary x with 2x = 1: its LP relaxation is feasible (x = 1/2,
+    y = 0), but no integer x is, so every K is empty."""
+    return Instance("empty-k", [0.0], [[2.0]], [1.0], (BINARY,), [1.0],
+                    [[1.0]], (Scenario(1.0, [[0.0]], [0.0]),))
+
+
+def _unbounded_recourse():
+    """min -y over y >= 0: the recourse is unbounded below at every x."""
+    return Instance("unbounded-recourse", [0.0], [], [], (BINARY,), [-1.0],
+                    [[1.0]], (Scenario(1.0, [[0.0]], [0.0]),))
+
+
+def test_empty_k_is_infeasible():
+    # bdd and apblagc meet the empty K in their first inner MIP, alg1 in
+    # its integer master; benders solves the relaxation, which is feasible
+    inst = _empty_k()
+    for algorithm in ("bdd", "apblagc"):
+        with pytest.raises(InfeasibleError, match=r"K is empty"):
+            run(inst, RunConfig(algorithm=algorithm))
+    with pytest.raises(InfeasibleError):
+        run(inst, RunConfig(algorithm="alg1"))
+    assert run_benders(inst).final_lower_bound == 0.0
+
+
+def test_unbounded_recourse_is_named():
+    # the theta bounds find it before any master, for every driver, and a
+    # recourse round names it too
+    inst = _unbounded_recourse()
+    for algorithm in ALGORITHMS:
+        with pytest.raises(UnboundedError,
+                           match="scenario 0: recourse value unbounded"):
+            run(inst, RunConfig(algorithm=algorithm))
+    with pytest.raises(UnboundedError, match=r"recourse unbounded below"):
+        solve_scenario_subproblem(inst, [0], np.zeros(1))
+    assert issubclass(UnboundedError, ValueError)
+
+
+def _master_paths(monkeypatch, instance, config):
+    """Per relaxed master of run(instance, config): its (rows, columns) and
+    whether lp._solve_dual took it."""
+    from stochcuts import benders, lp
+    paths, dual = [], []
+    solve_lp, solve_dual = benders.solve_lp, lp._solve_dual
+
+    def counted_dual(model, start=None):
+        dual.append(model.A.shape)
+        return solve_dual(model, start)
+
+    def recorded(model, **kwargs):
+        before = len(dual)
+        res = solve_lp(model, **kwargs)
+        paths.append((model.A.shape, len(dual) > before))
+        return res
+
+    monkeypatch.setattr(lp, "_solve_dual", counted_dual)
+    monkeypatch.setattr(benders, "solve_lp", recorded)
+    run(instance, config)
+    return paths
+
+
+def test_tall_masters_go_dual_only_in_the_exact_loops(monkeypatch):
+    # The loops without Lagrangian rounds solve every relaxed master with
+    # more rows than columns through its dual, whatever its height; the
+    # Lagrangian loops keep lp.DUAL_MIN, which apblagc's masters on its
+    # benchmark workload (budget 6, sslp-6-8-8 in bench/run.py's scenario
+    # order) never reach, so none of them goes the dual way.
+    from stochcuts.instance_io import emit, parse
+    from stochcuts.lp import DUAL_MIN
+    paths = _master_paths(monkeypatch, generate_sslp(GeneratorConfig(
+        sites=10, clients=10, scenarios=20, seed=0)),
+        RunConfig(algorithm="benders"))
+    tall = [(m, n) for (m, n), _ in paths if m > n]
+    assert [went for (m, n), went in paths] == [m > n for (m, n), _ in paths]
+    assert any(m < DUAL_MIN for m, _ in tall)
+    inst = generate_sslp(GeneratorConfig(sites=6, clients=8, scenarios=8,
+                                         seed=0))
+    order = np.random.default_rng(0).permutation(inst.n_scenarios)
+    inst = parse(emit(dataclasses.replace(
+        inst, scenarios=tuple(inst.scenarios[i] for i in order))))
+    paths = _master_paths(monkeypatch, inst, RunConfig(algorithm="apblagc",
+                                                       separation_budget=6))
+    assert any(m > n for (m, n), _ in paths)
+    assert not any(went for _, went in paths)

@@ -1191,10 +1191,12 @@ def _held(start):
     return DualStart(start.rows, start.boxed, start.basis.copy())
 
 
-def _warm_matches_cold(model, start):
-    """Solve `model` from a copy of `start` and from scratch: the same
-    status, the same optimum to 1e-9 and x within its bounds."""
-    warm, cold = solve_lp(model, dual_start=_held(start)), solve_lp(model)
+def _warm_matches_cold(model, start, dual_min=None):
+    """Solve `model` from a copy of `start` and from scratch, both with
+    `dual_min`: the same status, the same optimum to 1e-9 and x within
+    its bounds."""
+    warm = solve_lp(model, dual_start=_held(start), dual_min=dual_min)
+    cold = solve_lp(model, dual_min=dual_min)
     assert warm.status == cold.status
     if warm.status == OPTIMAL:
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9,
@@ -1205,27 +1207,32 @@ def _warm_matches_cold(model, start):
 
 def test_warm_dual_start_matches_cold(monkeypatch):
     # The masters of a benders run on sslp-10-10-20, each from the start
-    # its solve_master passed, and seeded tall LPs re-solved after random
-    # >= rows are appended: a new row is a new dual column at its lower
-    # bound, so the last optimal dual basis is a feasible start.
+    # and with the dual_min its solve_master passed, and seeded tall LPs
+    # re-solved after random >= rows are appended: a new row is a new dual
+    # column at its lower bound, so the last optimal dual basis is a
+    # feasible start.  Benders passes dual_min=0, so its warm masters
+    # include some under DUAL_MIN rows.
     import stochcuts.benders as benders
     from stochcuts import RunConfig, run
     masters = []
     solve = benders.solve_lp
 
-    def recorded(model, dual_start=None):
-        if lp_module._dualizes(model) and dual_start.basis is not None:
-            masters.append((model, _held(dual_start)))
-        return solve(model, dual_start=dual_start)
+    def recorded(model, dual_start=None, dual_min=None):
+        if (lp_module._dualizes(model, dual_min)
+                and dual_start.basis is not None):
+            masters.append((model, _held(dual_start), dual_min))
+        return solve(model, dual_start=dual_start, dual_min=dual_min)
 
     monkeypatch.setattr(benders, "solve_lp", recorded)
     run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20,
                                       seed=0)), RunConfig(algorithm="benders"))
     monkeypatch.setattr(benders, "solve_lp", solve)
     tried = _count_warm_starts(monkeypatch)
-    for model, start in masters:
-        _warm_matches_cold(model, start)
+    for model, start, dual_min in masters:
+        _warm_matches_cold(model, start, dual_min)
     assert masters and tried == [True] * len(masters)
+    assert any(model.A.shape[0] < lp_module.DUAL_MIN
+               for model, _, _ in masters)
     rng = np.random.default_rng(47)
     statuses = set()
     for _ in range(12):

@@ -43,12 +43,15 @@ every other entry keeps its bytes, and an unknown key changes nothing:
 
 With --wide it prints the same two digests for the runs in WIDE instead:
 larger generated instances with their scenarios in the benchmark's order
-(bench/run.py --seed 0).  The benders and bdd masters there grow past
-lp.DUAL_MIN rows, from which they are solved through their duals; the
-apblagc masters stay below it.  The alg1 run solves each partition on the
-shared master: its LPs are masters, relaxed or as branch-and-bound nodes,
-and recourse LPs.  Of the golden runs only sslp-10-10-20-s0:benders has masters past
-lp.DUAL_MIN.  The wide runs take about a minute.
+(bench/run.py --seed 0).  lp.DUAL_MIN is the Lagrangian loops'
+containment line: the bdd masters there grow past it, from which they are
+solved through their duals, and the apblagc masters stay below it, on the
+primal path.  The loops without Lagrangian rounds, benders and alg1, solve
+every relaxed master with more rows than columns through its dual,
+whatever its row count, here and in the golden runs.  The alg1 run solves
+each partition on the shared master: its LPs are masters, relaxed or as
+branch-and-bound nodes, and recourse LPs.  The wide runs take about a
+minute.
 """
 
 import argparse
