@@ -14,7 +14,8 @@ from .lp import (DualStart, LpModel, solve_lp, solve_lps, EQ, GE,
                  INFEASIBLE as LP_INFEASIBLE, UNBOUNDED as LP_UNBOUNDED)
 from .mip import MipModel, solve_mip, MIP_OPTIMAL, MIP_BUDGET
 from .model import (Cut, InfeasibleError, UnboundedError, stacked_model,
-                    KIND_BENDERS, KIND_PBBENC, KIND_FEASIBILITY)
+                    unbounded_error, KIND_BENDERS, KIND_PBBENC,
+                    KIND_FEASIBILITY)
 from .partition import aggregate
 
 CUT_VIOLATION_TOL = 1e-6   # relative slack below which a cut counts as violated
@@ -215,7 +216,9 @@ def solve_master(state, relax_integrality=True, deadline=None):
     when the integer master reaches `deadline` before its optimum.
 
     With integrality relaxed the optimum is a valid global lower bound and
-    is folded into state.z_lb (monotone under a growing pool).
+    is folded into state.z_lb (monotone under a growing pool).  An
+    unbounded relaxed master raises UnboundedError: the theta bounds leave
+    it unbounded only along a first-stage column with no finite u.
     """
     model = build_master_model(state, relax_integrality)
     if relax_integrality:
@@ -224,7 +227,7 @@ def solve_master(state, relax_integrality=True, deadline=None):
         if res.status == LP_INFEASIBLE:
             raise MasterInfeasibleError("master problem infeasible")
         if res.status == LP_UNBOUNDED:
-            raise ValueError("master problem unbounded; theta bounds missing?")
+            raise unbounded_error(state.instance, "master problem")
         obj = res.objective
         if obj < state.z_lb - 1e-6 * (1.0 + abs(obj)):
             raise RuntimeError("master lower bound regressed beyond tolerance")

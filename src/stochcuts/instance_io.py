@@ -275,7 +275,7 @@ class GeneratorConfig:
         if self.sites < 1 or self.clients < 1:
             raise ValueError("sites and clients must be at least 1")
         if self.scenarios < 1:
-            raise ValueError("scenario_count must be >= 1")
+            raise ValueError("scenarios must be at least 1")
         if self.site_budget is not None and not 1 <= self.site_budget <= self.sites:
             raise ValueError("site_budget must lie in [1, sites]")
 

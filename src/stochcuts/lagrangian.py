@@ -18,14 +18,14 @@ cluster's record (partition.aggregate).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .lp import LpModel, solve_lp, LE, OPTIMAL as LP_OPTIMAL
-from .mip import solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
-from .model import (Cut, InfeasibleError, stacked_model, KIND_LAGRANGIAN,
-                    KIND_PBLAGC)
+from .mip import MipError, MipModel, solve_mip, MIP_OPTIMAL, MIP_INFEASIBLE
+from .model import (Cut, InfeasibleError, stacked_model, unbounded_error,
+                    KIND_LAGRANGIAN, KIND_PBLAGC)
 from .partition import AggregatedScenario, aggregate
 
 SEP_GAP_TOL = 1e-6         # outer-minus-certified convergence tolerance
@@ -39,16 +39,20 @@ BUDGET = "budget_exceeded"
 @dataclass(frozen=True, eq=False)
 class SeparationTarget(AggregatedScenario):
     """What the multiplier prices: a cluster's aggregate, and the label of
-    the cuts it yields (lagrangian | pblagc).  It owns what its separations
-    learn about its K: `solved`, every completed inner solve by (pi bytes,
-    pi0), and `starts`, its node LPs' phase-1 cache (see solve_mip).  Its
+    the cuts it yields (lagrangian | pblagc).  `inner` is its K as a MIP,
+    built by its first inner MIP (inner_model), or None: every inner MIP
+    re-prices it, so all share the record of its LP, with the phase-1
+    memo of their node LPs (see solve_mip), and a target that is never
+    separated holds no K.  It owns what its separations learn about K:
+    that record, and `solved`, every completed inner solve by (pi bytes,
+    pi0).  Its
     Benders rounds keep `basis`, the lp.Basis its recourse LP last ended
-    OPTIMAL at, or None.  All three live and die with the target, so a
+    OPTIMAL at, or None.  All of it lives and dies with the target, so a
     refined cluster starts afresh."""
 
     cut_kind: str
+    inner: MipModel = field(default=None, repr=False)
     solved: dict = field(default_factory=dict, repr=False)
-    starts: dict = field(default_factory=dict, repr=False)
     basis: object = field(default=None, repr=False)
 
     def keep_basis(self, basis):
@@ -76,18 +80,32 @@ class SeparationOutcome:
 
 
 def inner_model(instance, target, pi, pi0):
-    """The MIP behind Qbar: variables x then y, K's constraints verbatim."""
-    return stacked_model(instance, pi, [(pi0, target.technology, target.rhs)])
+    """The MIP behind Qbar: variables x then y, K's constraints verbatim.
+    It is the target's K (built here on its first call) re-priced, with
+    the objective (pi, pi0 * d) that stacked_model gives, bit for bit, and
+    K's LP record."""
+    if target.inner is None:
+        object.__setattr__(target, "inner", stacked_model(instance, np.zeros(
+            instance.n1), [(1.0, target.technology, target.rhs)]))
+    c = np.concatenate([pi, float(pi0) * instance.second_stage_cost])
+    lp = replace(target.inner.lp, c=c)
+    lp.check()
+    return MipModel(lp, target.inner.integer)
 
 
 def evaluate_inner(instance, target, pi, pi0, deadline=None):
     """Exact Qbar(pi, pi0) with a minimizer (x, y); None value on deadline.
     The inner MIPs of a target differ only in their objective, so its K
-    keeps meeting the same node regions: they share `target.starts`.  An
-    empty K, where no integer first stage has a feasible recourse for the
-    cluster, raises InfeasibleError: the instance has no solution."""
-    res = solve_mip(inner_model(instance, target, pi, pi0), deadline=deadline,
-                    starts=target.starts)
+    keeps meeting the same node regions: they share the record of K's LP.
+    An empty K, where no integer first stage has a feasible recourse for
+    the cluster, raises InfeasibleError: the instance has no solution.  An
+    unbounded K, which bounded recourse (the theta bounds) leaves possible
+    only along a first-stage column with no finite upper bound, raises
+    UnboundedError naming those columns."""
+    try:
+        res = solve_mip(inner_model(instance, target, pi, pi0), deadline)
+    except MipError:
+        raise unbounded_error(instance, f"cluster {target.cluster}: K")
     if res.status == MIP_INFEASIBLE:
         raise InfeasibleError(f"cluster {target.cluster}: no integer first "
                               "stage has a feasible recourse (K is empty)")

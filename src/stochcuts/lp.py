@@ -19,9 +19,10 @@ pivot rule, not by any problem-level preference.
 
 Contract: for a given model and BLAS build, the pivot sequence and every
 returned number are a pure function of the model.  No state survives a
-call, except through a cache or a start the caller owns and passes in.  A
-cache is used only where its use is bitwise neutral.  Two carried starts
-are not: the dual path's warm start (DualStart, below) and the recourse
+call, except through the model's record of its matrix (Working matrix and
+Phase-1 memo, below) or a start the caller owns and passes in.  The record
+is used only where its use is bitwise neutral.  Two carried starts are
+not: the dual path's warm start (DualStart, below) and the recourse
 basis a warm run starts from (Warm recourse, below).  With one, the
 result is a pure function of the model and the start, and a degenerate
 LP can end at another optimal vertex than without it.  A result's basis
@@ -35,17 +36,25 @@ Working matrix.  Rows become slack columns and each row has one
 artificial column, so every LP on an m x n matrix A pivots on
 [A | I | I]: column n + i is row i's slack and column n + m + i its
 artificial.  An artificial is fixed at [0, 0] unless phase 1 opens it, and
-phase 1 pins it back.  The matrix is built once per A and shared, never
-written to: by every LP of a start cache entry, by every LP of a solve_lps
-batch, a _Stack included, and by each result's Basis.  No LP or stack
-copies it.  The dual path builds its dual's [A' | -Z | I | I] once, and
-the dual's matrix is its leading block.
+phase 1 pins it back.  Each LpModel carries a private record of the A it
+was made for (_Record): LpModel.make creates it empty, and with_bounds and
+with_rhs hand it on, as does dataclasses.replace when A stays.  The record
+builds [A | I | I] on the first primal-path solve that needs it and
+shares it, never written to: with every LP on a model that holds the
+record -- the node LPs of a branch-and-bound tree, the LPs of a solve_lps
+batch, a _Stack included, the inner MIPs of a Lagrangian target, which
+re-price one model -- and with each result's Basis.  No LP or stack copies
+it.  A model built any other way, or whose A is not its record's, gets a
+fresh record on its first solve.  A tall LP that goes through its dual
+builds no primal [A | I | I]: the dual path builds its dual's
+[A' | -Z | I | I] once, the dual's matrix is its leading block, and the
+dual model's record holds it.
 
 Starts.  An LP takes its start when its _Simplex is built: the slack
 basis, for phase 1, or a placed (basis, status, Binv or None), for phase
 2 or the dual simplex.  A placed LP sets each nonbasic value from its
 status and bounds and solves the basic values with Binv, a kept Basis's
-copied, or by a refactorization (a start cache region, a DualStart); it
+copied, or by a refactorization (a phase-1 memo region, a DualStart); it
 builds no b - A x0, identity or slack range.  A primal LP that breaks
 down is solved once more from the slack basis (_retry).
 
@@ -58,25 +67,25 @@ reuse the prices of phase 2's last optimality test.  _Stack states the
 ratio test and its zero clamp the same way.  README.md keeps the
 measurements.
 
-Start cache.  Phase 1 reads A, the senses, b and the bounds, never the
-objective, so its end state is a function of the feasible region.
-solve_lp(model, starts) keeps in `starts`, a dict the caller owns, one
-entry per A, by its shape and bytes: the [A | I | I] its LPs share, and
-its regions, by the senses and the bytes of b, lb and ub.  A region holds
-the stored INFEASIBLE result, or copies of the basis and statuses phase 1
-ended at, and no LP, model, values or inverse.  Phase 1 ends on a
-refactorization, which solves Binv and the basic values from the basis,
-b and the nonbasic values, and each nonbasic value sits at the bound its
-status names, or at 0 when free.  So a hit, an LP on the entry's matrix
-placed on copies of the basis and statuses (Starts), runs phase 2 from
-phase 1's end state, bit for bit, the artificials pinned by _start.  A
-miss runs phase
-1 and stores its end; a phase 1 that installs no artificial leaves the LP
-as it was built, and stores nothing.  A breakdown anywhere falls back to
-the from-scratch retry, and a phase 1 that breaks down stores no region.
-Branch and bound passes one cache to all its node LPs, and a Lagrangian
-separation target passes one to all its inner MIPs, which differ only in
-their objective.
+Phase-1 memo.  Phase 1 reads A, the senses, b and the bounds, never the
+objective, so its end state is a function of the feasible region.  Every
+primal-path LP (_alone) goes through its model's record (_solve_from),
+which keeps its regions by the senses and the bytes of b, lb and ub.  A
+region holds the stored INFEASIBLE result, or copies of the basis and
+statuses phase 1 ended at, and no LP, model, values or inverse.  Phase 1
+ends on a refactorization, which solves Binv and the basic values from
+the basis, b and the nonbasic values, and each nonbasic value sits at
+the bound its status names, or at 0 when free.  So a hit, an LP on the
+record's matrix placed on copies of the basis and statuses (Starts), runs
+phase 2 from phase 1's end state, bit for bit, the artificials pinned by
+_start.  A miss runs phase 1 and stores its end; a phase 1 that installs
+no artificial leaves the LP as it was built, and stores nothing.  A
+breakdown anywhere falls back to the from-scratch retry, and a phase 1
+that breaks down stores no region.  Regions repeat where models that
+share a record differ only in their objective: a Lagrangian target's
+inner MIPs re-price one K, so their node LPs keep meeting the same
+regions.  A master, outer LP or recourse LP repeats none, and its record
+dies with its model.
 
 The contract extends to stacks.  Under fixed recourse the subproblems of
 a round -- the recourse LPs of its clusters or scenarios, or the
@@ -88,17 +97,19 @@ when it is a swap, exactly the one solve_lp would take, since each
 stacked product is one BLAS call in the LP's own shape (see _Stack).  An
 LP whose next pivot would be a bound flip or an unbounded ray, or whose
 stall count reaches STALL_LIMIT, where _iterate turns to Bland's rule,
-leaves the stack and is solved alone from the slack basis on the batch's
+leaves the stack and is solved alone (_alone) on the batch's
 [A | I | I]: the bits the stack would have given.  Lockstep saves numpy
 call overhead, not flops, so it pays only for STACK_MIN or more LPs;
-fewer, or a tall LP's, go one at a time.  A batch builds one
-[A | I | I], and one _start (the bounds of every working column, the
-start statuses and the structural columns' start values) when an LP
-first takes it: a stacked LP copies it, and a warm one (Warm recourse)
-shares its bounds.  Between runs of pivots the stack writes back the
-basis and the nonbasic state (the LP refactorizes next, so no Binv is
-copied), and loads the next run's costs, the LP's bounds and pricing
-signs, its refactorized Binv and its basic values.
+fewer, a tall LP's, or an LP's with a free column (lb = -inf and
+ub = +inf), which no caller sends, go one at a time and cold.  A batch's
+LPs share their model's record, so one [A | I | I], and one _start (the
+bounds of every working column, the start statuses and the structural
+columns' start values) when an LP first takes it: a stacked LP copies
+it, and a warm one (Warm recourse) shares its bounds.  Between runs of
+pivots the stack writes back the basis and the nonbasic state (the LP
+refactorizes next, so no Binv is copied), and loads the next run's
+costs, the LP's bounds and pricing signs, its refactorized Binv and its
+basic values.
 
 Dual path.  The basis has one slot per row, so a tall LP -- a Benders
 master, with one row per cut and only n1 + S columns -- pivots on an m x m
@@ -237,6 +248,9 @@ class LpModel:
     lb: np.ndarray
     ub: np.ndarray
     checked: bool = field(default=False, repr=False, compare=False)
+    # what solve_lp keeps of A: make() creates it, with_bounds() and
+    # with_rhs() hand it on (Working matrix, in the module docstring)
+    _record: _Record = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def make(c, A=None, senses=None, b=None, lb=None, ub=None):
@@ -250,7 +264,8 @@ class LpModel:
         senses = (GE,) * m if senses is None else tuple(senses)
         lb = np.zeros(n) if lb is None else np.atleast_1d(np.asarray(lb, dtype=float))
         ub = np.full(n, np.inf) if ub is None else np.atleast_1d(np.asarray(ub, dtype=float))
-        model = LpModel(c, A, senses, b, lb.copy(), ub.copy())
+        model = LpModel(c, A, senses, b, lb.copy(), ub.copy(),
+                        _record=_Record(A))
         model.check()
         model.checked = True
         return model
@@ -295,8 +310,8 @@ class LpModel:
         only the bounds are new, so a checked model's child checks only
         them, and an unchecked model's child is left to solve_lp."""
         model = LpModel(self.c, self.A, self.senses, self.b,
-                        np.asarray(lb, dtype=float),
-                        np.asarray(ub, dtype=float), checked=self.checked)
+                        np.asarray(lb, float), np.asarray(ub, float),
+                        self.checked, self._record)
         if model.checked:
             model._check_bounds()
         return model
@@ -306,10 +321,31 @@ class LpModel:
         fixed recourse: only b is new, so a checked model's child checks
         only b, and an unchecked model's child is left to solve_lp."""
         model = LpModel(self.c, self.A, self.senses, np.asarray(b, float),
-                        self.lb, self.ub, checked=self.checked)
+                        self.lb, self.ub, self.checked, self._record)
         if model.checked:
             model._check_rhs()
         return model
+
+
+class _Record:
+    """What solve_lp keeps of one matrix A for the models that share it:
+    its working matrix [A | I | I], built when a primal-path LP first needs
+    it, and the phase-1 memo's regions (see the module docstring)."""
+
+    def __init__(self, A, afull=None):
+        self.A, self.afull, self.regions = A, afull, {}
+
+
+def _record_of(model):
+    """The model's record, replaced by a fresh one where it has none or
+    the record is of another A (a model built without make, or given a new
+    A by dataclasses.replace), with its [A | I | I] built."""
+    record = model._record
+    if record is None or record.A is not model.A:
+        record = model._record = _Record(model.A)
+    if record.afull is None:
+        record.afull = _working_matrix(np.asarray(model.A, dtype=float))
+    return record
 
 
 @dataclass
@@ -420,23 +456,22 @@ def _signs(status, lb, ub):
 
 
 class _Simplex:
-    def __init__(self, model, refactor_every=None, afull=None, start=None,
-                 placed=None):
-        """afull: the working matrix [A | I | I] (see the module
-        docstring), when the caller already has it for an LP on A; start:
-        _start of a model with these senses and bounds.  Both are shared,
-        never written to; a placed LP, which no pivot rule writes a bound
-        of, shares start's bounds too.  placed: (basis, status, Binv or
-        None), taken over, or None for the slack basis (Starts, in the
-        module docstring).  refactor_every, the cadence of
-        refactorizations, defaults to REFACTOR_EVERY as it is when the LP
-        is built.  The caller checks the model."""
+    def __init__(self, model, refactor_every=None, start=None, placed=None):
+        """The LP pivots on the working matrix [A | I | I] of the model's
+        record, built here if the record has none yet (see the module
+        docstring).  start: _start of a model with these senses and
+        bounds.  Both are shared, never written to; a placed LP, which no
+        pivot rule writes a bound of, shares start's bounds too.  placed:
+        (basis, status, Binv or None), taken over, or None for the slack
+        basis (Starts, in the module docstring).  refactor_every, the
+        cadence of refactorizations, defaults to REFACTOR_EVERY as it is
+        when the LP is built.  The caller checks the model."""
         self.model = model
         self.refactor_every = refactor_every or REFACTOR_EVERY
         A = np.asarray(model.A, dtype=float)
         m, n = A.shape
         self.m, self.n, self.ncols0 = m, n, n + m
-        self.Afull = _working_matrix(A) if afull is None else afull
+        self.Afull = _record_of(model).afull
         self.b = np.asarray(model.b, dtype=float).copy()
         self.scale_b = 1.0 + float(np.abs(self.b).max(initial=0.0))
         self.art_sign = np.zeros(m)   # row i's phase-1 cost on its artificial
@@ -756,10 +791,6 @@ class _Simplex:
             if not up:
                 toward = -toward
             enter = toward < -PIVOT_TOL
-            slack = -sign * d
-            if self.free.size:
-                enter[self.free] = np.abs(alpha[self.free]) > PIVOT_TOL
-                slack[self.free] = np.abs(d[self.free])
             if not enter.any():
                 if stale:       # look again on a refactorized Binv
                     self._refactor()
@@ -774,7 +805,7 @@ class _Simplex:
                                     basis=Basis(self))
                 raise SimplexBreakdown("infeasible end not certified")
             ratios.fill(np.inf)
-            np.divide(np.maximum(slack, 0.0), np.abs(alpha), out=ratios,
+            np.divide(np.maximum(-sign * d, 0.0), np.abs(alpha), out=ratios,
                       where=enter)
             rmin = ratios.item(ratios.argmin())
             if not math.isfinite(rmin):
@@ -792,8 +823,6 @@ class _Simplex:
             status[out] = _AT_UB if up else _AT_LB
             if lbb.item(r) != ubb.item(r):
                 sign[out] = 1.0 if up else -1.0
-            if status.item(j) == _FREE:
-                self.free = self.free[self.free != j]
             xb[r] = xval.item(j) + step
             status[j] = _BASIC
             sign[j] = 0.0
@@ -848,7 +877,6 @@ class _Stack:
         for row, cost in enumerate(costs):
             self._load(row, cost)
         self.peak = 0       # peak >= every stall
-        self.any_free = bool((self.status == _FREE).any())
         self.max_iter = max(50000, 500 * width)
         # by position, cut to the running rows at each step: the flat
         # positions of row k's first column and basis slot, ratio buffer
@@ -899,9 +927,9 @@ class _Stack:
         return True
 
     def _leave(self, k):
-        """LP k leaves the stack, solved alone from the slack basis: the
-        result the stack would give (solve_lps)."""
-        self.results[self.ids[k]] = _alone(self.lps[k].model, self.afull)[0]
+        """LP k leaves the stack, solved alone (_alone): the result the
+        stack would give (solve_lps)."""
+        self.results[self.ids[k]] = _alone(self.lps[k].model)[0]
         return True
 
     def _drop(self, rows):
@@ -952,9 +980,10 @@ class _Stack:
         (_finish); one whose pivot would be a bound flip or a ray, or whose
         stall count reaches STALL_LIMIT, where _iterate turns to Bland's
         rule, leaves the stack (_leave).  Rows that do not swap take part
-        in the array work but are masked out of every update.  d is not
-        zeroed at the basic columns: their sign is 0 and they are never
-        free, so no decision reads it there.  Entries of a row are
+        in the array work but are masked out of every update.  No column
+        is free (solve_lps stacks no LP with one), so sign * d is each
+        column's violation.  d is not zeroed at the basic columns: their
+        sign is 0, so no decision reads it there.  Entries of a row are
         addressed by flat position, which numpy indexes faster than (row,
         column)."""
         size = len(self.lps)
@@ -962,15 +991,13 @@ class _Stack:
         ratios = self.ratios[:size]
         d = self._reduced_costs()
         viol = self.sign * d
-        if self.any_free:     # a free column is one with status _FREE
-            np.copyto(viol, np.abs(d), where=self.status == _FREE)
         j = viol.argmax(axis=1)
         fj = col0 + j
         vj = viol.ravel()[fj]
         going = vj > OPT_TOL        # rows with an entering column
-        # an entering column rises from a lower bound (or free) when d < 0
-        # and falls from an upper bound (or free) when d > 0; d is neither
-        # zero nor NaN there, and a row without one takes no step
+        # an entering column rises from its lower bound when d < 0 and
+        # falls from its upper bound when d > 0; d is neither zero nor NaN
+        # there, and a row without one takes no step
         dirn = np.copysign(1.0, -d.ravel()[fj])
         w = (self.binv @ self.afull.T[j][:, :, None])[:, :, 0]
         delta = dirn[:, None] * w     # basic values move as xb - t * delta
@@ -1041,56 +1068,48 @@ class _Stack:
         binv[fr] = row
 
 
-def solve_lp(model, starts=None, dual_start=None, dual_min=None):
+def solve_lp(model, dual_start=None, dual_min=None):
     """Solve a minimization LP; deterministic for a fixed input.
 
-    When the final checks fail, the LP is solved once more from scratch
-    (_retry) before the failure is raised.  An LP that passes the first
-    time never reaches the retry.
+    On the primal path, phase 1 runs only for a feasible region the
+    model's record has not met: an LP on a region it holds runs phase 2
+    from that region's phase-1 end, bitwise as without it (Phase-1 memo,
+    in the module docstring).  When the final checks fail, the LP is
+    solved once more from scratch (_retry) before the failure is raised.
+    An LP that passes the first time never reaches the retry.
 
     A tall LP (_dualizes) of `dual_min` rows or more, DUAL_MIN when None,
     is first solved through its dual, and goes the primal way only if that
     neither ends OPTIMAL nor proves it infeasible (see the module
     docstring).  `dual_start`, a DualStart owned by the caller, starts
     that dual from the basis it holds and keeps the one it ends at; other
-    LPs ignore it.
-
-    `starts`, a dict owned by the caller, holds phase 1's end state by
-    feasible region and is reused and extended here: an LP whose region it
-    holds runs phase 2 only (see the module docstring).  The result is
-    bitwise the one without it."""
+    LPs ignore it."""
     if not model.checked:
         model.check()
     if _dualizes(model, dual_min):
         result = _solve_dual(model, dual_start)
         if result is not None:
             return result
-    if starts is None:
-        return _alone(model)[0]
+    return _alone(model)[0]
+
+
+def _alone(model):
+    """A checked model solved alone, through its record's phase-1 memo
+    (_solve_from), and once more from scratch (_retry) when that breaks
+    down: the result and the _Simplex that gave it, None for an
+    INFEASIBLE result the memo held."""
     try:
-        return _solve_from(model, starts)
+        return _solve_from(model)
     except SimplexBreakdown:
-        return _retry(model)[0]
+        return _retry(model)
 
 
-def _alone(model, afull=None):
-    """A checked model solved alone from the slack basis, and the _Simplex
-    that gave the result: once more from scratch (_retry) when the first
-    attempt breaks down.  afull: the model's [A | I | I], if the caller
-    has it."""
-    lp = _Simplex(model, afull=afull)
-    try:
-        return lp.solve(), lp
-    except SimplexBreakdown:
-        return _retry(model, afull)
-
-
-def _retry(model, afull=None):
+def _retry(model):
     """The from-scratch retry of a checked model whose first attempt broke
     down, and its _Simplex: the eta updates have usually drifted on an
     ill-conditioned basis, so it refactorizes every RETRY_REFACTOR_EVERY
-    pivots.  afull: the model's [A | I | I], if the caller has it."""
-    lp = _Simplex(model, RETRY_REFACTOR_EVERY, afull)
+    pivots."""
+    lp = _Simplex(model, RETRY_REFACTOR_EVERY)
     return lp.solve(), lp
 
 
@@ -1098,11 +1117,12 @@ def _solve_warm(model, basis, start):
     """The result of the dual simplex run from `basis` (_Simplex._dual),
     then phase 2, or None where the LP goes the cold way: an artificial
     basic in the start, a breakdown, or an end neither OPTIMAL nor
-    INFEASIBLE.  start: _start(model), whose bounds the LP shares."""
+    INFEASIBLE.  start: _start(model), whose bounds the LP shares.  The
+    model has no free column: the dual simplex prices none."""
     kept = basis._lp
     if kept.basis.max(initial=-1) >= kept.ncols0:
         return None
-    lp = _Simplex(model, afull=kept.Afull, start=start, placed=[
+    lp = _Simplex(model, start=start, placed=[
         a.copy() for a in (kept.basis, kept.status, kept.Binv)])
     try:
         result = lp._dual() or lp._run(lp._phase2())
@@ -1152,8 +1172,9 @@ def _solve_dual(model, start=None):
     replaces the start's basis.
 
     The dual's working matrix [A' | -Z | I | I] is built once, and the
-    dual's matrix [A' | -Z] is its leading block: the warm start, the cold
-    solve and its retry all pivot on it."""
+    dual's matrix [A' | -Z] is its leading block: the dual model's record
+    holds it, so the warm start, the cold solve (_alone) and its retry all
+    pivot on it."""
     A, lb = model.A, model.lb
     m, n = A.shape
     u = model.ub - lb
@@ -1162,13 +1183,14 @@ def _solve_dual(model, start=None):
     minus_z = np.zeros((n, boxed.size))
     minus_z[boxed, np.arange(boxed.size)] = -1.0
     afull = _working_matrix(A.T, minus_z)
+    dual_a = afull[:, :m + boxed.size]
     dual = LpModel(np.concatenate([A @ lb - model.b, u[boxed]]),
-                   afull[:, :m + boxed.size], (LE,) * n, model.c,
+                   dual_a, (LE,) * n, model.c,
                    np.concatenate([np.where(senses == GE, 0.0, -np.inf),
                                    np.zeros(boxed.size)]),
                    np.concatenate([np.where(senses == LE, 0.0, np.inf),
                                    np.full(boxed.size, np.inf)]),
-                   checked=True)
+                   checked=True, _record=_Record(dual_a, afull))
     # valid as built from the checked LP, but for the objective, whose
     # b - A lb or u can overflow
     if not np.isfinite(dual.c).all():
@@ -1182,8 +1204,7 @@ def _solve_dual(model, start=None):
         status[dual.c.size:] = _AT_LB
         status[cols] = _BASIC
         try:
-            lp = _Simplex(dual, afull=afull, start=bounds,
-                          placed=(cols, status, None))
+            lp = _Simplex(dual, start=bounds, placed=(cols, status, None))
             xb = lp.xval[cols]
             if (np.all(xb >= lp.lb[cols] - FEAS_TOL)
                     and np.all(xb <= lp.ub[cols] + FEAS_TOL)):
@@ -1192,7 +1213,7 @@ def _solve_dual(model, start=None):
             pass
     if res is None:
         try:
-            res, lp = _alone(dual, afull)
+            res, lp = _alone(dual)
         except SimplexBreakdown:
             return None
     if res.status == UNBOUNDED:     # the LP is infeasible: y's ray proves it
@@ -1216,34 +1237,29 @@ def _working_matrix(*blocks):
     return np.hstack([*blocks, eye, eye])
 
 
-def _solve_from(model, starts):
-    """solve_lp's first attempt through the cache `starts`, whose entry for
-    A, made on first use under the key (A's shape, A's bytes), is
-    ([A | I | I], a dict of A's regions).  A region maps to the INFEASIBLE
-    result or to copies of the basis and statuses phase 1 ended at, which
-    a hit places on a new LP on the entry's [A | I | I]."""
-    key = (model.A.shape, model.A.tobytes())
-    if key not in starts:
-        starts[key] = (_working_matrix(model.A), {})
-    afull, regions = starts[key]
+def _solve_from(model):
+    """A checked model's first attempt through its record's phase-1 memo,
+    and its _Simplex, None for a held INFEASIBLE result.  A region maps
+    to the INFEASIBLE result or to copies of the basis and statuses phase
+    1 ended at, which a hit places on a new LP."""
+    regions = _record_of(model).regions
     region = (tuple(model.senses),
               *(np.asarray(v, dtype=float).tobytes()
                 for v in (model.b, model.lb, model.ub)))
     held = regions.get(region)
     if isinstance(held, LpResult):
-        return LpResult(INFEASIBLE, farkas=held.farkas.copy())
+        return LpResult(INFEASIBLE, farkas=held.farkas.copy()), None
     if held is not None:
-        lp = _Simplex(model, afull=afull,
-                      placed=(*(a.copy() for a in held), None))
-        return lp._run(lp._phase2())
-    lp = _Simplex(model, afull=afull)
+        lp = _Simplex(model, placed=(*(a.copy() for a in held), None))
+        return lp._run(lp._phase2()), lp
+    lp = _Simplex(model)
     result = lp._run(lp._phase1())
     if result is not None:
         regions[region] = result
-        return LpResult(INFEASIBLE, farkas=result.farkas.copy())
+        return LpResult(INFEASIBLE, farkas=result.farkas.copy()), lp
     if lp.art_sign.any():
         regions[region] = (lp.basis.copy(), lp.status.copy())
-    return lp._run(lp._phase2())
+    return lp._run(lp._phase2()), lp
 
 
 def solve_lps(model, rhs, bases=None):
@@ -1252,29 +1268,30 @@ def solve_lps(model, rhs, bases=None):
     solve_lp(model.with_rhs(rhs[i])).  With `bases`, one Basis of a
     with_rhs sibling or None per rhs, each LP with a basis first runs
     warm, alone (_solve_warm).  The others go one at a time when they are
-    fewer than STACK_MIN or the LP is tall (_dualizes); else they pivot in
-    lockstep (_Stack) on one [A | I | I] from one _start while their
-    pivots are swaps.  One whose next pivot is not leaves the stack and
-    is solved alone (_alone), and one that breaks down there is retried
-    alone, as solve_lp retries it."""
+    fewer than STACK_MIN, the LP is tall (_dualizes) or it has a free
+    column; else they pivot in lockstep (_Stack) on the [A | I | I] of
+    the model's record, from one _start, while their pivots are swaps.
+    One whose next pivot is not leaves the stack and is solved alone
+    (_alone), and one that breaks down there is retried alone, as
+    solve_lp retries it.  An LP with a free column never runs warm."""
     if not model.checked:
         model.check()
         model = replace(model, checked=True)
     models = [model.with_rhs(b) for b in rhs]
     results = [None] * len(models)
+    free = bool((np.isinf(model.lb) & np.isinf(model.ub)).any())
     start = None    # _start(model), built when an LP first takes it
-    for i, basis in enumerate(bases or ()):
+    for i, basis in enumerate(() if free else bases or ()):
         if basis is not None:
             start = start or _start(model)
             results[i] = _solve_warm(models[i], basis, start)
     cold = [i for i, res in enumerate(results) if res is None]
-    if len(cold) < STACK_MIN or _dualizes(model):
+    if free or len(cold) < STACK_MIN or _dualizes(model):
         for i in cold:
             results[i] = solve_lp(models[i])
         return results
-    afull, start = _working_matrix(model.A), start or _start(model)
-    stack = _Stack([_Simplex(models[i], afull=afull, start=start)
-                    for i in cold])
+    start = start or _start(model)
+    stack = _Stack([_Simplex(models[i], start=start) for i in cold])
     for i, res in zip(cold, stack.run()):
-        results[i] = res if res is not None else _retry(models[i], afull)[0]
+        results[i] = res if res is not None else _retry(models[i])[0]
     return results

@@ -62,17 +62,18 @@ def _snap(x, marked):
     return out
 
 
-def solve_mip(model, deadline=None, starts=None):
+def solve_mip(model, deadline=None):
     """Best-first branch and bound; most-fractional branching, lowest index
     on ties, down-child explored first.  Deterministic for a fixed input.
 
-    `starts` is passed to every node LP's solve_lp: MIPs over one feasible
-    region, such as a target's inner MIPs, keep meeting the same node
-    regions, and a cache of their phase-1 end states solves each region's
-    phase 1 once, with bitwise the same results."""
+    Every node LP is a with_bounds child of model.lp and shares its
+    record (see the lp module docstring): one [A | I | I] per tree, and
+    one phase-1 memo, which MIPs re-priced from one LP, such as a target's
+    inner MIPs, share too.  Each region's phase 1 runs once, with bitwise
+    the same results."""
     lp0 = model.lp
     marked = np.flatnonzero(model.integer)
-    root = solve_lp(lp0, starts)
+    root = solve_lp(lp0)
     nodes = 1
     if root.status == LP_INFEASIBLE:
         return MipResult(MIP_INFEASIBLE, nodes=nodes)
@@ -111,7 +112,7 @@ def solve_mip(model, deadline=None, starts=None):
                 (_with(lb, j, np.ceil(v)), ub)):
             if child_lb[j] > child_ub[j]:
                 continue
-            res = solve_lp(lp0.with_bounds(child_lb, child_ub), starts)
+            res = solve_lp(lp0.with_bounds(child_lb, child_ub))
             nodes += 1
             if res.status == LP_INFEASIBLE:
                 continue

@@ -43,8 +43,20 @@ class InfeasibleError(ValueError):
 
 
 class UnboundedError(ValueError):
-    """A solve found a recourse LP unbounded below: some first stage has
-    an expected recourse of minus infinity."""
+    """A solve found the instance unbounded below: a recourse LP, where
+    some first stage has an expected recourse of minus infinity; or, with
+    the recourse bounded (the theta bounds), a master or a cluster's K,
+    which then runs off along a first-stage column with no finite upper
+    bound."""
+
+
+def unbounded_error(instance, what):
+    """The UnboundedError of `what`, a master or a K unbounded under
+    bounded recourse: it names the first-stage columns with no finite
+    upper bound, along which it runs off."""
+    cols = np.flatnonzero(np.isinf(instance.x_bounds()[1]))
+    return UnboundedError(f"{what} unbounded: no finite upper bound u on "
+                          f"first-stage column {', '.join(map(str, cols))}")
 
 
 def _frozen(a, dtype=float):

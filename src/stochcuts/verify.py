@@ -82,6 +82,9 @@ def feasible_first_stage_points(instance, cap=512):
 def check_cut_validity(instance, cuts, cap=512):
     """Every cut must hold at every feasible first-stage point with theta
     set to the true recourse values; slack is normalized by 1 + |rhs|."""
+    if not cuts:
+        return VerificationReport("cut-validity", instance.name, INCONCLUSIVE,
+                                  detail="no cuts supplied")
     points = feasible_first_stage_points(instance, cap)
     if not points:
         return VerificationReport("cut-validity", instance.name, INCONCLUSIVE,
@@ -97,9 +100,6 @@ def check_cut_validity(instance, cuts, cap=512):
                 worst = slack
                 witness = (ci, tuple(float(v) for v in x))
     status = PASS if worst >= -SLACK_TOL else FAIL
-    if not cuts:
-        return VerificationReport("cut-validity", instance.name, INCONCLUSIVE,
-                                  detail="no cuts supplied")
     return VerificationReport("cut-validity", instance.name, status,
                               worst=float(worst), witness=witness)
 

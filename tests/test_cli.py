@@ -31,7 +31,7 @@ def test_generate_to_stdout(capsys):
 def test_generate_rejects_bad_counts(capsys):
     code = main(["generate", "--scenarios", "0"])
     assert code == EXIT_USAGE
-    assert "scenario_count" in capsys.readouterr().err
+    assert "scenarios must be at least 1" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2():
@@ -130,6 +130,8 @@ EMPTY_K = "dims 1 1 1 1 1\nmark binary 0\nd 0 1.0\nA 0 0 2.0\nb 0 1.0\n" \
     "W 0 0 1.0\nscenario 0 1.0\n"
 UNBOUNDED_RECOURSE = "dims 1 1 0 1 1\nmark binary 0\nd 0 -1.0\nW 0 0 1.0\n" \
     "scenario 0 1.0\n"
+UNBOUNDED_MASTER = "dims 1 1 0 1 1\nmark continuous 0\nc 0 -1.0\nd 0 1.0\n" \
+    "W 0 0 1.0\nscenario 0 1.0\nT 0 0 0 -1.0\nh 0 0 -5.0\n"
 
 
 @pytest.mark.parametrize("body, algorithm, message", [
@@ -140,11 +142,16 @@ UNBOUNDED_RECOURSE = "dims 1 1 0 1 1\nmark binary 0\nd 0 -1.0\nW 0 0 1.0\n" \
     (EMPTY_K, "alg1", "integer master ended infeasible"),
 ] + [(UNBOUNDED_RECOURSE, algorithm,
       "scenario 0: recourse value unbounded below")
-     for algorithm in ("benders", "bdd", "alg1", "apblagc")])
+     for algorithm in ("benders", "bdd", "alg1", "apblagc")] + [
+    (UNBOUNDED_MASTER, algorithm, "master problem unbounded: no finite "
+     "upper bound u on first-stage column 0")
+    for algorithm in ("benders", "bdd", "alg1", "apblagc")])
 def test_solve_reports_an_unsolvable_instance(tmp_path, capsys, body,
                                               algorithm, message):
-    # 2x = 1 has no binary solution, though its relaxation is feasible; and
-    # min -y over y >= 0 is unbounded below: one error line, exit 1
+    # 2x = 1 has no binary solution, though its relaxation is feasible;
+    # min -y over y >= 0 is unbounded below; and min -x + y over
+    # y >= x - 5, x continuous with no u, runs off along x (its optimum
+    # -5 is not attained): one error line, exit 1
     path = tmp_path / "unsolvable.txt"
     path.write_text(f"{FORMAT_TAG}\n{body}")
     for argv in (["solve", str(path), "--algorithm", algorithm],

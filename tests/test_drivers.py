@@ -9,7 +9,7 @@ from stochcuts import builtin, generate_sslp, GeneratorConfig, mip
 from stochcuts.benders import solve_scenario_subproblem
 from stochcuts.model import (Instance, Scenario, InfeasibleError,
                              UnboundedError, build_extensive, BINARY,
-                             INTEGER, KIND_BENDERS, KIND_PBBENC,
+                             CONTINUOUS, INTEGER, KIND_BENDERS, KIND_PBBENC,
                              KIND_LAGRANGIAN, KIND_PBLAGC, KIND_FEASIBILITY,
                              validate)
 from stochcuts.lp import STACK_MIN
@@ -413,11 +413,11 @@ def test_refinement_keeps_unchanged_targets(refined_apblagc_calls):
 
 
 def test_node_lp_phase1_reuse_per_run(thm1, monkeypatch):
-    # The inner MIPs of a separation target share one phase-1 cache
-    # (lp.solve_lp), owned by the target and so by the run: apblagc on
-    # sslp-6-8-8 seed 0 at budget 6 runs phase 1 in 269 of its 567 node
-    # LPs, again after a run on another instance.  A cache that outlived
-    # its run would leave the second run none to do.
+    # The inner MIPs of a separation target share one phase-1 memo, the
+    # record of the target's K (lp.solve_lp), owned by the target and so
+    # by the run: apblagc on sslp-6-8-8 seed 0 at budget 6 runs phase 1 in
+    # 269 of its 567 node LPs, again after a run on another instance.  A
+    # memo that outlived its run would leave the second run none to do.
     from stochcuts import lp, mip
     from stochcuts.instance_io import GeneratorConfig, generate_sslp
     counts = {"node_lps": 0, "phase1": 0}
@@ -428,11 +428,11 @@ def test_node_lp_phase1_reuse_per_run(thm1, monkeypatch):
         counts["phase1"] += in_node[0]
         return (yield from phase1(self))
 
-    def counted_solve_lp(model, starts=None):
+    def counted_solve_lp(model):
         counts["node_lps"] += 1
         in_node[0] = True
         try:
-            return solve_lp(model, starts)
+            return solve_lp(model)
         finally:
             in_node[0] = False
 
@@ -656,6 +656,18 @@ def test_unbounded_recourse_is_named():
     with pytest.raises(UnboundedError, match=r"recourse unbounded below"):
         solve_scenario_subproblem(inst, [0], np.zeros(1))
     assert issubclass(UnboundedError, ValueError)
+
+
+def test_unbounded_master_is_named():
+    # min -x + y over y >= x - 5, x continuous with no u: the theta bounds
+    # hold (y >= 0), and every driver's first master runs off along x,
+    # which the error names
+    inst = Instance("unbounded-master", [-1.0], [], [], (CONTINUOUS,),
+                    [1.0], [[1.0]], (Scenario(1.0, [[-1.0]], [-5.0]),))
+    for algorithm in ALGORITHMS:
+        with pytest.raises(UnboundedError, match="master problem unbounded: "
+                           "no finite upper bound u on first-stage column 0"):
+            run(inst, RunConfig(algorithm=algorithm))
 
 
 def _master_paths(monkeypatch, instance, config):

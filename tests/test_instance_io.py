@@ -170,7 +170,7 @@ def test_generator_budget_row():
 
 
 def test_generator_config_validation():
-    with pytest.raises(ValueError, match="scenario_count must be >= 1"):
+    with pytest.raises(ValueError, match="scenarios must be at least 1"):
         GeneratorConfig(scenarios=0)
     with pytest.raises(ValueError):
         GeneratorConfig(sites=0)

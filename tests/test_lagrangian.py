@@ -53,6 +53,54 @@ def test_inner_model_shape(thm1):
     assert list(model.integer) == [True, True, False]
 
 
+def test_inner_mips_of_a_target_share_one_record(small_sslp, monkeypatch):
+    # A target's inner MIPs re-price its K, with the objective bits
+    # stacked_model gives, and share the record of K's LP: the second
+    # MIP's root LP, on K's own region, is a phase-1 memo hit on the
+    # region the first MIP's root stored.  A record made per inner MIP
+    # would miss there.
+    from stochcuts import lp as lp_module
+    from stochcuts.model import stacked_model
+    inst = small_sslp(seed=0)
+    target = cluster_target(inst, (0, 1))
+    prices = [(np.zeros(inst.n1), 1.0), (np.linspace(-0.4, 0.4, inst.n1), 0.5)]
+    models = [inner_model(inst, target, pi, pi0) for pi, pi0 in prices]
+    record = target.inner.lp._record
+    assert isinstance(record, lp_module._Record)
+    assert all(model.lp._record is record for model in models)
+    for model, (pi, pi0) in zip(models, prices):
+        built = stacked_model(inst, pi, [(pi0, target.technology,
+                                          target.rhs)])
+        assert model.lp.c.tobytes() == built.lp.c.tobytes()
+        assert model.lp.A is target.inner.lp.A
+    evaluate_inner(inst, target, *prices[0])
+    stored = set(record.regions)
+    assert stored
+    placed = []
+    init = lp_module._Simplex.__init__
+
+    def recorded(self, model, *args, **kwargs):
+        placed.append(kwargs.get("placed") is not None)
+        init(self, model, *args, **kwargs)
+
+    monkeypatch.setattr(lp_module._Simplex, "__init__", recorded)
+    evaluate_inner(inst, target, *prices[1])
+    assert placed[0] and stored <= set(record.regions)
+
+
+def test_unbounded_k_is_named():
+    # x is continuous with no u: K priced at pi = -2, pi0 = 1 runs off
+    # along x, and the error names column 0
+    from stochcuts.model import Instance, Scenario, CONTINUOUS, UnboundedError
+    inst = Instance("unbounded-k", [-1.0], [], [], (CONTINUOUS,), [1.0],
+                    [[1.0]], (Scenario(1.0, [[-1.0]], [-5.0]),))
+    target = scenario_target(inst, 0)
+    assert evaluate_inner(inst, target, np.array([-1.0]), 1.0)[0] == -5.0
+    with pytest.raises(UnboundedError, match=r"cluster \(0,\): K unbounded: "
+                       "no finite upper bound u on first-stage column 0"):
+        evaluate_inner(inst, target, np.array([-2.0]), 1.0)
+
+
 def test_make_lagrangian_cut_kinds(thm1):
     st = scenario_target(thm1, 0)
     cut = make_lagrangian_cut(thm1, st, np.array([0.25, -0.5]), 0.5, 1.25)

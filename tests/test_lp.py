@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -462,12 +463,13 @@ def _costs_and_bounds(rng, n):
     return c, lb, ub
 
 
-def _family(rng, k, m, n, degenerate=False):
+def _family(rng, k, m, n, degenerate=False, free=True):
     """An LP and k right-hand sides for it, as solve_lps takes a batch: one
     matrix, row senses, costs and bounds, with free and boxed columns and
     equality rows, and a rhs per member, so that members differ in status
     and artificial count.  A degenerate family has mostly zero rhs, so
-    pivots stall."""
+    pivots stall.  free=False draws the same family with each free
+    column's lower bound at 0 instead, so that its batch stacks."""
     a = rng.integers(-4, 5, size=(m, n)).astype(float)
     senses = [(GE, LE, EQ)[i] for i in rng.integers(0, 3, size=m)]
     rhs = []
@@ -477,6 +479,8 @@ def _family(rng, k, m, n, degenerate=False):
             b = np.where(rng.uniform(size=m) < 0.6, 0.0, np.round(b))
         rhs.append(b)
     c, lb, ub = _costs_and_bounds(rng, n)
+    if not free:
+        lb[np.isinf(lb) & np.isinf(ub)] = 0.0
     return LpModel.make(c, a, senses, rhs[0], lb, ub), rhs
 
 
@@ -520,6 +524,7 @@ def _check_families(monkeypatch, seed, trials, degenerate):
                 seen.add("artificial counts differ")
         if (np.isinf(model.lb) & np.isinf(model.ub)).any():
             seen.add("free column")
+            assert not built    # one LP at a time, and cold
         if np.isfinite(model.ub).any():
             seen.add("boxed column")
         if EQ in model.senses:
@@ -567,7 +572,7 @@ def test_solve_lps_matches_solve_lp_across_refactorizations(monkeypatch):
     rng = np.random.default_rng(15)
     batches = [(recourse, [sc.rhs - sc.technology @ xhat
                            for sc in inst.scenarios])]
-    batches += [_family(rng, 2 * STACK_MIN, m, 6, degenerate)
+    batches += [_family(rng, 2 * STACK_MIN, m, 6, degenerate, free=False)
                 for m in (3, 6, 9) for degenerate in (False, True)]
     for model, rhs in batches:
         want = [_result_bytes(solve_lp(model.with_rhs(b))) for b in rhs]
@@ -583,7 +588,7 @@ def test_solve_lps_stacks_any_row_count(monkeypatch):
     rng = np.random.default_rng(14)
     for m in (1, 2, 3):
         built.clear()
-        model, rhs = _family(rng, STACK_MIN, m, 5)
+        model, rhs = _family(rng, STACK_MIN, m, 5, free=False)
         want = [_result_bytes(solve_lp(model.with_rhs(b))) for b in rhs]
         assert [_result_bytes(res) for res in solve_lps(model, rhs)] == want
         assert built == [STACK_MIN]
@@ -594,20 +599,24 @@ def test_solve_lps_stacks_lps_with_no_rows(monkeypatch):
     # An LP with no rows still pivots: its columns flip bound to bound, or
     # run off unbounded.  Stacked STACK_MIN times, its ratio test has no
     # row to take a minimum over, which is +inf, as in _iterate; the
-    # results are byte for byte solve_lp's.
+    # results are byte for byte solve_lp's.  With a free column the batch
+    # goes one LP at a time, with the same bytes.
     built = _count_stacks(monkeypatch)
-    flips = LpModel.make([-1.0, 2.0, -3.0, 0.0], lb=[0.0, -1.0, 0.0, -np.inf],
-                         ub=[1.0, 4.0, 2.5, np.inf])
+    free = LpModel.make([-1.0, 2.0, -3.0, 0.0], lb=[0.0, -1.0, 0.0, -np.inf],
+                        ub=[1.0, 4.0, 2.5, np.inf])
+    flips = LpModel.make(free.c, lb=free.lb, ub=[1.0, 4.0, 2.5, 1.0])
     ray = LpModel.make([1.0, -1.0], ub=[2.0, np.inf])
     rhs = [np.zeros(0)] * STACK_MIN
-    for model, status in ((flips, OPTIMAL), (ray, UNBOUNDED)):
+    for model, status, stacked in ((flips, OPTIMAL, [STACK_MIN]),
+                                   (ray, UNBOUNDED, [STACK_MIN]),
+                                   (free, OPTIMAL, [])):
         built.clear()
         want = _result_bytes(solve_lp(model))
         assert want[0] == status
         assert [_result_bytes(res) for res in solve_lps(model, rhs)] \
             == [want] * STACK_MIN
-        assert built == [STACK_MIN]
-    assert solve_lp(flips).objective == -10.5
+        assert built == stacked
+    assert solve_lp(flips).objective == solve_lp(free).objective == -10.5
 
 
 def test_stacked_products_are_each_lps_own():
@@ -641,12 +650,14 @@ def test_stacked_products_are_each_lps_own():
 
 
 def test_lps_share_one_working_matrix(monkeypatch):
-    # A start cache region holds the INFEASIBLE result or the basis and
-    # statuses phase 1 ended at, and no LP, model, values or inverse; and
-    # every stacked result's basis holds its batch's [A | I | I]: no LP
-    # copies the matrix, artificials or not.  A stack holds no matrix of
-    # its own either: its matrix is every LP's, and none of its arrays
-    # holds a matrix per LP or shares the LPs' one.
+    # LPs re-priced and re-bounded from one model share its record, and
+    # with it one [A | I | I]; a region of its phase-1 memo holds the
+    # INFEASIBLE result or the basis and statuses phase 1 ended at, and no
+    # LP, model, values or inverse; and every stacked result's basis holds
+    # its batch's [A | I | I]: no LP copies the matrix, artificials or
+    # not.  A stack holds no matrix of its own either: its matrix is every
+    # LP's, and none of its arrays holds a matrix per LP or shares the
+    # LPs' one.
     stacks = []
 
     class Seen(_Stack):
@@ -662,18 +673,20 @@ def test_lps_share_one_working_matrix(monkeypatch):
     arts = kept = held = 0
     for _ in range(20):
         m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
-        starts = {}
-        for model in _shared_region_lps(rng, 12, m, n, degenerate=False):
-            solve_lp(model, starts)
+        models = _shared_region_lps(rng, 12, m, n, degenerate=False)
+        record = models[0]._record
+        for model in models:
+            res = solve_lp(model)
+            assert model._record is record
+            assert res.basis is None or res.basis._lp.Afull is record.afull
             arts += _artificials(model)
-        for afull, regions in starts.values():
-            assert afull.shape == (m, n + 2 * m)
-            for region in regions.values():
-                assert isinstance(region, LpResult) or (
-                    [(a.shape, a.dtype) for a in region]
-                    == [((m,), np.intp), ((n + 2 * m,), np.int8)])
-                held += not isinstance(region, LpResult)
-        model, rhs = _family(rng, STACK_MIN, m, n)
+        assert record.afull.shape == (m, n + 2 * m)
+        for region in record.regions.values():
+            assert isinstance(region, LpResult) or (
+                [(a.shape, a.dtype) for a in region]
+                == [((m,), np.intp), ((n + 2 * m,), np.int8)])
+            held += not isinstance(region, LpResult)
+        model, rhs = _family(rng, STACK_MIN, m, n, free=False)
         stacks.clear()
         bases = [res.basis for res in solve_lps(model, rhs)
                  if res.basis is not None]
@@ -745,9 +758,9 @@ except L.SimplexBreakdown:
     pass
 retries = []
 init = L._Simplex.__init__
-def counted(self, model, refactor_every=None, afull=None, start=None):
+def counted(self, model, refactor_every=None, start=None):
     retries.append(refactor_every == L.RETRY_REFACTOR_EVERY)
-    init(self, model, refactor_every, afull, start)
+    init(self, model, refactor_every, start)
 L._Simplex.__init__ = counted
 def key(r):
     return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
@@ -802,26 +815,34 @@ def _shared_region_lps(rng, count, m, n, degenerate):
     """count LPs on one matrix and row senses whose rhs, bounds and costs
     are drawn from pools of two, two and four: feasible regions repeat, and
     some LPs share A, bounds and senses but not b, or A and b but not the
-    bounds."""
+    bounds.  All are one model's, re-priced and re-bounded, and share its
+    record (unchecked, so that solve_lp checks each)."""
     model, rhs = _family(rng, 2, m, n, degenerate)
     draws = [_costs_and_bounds(rng, n) for _ in range(4)]
     pick = rng.integers(0, (2, 2, 4), size=(count, 3))
-    return [LpModel.make(draws[k][0], model.A, model.senses, rhs[i],
-                         *draws[j][1:]) for i, j, k in pick]
+    return [replace(model, c=draws[k][0], b=rhs[i], lb=draws[j][1],
+                    ub=draws[j][2], checked=False) for i, j, k in pick]
+
+
+def _fresh(model):
+    """A copy of `model` with a record of its own: solved from scratch."""
+    return LpModel.make(model.c, model.A, model.senses, model.b, model.lb,
+                        model.ub)
 
 
 def _check_start_cache(seed, trials, degenerate):
-    """Every LP solved through one start cache per batch is byte-equal to
-    solve_lp without it; returns what the cache hits covered."""
+    """Every LP solved through one record's phase-1 memo per batch is
+    byte-equal to its solve from scratch; returns what the memo's hits
+    covered."""
     rng = np.random.default_rng(seed)
     seen = set()
     for _ in range(trials):
         m, n = int(rng.integers(1, 12)), int(rng.integers(1, 14))
         models = _shared_region_lps(rng, 12, m, n, degenerate)
-        starts, regions = {}, set()
+        regions = set()
         for model in models:
-            want = _result_bytes(solve_lp(model))
-            assert _result_bytes(solve_lp(model, starts)) == want
+            want = _result_bytes(solve_lp(_fresh(model)))
+            assert _result_bytes(solve_lp(model)) == want
             region = (model.b.tobytes(), model.lb.tobytes(),
                       model.ub.tobytes())
             if region in regions:
@@ -833,7 +854,7 @@ def _check_start_cache(seed, trials, degenerate):
 
 
 def test_start_cache_is_bitwise_neutral():
-    # A cache hit runs phase 2 from a copy of the stored phase-1 state.  A
+    # A memo hit runs phase 2 from a copy of the stored phase-1 state.  A
     # key without b or without the bounds, or a restore that shares the
     # stored basis inverse with the LP it starts, fails here.
     assert _check_start_cache(31, 80, degenerate=False) >= {
@@ -848,16 +869,39 @@ def test_start_cache_is_bitwise_neutral_under_bland(monkeypatch):
 
 
 def test_start_cache_checks_the_model_on_a_hit():
+    # bad shares the record, whose memo holds its region
     model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], [GE], [1.0])
-    starts = {}
-    solve_lp(model, starts)
-    bad = LpModel(np.array([1.0, np.nan]), model.A, model.senses, model.b,
-                  model.lb, model.ub)
+    solve_lp(model)
+    assert model._record.regions
+    bad = replace(model, c=np.array([1.0, np.nan]), checked=False)
     with pytest.raises(ValueError, match="objective"):
-        solve_lp(bad, starts)
+        solve_lp(bad)
+
+
+def test_replaced_matrix_gets_a_fresh_record():
+    # A model given a new A by dataclasses.replace keeps its old record
+    # only until its first solve, which replaces it: the new A's LPs
+    # never pivot on the old [A | I | I] or hit the old A's regions.
+    old = LpModel.make([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [GE, LE],
+                       [1.0, 0.5])
+    solve_lp(old)
+    record = old._record
+    regions = dict(record.regions)
+    assert regions and record.afull is not None
+    new = replace(old, A=np.array([[1.0, 3.0], [2.0, -1.0]]))
+    assert new._record is record
+    got = solve_lp(new)
+    assert _result_bytes(got) == _result_bytes(solve_lp(_fresh(new)))
+    assert new._record is not record and new._record.A is new.A
+    assert got.basis._lp.Afull is new._record.afull
+    assert not np.shares_memory(new._record.afull, record.afull)
+    assert set(record.regions) == set(regions) and old._record is record
+    assert all(new._record.regions[key] is not regions[key]
+               for key in new._record.regions)
 
 
 _CACHE_WITH_DRIFTED_MASTER = """
+import dataclasses
 import sys
 import numpy as np
 import stochcuts.lp as L
@@ -866,11 +910,9 @@ d = np.load(sys.argv[1])
 senses = [str(s) for s in d["senses"]]
 rng = np.random.default_rng(3)
 master = L.LpModel.make(d["c"], d["A"], senses, d["b"], d["lb"], d["ub"])
-models = [L.LpModel.make(d["c"] * rng.uniform(0.5, 1.5, d["c"].size),
-                         d["A"], senses, d["b"], d["lb"], d["ub"])
-          for _ in range(4)]
-models[1:1] = [master]
-models.append(master)
+costs = [d["c"] * rng.uniform(0.5, 1.5, d["c"].size) for _ in range(4)]
+costs[1:1] = [d["c"]]
+costs.append(d["c"])
 retries = []
 init = L._Simplex.__init__
 def counted(self, model, refactor_every=None, *args, **kwargs):
@@ -880,24 +922,27 @@ L._Simplex.__init__ = counted
 def key(r):
     return (r.status, repr(r.objective), r.x.tobytes(), r.duals.tobytes(),
             r.reduced_costs.tobytes())
-want = [key(L.solve_lp(m)) for m in models]
+# each on a record of its own, from scratch
+want = [key(L.solve_lp(L.LpModel.make(c, d["A"], senses, d["b"], d["lb"],
+                                      d["ub"]))) for c in costs]
 assert sum(retries) == 2, retries
 del retries[:]
-starts = {}
-assert [key(L.solve_lp(m, starts)) for m in models] == want
+models = [dataclasses.replace(master, c=c) for c in costs]
+assert [key(L.solve_lp(m)) for m in models] == want
 # one LP per solve, the miss's and the five hits', and the two retries;
-# one matrix, one region
-print(len(retries), sum(retries), len(starts),
-      sum(len(regions) for _, regions in starts.values()))
+# one record, one region
+print(len(retries), sum(retries), len({id(m._record) for m in models}),
+      len(master._record.regions))
 """
 
 
 def test_start_cache_retries_a_breakdown():
     # The drifted master (see test_drifted_master_solves_on_retry) passes
-    # phase 1 and breaks down in phase 2.  Behind a cost-perturbed copy of
-    # itself it is a cache hit that breaks down, then a second hit: each
-    # time it is solved again from scratch, and every result matches
-    # solve_lp's.  Each hit builds its LP from the stored basis and
+    # phase 1 and breaks down in phase 2.  Re-priced, behind a
+    # cost-perturbed copy of itself that shares its record, it is a memo
+    # hit that breaks down, then a second hit: each time it is solved
+    # again from scratch, and every result matches its solve on a record
+    # of its own.  Each hit builds its LP from the stored basis and
     # statuses.  One BLAS thread, as that breakdown needs.
     path = [str(Path(stochcuts.__file__).resolve().parents[1]),
             os.environ.get("PYTHONPATH")]
@@ -1154,9 +1199,9 @@ def test_drifted_master_solves_through_its_dual(monkeypatch):
 
     class Counted(_Simplex):
         def __init__(self, model, refactor_every=lp_module.REFACTOR_EVERY,
-                     afull=None):
+                     **kwargs):
             attempts.append((model.A.shape, refactor_every))
-            super().__init__(model, refactor_every, afull)
+            super().__init__(model, refactor_every, **kwargs)
 
     monkeypatch.setattr(lp_module, "_Simplex", Counted)
     res = solve_lp(model)
@@ -1227,6 +1272,8 @@ def test_warm_dual_start_matches_cold(monkeypatch):
     run(generate_sslp(GeneratorConfig(sites=10, clients=10, scenarios=20,
                                       seed=0)), RunConfig(algorithm="benders"))
     monkeypatch.setattr(benders, "solve_lp", solve)
+    # each went through its dual and built no primal [A | I | I]
+    assert all(model._record.afull is None for model, _, _ in masters)
     tried = _count_warm_starts(monkeypatch)
     for model, start, dual_min in masters:
         _warm_matches_cold(model, start, dual_min)
@@ -1367,7 +1414,8 @@ def test_stacked_bases_answer_as_solve_lps():
 
 def test_only_optimal_primal_results_carry_a_basis(monkeypatch):
     # The dual path's results, and INFEASIBLE and UNBOUNDED ones, carry no
-    # basis; a result of the start cache's phase 2 does.
+    # basis; a result of the phase-1 memo's phase 2 does, on a miss and
+    # on a hit.
     rng = np.random.default_rng(11)
     tall = _tall_model(rng, lp_module.DUAL_MIN + 4, 6)
     tall = LpModel.make(np.abs(tall.c) + 1.0, tall.A, tall.senses, tall.b,
@@ -1379,8 +1427,9 @@ def test_only_optimal_primal_results_carry_a_basis(monkeypatch):
     assert solve_lp(infeasible).basis is None
     assert solve_lp(unbounded).basis is None
     model = LpModel.make([1.0, 2.0], [[1.0, 1.0]], (GE,), [3.0])
-    assert solve_lp(model, starts={}).basis.objective_at([4.0]) == 4.0
-    assert solve_lp(model).basis.objective_at([-1.0]) is None   # y < 0
+    assert solve_lp(model).basis.objective_at([4.0]) == 4.0   # a miss
+    assert model._record.regions
+    assert solve_lp(model).basis.objective_at([-1.0]) is None   # a hit
 
 
 def _warm_outcomes(monkeypatch):

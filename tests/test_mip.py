@@ -90,6 +90,33 @@ def test_unbounded_relaxation_raises():
         solve_mip(MipModel(lp, [True, False]))
 
 
+def test_node_lps_share_one_working_matrix(monkeypatch):
+    # every node LP of a tree is a with_bounds child of its LP, so the
+    # tree builds one [A | I | I], and each node's basis holds it
+    from stochcuts import lp as lp_module
+    built, bases = [], []
+    working_matrix, solve = lp_module._working_matrix, solve_lp
+
+    def counted(*blocks):
+        built.append(working_matrix(*blocks))
+        return built[-1]
+
+    def kept(model):
+        res = solve(model)
+        bases.append(res.basis)
+        return res
+
+    import stochcuts.mip as mip_module
+    monkeypatch.setattr(lp_module, "_working_matrix", counted)
+    monkeypatch.setattr(mip_module, "solve_lp", kept)
+    res = solve_mip(build_extensive(builtin("dim1-random-0")))
+    assert res.status == MIP_OPTIMAL and res.nodes > 1
+    (afull,) = built
+    assert all(basis._lp.Afull is afull for basis in bases
+               if basis is not None)
+    assert sum(basis is not None for basis in bases) > 1
+
+
 def test_requires_finite_bounds_on_integers():
     lp = LpModel.make([1.0], None, None, None)
     with pytest.raises(ValueError):

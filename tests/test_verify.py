@@ -58,6 +58,19 @@ def test_check_cut_validity_inconclusive(thm1):
     assert not report.passed
 
 
+def test_check_cut_validity_looks_at_the_cuts_first():
+    # 2^10 first-stage points exceed the enumeration cap; with no cut to
+    # check there is nothing to enumerate
+    from stochcuts.instance_io import GeneratorConfig, generate_sslp
+    inst = generate_sslp(GeneratorConfig(sites=10, clients=3, scenarios=2))
+    report = check_cut_validity(inst, [])
+    assert report.status == INCONCLUSIVE
+    assert report.detail == "no cuts supplied"
+    with pytest.raises(ValueError, match="exceed cap 512"):
+        check_cut_validity(inst, [Cut(KIND_BENDERS, np.zeros(10),
+                                      np.zeros(2), 0.0)])
+
+
 def test_check_pbbenc_combination(small_sslp):
     inst = small_sslp(seed=0)
     report = check_pbbenc_combination(inst, (0, 1, 2), np.ones(inst.n1))
