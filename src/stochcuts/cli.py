@@ -186,24 +186,20 @@ def cmd_compare(args):
         raise CliError("no algorithms given", EXIT_USAGE)
     configs = [_run_config(args, algorithm) for algorithm in algorithms]
     instances = [_load_instance(s) for s in args.instances]
-    traces = [_run(source, instance, config)
-              for source, instance in zip(args.instances, instances)
-              for config in configs]
-    best = {}
-    for trace in traces:
-        lb = trace.final_lower_bound
-        best[trace.instance_name] = max(best.get(trace.instance_name,
-                                                 -math.inf), lb)
+    runs = [[_run(source, instance, config) for config in configs]
+            for source, instance in zip(args.instances, instances)]
     rows = [("instance", "algorithm", "z_lb", "z_ub", "reason", "seconds")]
-    for trace in traces:
-        lb = trace.final_lower_bound
-        mark = "*" if lb >= best[trace.instance_name] - 1e-6 else " "
-        ub = trace.final_upper_bound
-        secs = trace.events[-1].seconds if trace.events else 0.0
-        rows.append((trace.instance_name, trace.algorithm,
-                     f"{lb:.6g}{mark}",
-                     "-" if ub is None else f"{ub:.6g}",
-                     trace.termination_reason, f"{secs:.2f}"))
+    for traces in runs:   # the best bound of each instance argument
+        best = max(trace.final_lower_bound for trace in traces)
+        for trace in traces:
+            lb = trace.final_lower_bound
+            mark = "*" if lb >= best - 1e-6 else " "
+            ub = trace.final_upper_bound
+            secs = trace.events[-1].seconds if trace.events else 0.0
+            rows.append((trace.instance_name, trace.algorithm,
+                         f"{lb:.6g}{mark}",
+                         "-" if ub is None else f"{ub:.6g}",
+                         trace.termination_reason, f"{secs:.2f}"))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())

@@ -390,7 +390,8 @@ def _cut_loop(instance, config, algorithm, partition, benders_kind,
         if final is None:   # the deadline came first: the LP bound stands
             reason = REASON_TIME_LIMIT
         else:
-            record("lagrangian_round", final[2])
+            record("benders_round" if lagrangian_kind is None
+                   else "lagrangian_round", final[2])
     trace.cuts = state.cuts
     trace.final_partition = partition
     trace.finish(reason)

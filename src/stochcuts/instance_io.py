@@ -22,10 +22,11 @@ that round-trips the double.
 
 Duplicate triplets are summed; parse_verbose returns a warning for
 each, which `stochcuts solve` and `compare` print to stderr, and parse
-and load discard.  Loading validates the instance: one that
-model.validate faults (probabilities that are not positive or do not sum
-to 1, a NaN or infinite value in c, A, b, d, W, T or h, a negative or NaN
-u, an integer column without a finite u) raises FormatError.
+and load discard.  An Instance validates itself as it is built, so a
+file whose instance model.validate faults (probabilities that are not
+positive or do not sum to 1, a NaN or infinite value in c, A, b, d, W, T
+or h, a negative or NaN u, an integer column without a finite u) raises
+FormatError with the constructor's "invalid instance: ..." message.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .model import Instance, Scenario, CONTINUOUS, BINARY, INTEGER, validate
+from .model import Instance, Scenario, CONTINUOUS, BINARY, INTEGER
 
 FORMAT_TAG = "stochcuts-v1"
 
@@ -189,11 +190,11 @@ def parse_verbose(source):
     scenarios = tuple(
         Scenario(p, **{f: a[s] for f, a in per_scenario.items()})
         for s, p in enumerate(probs))
-    instance = Instance(name=name, integrality=tuple(marks),
-                        scenarios=scenarios, **fields)
-    bad = validate(instance)
-    if bad:
-        raise FormatError("invalid instance: " + "; ".join(bad))
+    try:
+        instance = Instance(name=name, integrality=tuple(marks),
+                            scenarios=scenarios, **fields)
+    except ValueError as exc:   # the defects model.validate found
+        raise FormatError(str(exc))
     return instance, warnings
 
 
@@ -328,12 +329,7 @@ def generate_sslp(config):
         a = np.ones((1, ns1))
         b = np.array([float(config.site_budget)])
     name = f"sslp-{ns1}-{m}-{config.scenarios}-s{config.seed}"
-    instance = Instance(name, c, a, b, (BINARY,) * ns1, d, w, tuple(scenarios))
-    bad = validate(instance)
-    if bad:
-        raise RuntimeError("generator produced an invalid instance: "
-                           + "; ".join(bad))
-    return instance
+    return Instance(name, c, a, b, (BINARY,) * ns1, d, w, tuple(scenarios))
 
 
 def _thm1():

@@ -14,7 +14,7 @@ simpler than sparse storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -82,7 +82,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable two-stage instance; share freely between engines."""
+    """Immutable two-stage instance; share freely between engines.
+
+    It is valid once built: the constructor (and so dataclasses.replace)
+    raises ValueError("invalid instance: " + the defects joined by "; ")
+    when validate finds any."""
 
     name: str
     first_stage_cost: np.ndarray          # c, (n1,)
@@ -115,6 +119,9 @@ class Instance:
         object.__setattr__(self, "first_stage_upper", _frozen(
             np.full(self.n1, np.inf) if upper is None
             else np.atleast_1d(upper)))
+        bad = validate(self)
+        if bad:
+            raise ValueError("invalid instance: " + "; ".join(bad))
 
     # dimensions
     @property
@@ -160,27 +167,30 @@ class Instance:
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        if (self.name != other.name or self.integrality != other.integrality
-                or self.n_scenarios != other.n_scenarios):
-            return False
-        for f in ("first_stage_cost", "first_stage_matrix", "first_stage_rhs",
-                  "first_stage_upper", "second_stage_cost", "recourse"):
-            if not np.array_equal(getattr(self, f), getattr(other, f)):
-                return False
-        for a, b in zip(self.scenarios, other.scenarios):
-            if a.probability != b.probability:
-                return False
-            if not np.array_equal(a.technology, b.technology):
-                return False
-            if not np.array_equal(a.rhs, b.rhs):
-                return False
-        return True
+        return _equal(self, other)
 
     __hash__ = None
 
 
+def _equal(a, b):
+    """Exact equality of two values of one Instance field: field by field
+    through a dataclass (each Scenario) and item by item through a tuple,
+    np.array_equal on arrays."""
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if is_dataclass(a):
+        return all(_equal(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a))
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    return a == b
+
+
 def validate(instance):
-    """Return a list of human-readable defects; empty means well-formed."""
+    """The human-readable defects of an instance's data, in a fixed order;
+    empty means well-formed.  Instance calls it as the last step of its
+    constructor, on the converted arrays, and refuses any defect, so an
+    Instance that exists has none and no other caller checks again."""
     out = []
     n1, n2 = instance.n1, instance.n2
     a = instance.first_stage_matrix
@@ -242,9 +252,6 @@ def _non_finite(prefix, **arrays):
 
 def build_extensive(instance):
     """Deterministic extensive form: variables x then y_1 ... y_S."""
-    bad = validate(instance)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     return stacked_model(instance, instance.first_stage_cost,
                          [(s.probability, s.technology, s.rhs)
                           for s in instance.scenarios])

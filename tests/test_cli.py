@@ -233,6 +233,23 @@ def test_compare_table(capsys):
     assert any("apblagc" in line for line in starred)
 
 
+def test_compare_stars_the_best_bound_of_each_file(tmp_path, capsys):
+    # two files without a name line both load as "unnamed"; the best bound
+    # used to be keyed by that name, so only the larger one was starred
+    paths = []
+    for k, h in enumerate(("0.5", "3.0")):
+        path = tmp_path / f"inst{k}.txt"
+        path.write_text("\n".join([FORMAT_TAG, "dims 1 1 0 1 1", "d 0 1.0",
+                                   "W 0 0 1.0", "scenario 0 1.0",
+                                   f"h 0 0 {h}", ""]))
+        paths.append(str(path))
+    code = main(["compare", *paths, "--algorithms", "benders"])
+    assert code == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["unnamed", "benders", "0.5*"],
+                                         ["unnamed", "benders", "3*"]]
+
+
 def test_compare_rejects_unknown_algorithm_before_solving(monkeypatch,
                                                          capsys):
     # every config is built first: a bad name used to surface as a

@@ -8,19 +8,27 @@ optimum, and its upper bound is one.  Every driver refuses an instance
 whose LP relaxation HiGHS finds infeasible with an InfeasibleError, and
 only an instance without an integer solution may be refused.  Instances
 are server-location ones (with and without the site-budget row, which can
-leave no solution) and the builtin dim1-random family at drawn seeds.  The draw is derandomized, so the test is repeatable, and
-skipped without scipy.  One more test runs benders at the paper's client
-count, on sslp-10-50-20.
+leave no solution) and the builtin dim1-random family at drawn seeds.
+A second test holds the accept-or-refuse contract over the whole file
+format: on small drawn instances of every column mark, bounded or not,
+each driver returns a bound at most the MIP optimum, or refuses the
+instance with InfeasibleError or UnboundedError where HiGHS agrees.  The
+draws are derandomized, so the tests are repeatable, and skipped without
+scipy.  One more test runs benders at the paper's client count, on
+sslp-10-50-20.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochcuts import builtin, generate_sslp, GeneratorConfig, run, RunConfig
-from stochcuts.drivers import REASON_CONVERGED
+from stochcuts import (builtin, emit, generate_sslp, GeneratorConfig, parse,
+                       run, RunConfig)
+from stochcuts.drivers import ALGORITHMS, REASON_CONVERGED
 from stochcuts.lp import GE, LE
-from stochcuts.model import build_extensive, InfeasibleError
+from stochcuts.model import (build_extensive, Instance, Scenario,
+                             InfeasibleError, UnboundedError,
+                             BINARY, CONTINUOUS, INTEGER)
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -38,10 +46,12 @@ def _instances(draw):
         site_budget=draw(st.none() | st.integers(1, sites))))
 
 
-def _highs(instance, integer=True):
+def _highs(instance, integer=True, accept=(0, 2)):
     """(LP relaxation, MIP optimum) of build_extensive(instance), by HiGHS,
     or (LP relaxation,) when not `integer`; inf where it finds no
-    solution."""
+    solution.  HiGHS must end with a milp status in `accept`; where it is
+    3 (unbounded) the value is -inf, and where it is 4 (for these LPs,
+    infeasible or unbounded) NaN."""
     mip = build_extensive(instance)
     lp = mip.lp
     senses = np.asarray(lp.senses)
@@ -55,9 +65,17 @@ def _highs(instance, integer=True):
                             bounds=optimize.Bounds(lp.lb, lp.ub),
                             integrality=integrality,
                             options={"mip_rel_gap": 1e-9})
-        assert res.status in (0, 2), res.message     # 2: infeasible
-        values.append(float(res.fun) if res.status == 0 else np.inf)
+        assert res.status in accept, res.message     # 2: infeasible
+        values.append(float(res.fun) if res.status == 0 else
+                      {2: np.inf, 3: -np.inf, 4: np.nan}[res.status])
     return values
+
+
+def _config(algorithm, **options):
+    """RunConfig for `algorithm`, the Lagrangian loops at budget 6."""
+    if algorithm in ("bdd", "apblagc"):
+        options["separation_budget"] = 6
+    return RunConfig(algorithm=algorithm, **options)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -68,9 +86,7 @@ def test_drivers_agree_with_highs(instance):
     relaxation, optimum = _highs(instance)
     slack = TOL * (1.0 + abs(optimum))
     for algorithm in ("benders", "bdd", "apblagc", "alg1"):
-        budget = {"separation_budget": 6} if algorithm in ("bdd",
-                                                           "apblagc") else {}
-        config = RunConfig(algorithm=algorithm, **budget)
+        config = _config(algorithm)
         if relaxation == np.inf:
             with pytest.raises(InfeasibleError):
                 run(instance, config)
@@ -90,6 +106,64 @@ def test_drivers_agree_with_highs(instance):
             assert trace.final_upper_bound >= optimum - slack
             assert abs(z - optimum) <= config.epsilon * abs(optimum) + slack, \
                 (z, optimum)
+
+
+@st.composite
+def _format_instances(draw):
+    """Small instances over the whole file format, through emit and parse:
+    integer data in [-3, 3], columns of all three marks (an integer one
+    bounded by its u, a continuous one with or without a u), costs of
+    either sign, at most one first-stage row, and one T for every
+    scenario or one each."""
+    n1, n2, m2, ns = (draw(st.integers(1, 3)) for _ in range(4))
+    m1 = draw(st.integers(0, 1))
+
+    def ints(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=size,
+                                      max_size=size)),
+                        dtype=float).reshape(shape)
+
+    marks = draw(st.lists(st.sampled_from((CONTINUOUS, BINARY, INTEGER)),
+                          min_size=n1, max_size=n1))
+    upper = [draw(st.integers(1, 3) if mark == INTEGER
+                  else st.none() | st.integers(0, 3)) for mark in marks]
+    shared = ints(m2, n1) if draw(st.booleans()) else None
+    weights = draw(st.lists(st.integers(1, 4), min_size=ns, max_size=ns))
+    scenarios = tuple(
+        Scenario(w / sum(weights), ints(m2, n1) if shared is None else shared,
+                 ints(m2))
+        for w in weights)
+    instance = Instance("fuzz", ints(n1), ints(m1, n1), ints(m1), marks,
+                        ints(n2), ints(m2, n2), scenarios,
+                        [np.inf if u is None else u for u in upper])
+    return parse(emit(instance))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_format_instances())
+def test_every_instance_is_solved_or_refused(instance):
+    # each driver returns a valid bound or refuses the instance with
+    # InfeasibleError or UnboundedError, each only where HiGHS agrees;
+    # any other exception fails the draw.  A continuous column with no u
+    # may still end in UnboundedError where HiGHS finds an optimum: such a
+    # master or K is refused at solve time
+    _, optimum = _highs(instance, accept=(0, 2, 3, 4))
+    no_u = np.isinf(instance.x_bounds()[1]).any()
+    for algorithm in ALGORITHMS:
+        try:
+            trace = run(instance, _config(algorithm, time_limit=5.0))
+        except InfeasibleError:
+            assert optimum == np.inf or np.isnan(optimum), (algorithm,
+                                                            optimum)
+            continue
+        except UnboundedError:
+            assert not np.isfinite(optimum) or no_u, (algorithm, optimum)
+            continue
+        if np.isfinite(optimum):
+            z = trace.final_lower_bound
+            assert z <= optimum + TOL * (1.0 + abs(optimum)), \
+                (algorithm, z, optimum)
 
 
 def test_benders_at_the_papers_client_count():

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -313,10 +314,11 @@ def test_upper_bound_line():
 
 
 def test_validate_flags_non_finite_first_stage_rows():
-    inst = Instance("rows", [1.0], [[np.nan]], [np.inf], [CONTINUOUS], [1.0],
-                    [[1.0]], (Scenario(1.0, [[1.0]], [0.0]),))
-    assert validate(inst) == ["A has a non-finite entry",
-                              "b has a non-finite entry"]
+    with pytest.raises(ValueError, match=re.escape(
+            "invalid instance: A has a non-finite entry; "
+            "b has a non-finite entry") + "$"):
+        Instance("rows", [1.0], [[np.nan]], [np.inf], [CONTINUOUS], [1.0],
+                 [[1.0]], (Scenario(1.0, [[1.0]], [0.0]),))
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,24 +20,43 @@ def test_validate_well_formed(thm1):
     assert validate(thm1) == []
 
 
+def _refused(defects):
+    """pytest.raises for the ValueError an Instance with these defects
+    raises as it is built."""
+    return pytest.raises(ValueError, match="^" + re.escape(
+        "invalid instance: " + "; ".join(defects)) + "$")
+
+
 def test_validate_probability_sum():
-    bad = two_scenario((0.6, 0.6))
-    msgs = validate(bad)
-    assert any("sum to 1.2" in m for m in msgs)
+    with _refused(["probabilities sum to 1.2"]):
+        two_scenario((0.6, 0.6))
 
 
 def test_validate_dimension_mismatch():
     sc = Scenario(1.0, np.ones((2, 2)), np.zeros(2))  # T has m2+1 rows
-    inst = Instance("bad", [0.0, 0.0], np.zeros((0, 2)), [],
-                    (BINARY, BINARY), [1.0], [[1.0]], (sc,))
-    msgs = validate(inst)
-    assert any("scenario 0" in m for m in msgs)
+    with _refused(["scenario 0: technology shape (2, 2) does not match "
+                   "(m2, n1) = (1, 2)",
+                   "scenario 0: rhs length 2 does not match m2 = 1"]):
+        Instance("bad", [0.0, 0.0], np.zeros((0, 2)), [],
+                 (BINARY, BINARY), [1.0], [[1.0]], (sc,))
 
 
 def test_validate_no_scenarios():
-    inst = Instance("empty", [0.0], np.zeros((0, 1)), [], (BINARY,),
-                    [1.0], [[1.0]], ())
-    assert any("no scenarios" in m for m in validate(inst))
+    with _refused(["no scenarios"]):
+        Instance("empty", [0.0], np.zeros((0, 1)), [], (BINARY,),
+                 [1.0], [[1.0]], ())
+
+
+def test_replaced_copy_is_validated(thm1):
+    # dataclasses.replace goes through the constructor: thm1 with its
+    # second probability at 0.4 (sum 0.9) used to reach the drivers, where
+    # benders ended `converged` at 0.0, and a NaN in h failed inside the
+    # LP core
+    s0, s1 = thm1.scenarios
+    with _refused(["probabilities sum to 0.9"]):
+        replace(thm1, scenarios=(s0, replace(s1, probability=0.4)))
+    with _refused(["scenario 0: h has a non-finite entry"]):
+        replace(thm1, scenarios=(replace(s0, rhs=[np.nan, 0.0]), s1))
 
 
 def test_extensive_shape(thm1):
